@@ -14,7 +14,6 @@ marginalize out, so both views agree exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,6 +23,7 @@ from .dist import (
     Document,
     LanguageModel,
     TextDistribution,
+    block_distribution_completed,
     extended_block_distribution,
     kl,
     lm_to_text,
@@ -56,28 +56,6 @@ class BoostResult:
     applied: Distinguisher  # the possibly-complemented distinguisher used
 
 
-def _exp_weights(
-    q: TextDistribution, d: Distinguisher, alpha: float, anchor: int
-) -> np.ndarray:
-    """Per (prefix, clipped window) factors exp(-alpha * d_{anchor+1})."""
-    size = q.alphabet.size
-    kc = min(d.k, q.n - anchor)
-    out = np.empty((size**anchor, size**kc))
-    for s_idx in range(size**anchor):
-        s = _prefix_of(s_idx, anchor, size)
-        for w_idx, w in enumerate(product(range(size), repeat=kc)):
-            out[s_idx, w_idx] = math.exp(-alpha * d.value(anchor + 1, s, w))
-    return out
-
-
-def _prefix_of(idx: int, length: int, size: int) -> Document:
-    out = []
-    for _ in range(length):
-        out.append(idx % size)
-        idx //= size
-    return tuple(reversed(out))
-
-
 def boost_text(
     p: TextDistribution, q: TextDistribution, d: Distinguisher
 ) -> BoostResult:
@@ -104,21 +82,17 @@ def boost_text(
     n, k, size = q.n, d.k, q.alphabet.size
 
     probs = np.array(q.probs)
+    tables = applied.tables(size)
     for anchor in anchors(i0, n, k):
-        kc = min(k, n - anchor)
-        weights = _exp_weights(q, applied, alpha, anchor)
+        rows, cols = tables[anchor].shape
+        weights = np.exp(-alpha * tables[anchor])
+        view = probs.reshape(rows, cols, -1)
+        qblock = q.probs.reshape(rows, cols, -1).sum(axis=2)
         qmarg = q.prefix_marginals(anchor)
-        rest = size ** (n - anchor - kc)
-        view = probs.reshape(size**anchor, size**kc, rest)
-        qblock = (
-            np.asarray(q.probs).reshape(size**anchor, size**kc, rest).sum(axis=2)
-        )
-        for s_idx in range(size**anchor):
-            m = qmarg[s_idx]
-            if m <= 0.0:
-                continue
-            z = float((qblock[s_idx] / m * weights[s_idx]).sum())
-            view[s_idx] *= (weights[s_idx] / z)[:, None]
+        live = qmarg > 0.0
+        z = np.ones(rows)
+        z[live] = (qblock[live] / qmarg[live, None] * weights[live]).sum(axis=1)
+        view *= (weights / z[:, None])[:, :, None]
     q_boosted = TextDistribution(q.alphabet, n, probs)
 
     kl_after = kl(p, q_boosted)
@@ -155,19 +129,17 @@ def normalization_Z(
     """
     if q.marginal(s) <= 0.0:
         raise ZeroMarginalError(f"prefix {s} has zero marginal under q")
-    anchor = len(s)
-    kc = min(d.k, q.n - anchor)
-    block = _block_given(q, s, kc)
-    z = 0.0
-    for w_idx, w in enumerate(product(range(q.alphabet.size), repeat=kc)):
-        z += block[w_idx] * math.exp(-alpha * d.value(anchor + 1, s, w))
-    return z
+    block = block_distribution_completed(q, s, min(d.k, q.n - len(s)))
+    return float(block @ _f2_row(q, d, alpha, s))
 
 
-def _block_given(q: TextDistribution, s: Document, length: int) -> np.ndarray:
-    from .dist import block_distribution_completed
-
-    return block_distribution_completed(q, s, length)
+def _f2_row(
+    q: TextDistribution, d: Distinguisher, alpha: float, base: Document
+) -> np.ndarray:
+    """exp(-alpha d_{|base|+1}(base.w)) over the clipped windows w."""
+    if len(base) >= q.n:
+        raise PreconditionError(f"block start {len(base)} must be < n={q.n}")
+    return np.exp(-alpha * d.tables(q.alphabet.size)[len(base)][q.index(base)])
 
 
 def components_f_g(
@@ -202,9 +174,9 @@ def components_f_g(
     realized = tuple(x[anchor:i])  # x_{anchor+1} .. x_i, r0 tokens
     r0 = i - anchor
     block = extended_block_distribution(q, base, d.k)
-    f1 = float(block[_tuple_index(s, q.alphabet.size)])
+    f1 = float(block[q.index(s)])
     kc = min(d.k, q.n - anchor)
-    f2 = math.exp(-alpha * d.value(anchor + 1, base, s[:kc]))
+    f2 = float(_f2_row(q, d, alpha, base)[q.index(s[:kc])])
     g1 = 1 if s[:r0] == realized else 0
     g2 = 1 if s[: r0 - 1] == realized[: r0 - 1] else 0
     return f1, f2, g1, g2
@@ -237,14 +209,16 @@ def boosted_next_token(
     realized = prefix[anchor:] + (token,)  # x_{anchor+1} .. x_i
     r0 = i - anchor
     block = extended_block_distribution(q, base, d.k)
+    # full windows agreeing up to the document end share one f2
     kc = min(d.k, q.n - anchor)
+    f2_full = np.repeat(_f2_row(q, d, alpha, base), size ** (d.k - kc))
     num = 0.0
     den = 0.0
     for w_idx, w in enumerate(product(range(size), repeat=d.k)):
         f1 = float(block[w_idx])
         if f1 == 0.0:
             continue
-        f2 = math.exp(-alpha * d.value(anchor + 1, base, w[:kc]))
+        f2 = float(f2_full[w_idx])
         v = f1 * f2
         if w[: r0 - 1] == realized[: r0 - 1]:
             den += v
@@ -270,8 +244,7 @@ def boosted_lm(
     levels = []
     for m in range(q.n):
         rows = np.empty((size**m, size))
-        for s_idx in range(size**m):
-            prefix = _prefix_of(s_idx, m, size)
+        for s_idx, prefix in enumerate(product(range(size), repeat=m)):
             for tok in range(size):
                 try:
                     rows[s_idx, tok] = boosted_next_token(
@@ -282,9 +255,3 @@ def boosted_lm(
         levels.append(rows)
     return LanguageModel(q.alphabet, q.n, tuple(levels))
 
-
-def _tuple_index(t: Document, size: int) -> int:
-    idx = 0
-    for tok in t:
-        idx = idx * size + tok
-    return idx

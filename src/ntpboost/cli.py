@@ -22,7 +22,7 @@ from . import io as nio
 from .boosting import boost_text
 from .construct import build_boosted_rnn, distinguisher_to_rnn, lm_to_rnn
 from .dist import text_to_lm, uniform_text
-from .errors import NtpboostError
+from .errors import FormatError, NtpboostError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
 from .rnn.engine import run as engine_run
@@ -65,7 +65,11 @@ def cmd_boost(args) -> int:
 def cmd_construct(args) -> int:
     q = nio.load_and_validate(args.model, "graph")
     d = nio.load_and_validate(args.distinguisher, "graph")
-    base = int(q.meta.get("alphabet_size", 2))
+    if "alphabet_size" not in q.meta:
+        raise FormatError(
+            "missing field 'alphabet_size'", location=f"{args.model}/meta"
+        )
+    base = int(q.meta["alphabet_size"])
     graph, report = build_boosted_rnn(q, d, args.k, args.alpha, args.offset, base)
     nio.write_json_atomic(_out_path(args, "boosted_graph.json"), nio.graph_to_json(graph))
     nio.write_json_atomic(
@@ -124,20 +128,21 @@ def _family_from_config(cfg, alphabet, n):
     raise NtpboostError(f"unknown family kind {kind!r}")
 
 
-def _rounds_csv(trace) -> str:
+def _rounds_csv(rounds: list[dict]) -> str:
+    """rounds.csv from the ``rounds`` records of a trace payload."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROUND_CSV_COLUMNS)
-    for r in trace.rounds:
-        alpha = r.best_advantage if not r.certified else 0.0
+    for r in rounds:
+        alpha = r["best_advantage"] if not r["certified"] else 0.0
         writer.writerow(
             [
-                r.index,
-                r.budget_size,
-                r.budget_hidden,
-                r.budget_time,
-                f"{r.loss:.12g}",
-                f"{r.kl:.12g}",
+                r["index"],
+                r["budget_size"],
+                r["budget_hidden"],
+                r["budget_time"],
+                f"{r['loss']:.12g}",
+                f"{r['kl']:.12g}",
                 f"{alpha:.12g}",
             ]
         )
@@ -195,8 +200,11 @@ def cmd_selfboost(args) -> int:
         b_d=int(cfg.get("b_d", 0)),
         compile_hook=compile_hook,
     )
-    nio.write_json_atomic(_out_path(args, "selfboost_trace.json"), _trace_payload(trace))
-    nio.write_text_atomic(_out_path(args, "rounds.csv"), _rounds_csv(trace))
+    payload = _trace_payload(trace)
+    nio.write_json_atomic(_out_path(args, "selfboost_trace.json"), payload)
+    nio.write_text_atomic(
+        _out_path(args, "rounds.csv"), _rounds_csv(payload["rounds"])
+    )
     nio.write_json_atomic(
         _out_path(args, "final_model.json"), nio.distribution_to_json(model)
     )
@@ -271,23 +279,9 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     payload = nio.read_json(args.trace)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROUND_CSV_COLUMNS)
-    for r in payload["rounds"]:
-        alpha = r["best_advantage"] if not r["certified"] else 0.0
-        writer.writerow(
-            [
-                r["index"],
-                r["budget_size"],
-                r["budget_hidden"],
-                r["budget_time"],
-                f"{r['loss']:.12g}",
-                f"{r['kl']:.12g}",
-                f"{alpha:.12g}",
-            ]
-        )
-    nio.write_text_atomic(_out_path(args, "rounds.csv"), buf.getvalue())
+    nio.write_text_atomic(
+        _out_path(args, "rounds.csv"), _rounds_csv(payload["rounds"])
+    )
     print(f"report: wrote {len(payload['rounds'])} rounds")
     return 0
 
@@ -301,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="default RNG seed")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override reporting tolerance (never below machine defaults)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("boost", help="apply one analytic boosting step", parents=[common])
@@ -345,12 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tolerance is not None and args.tolerance < 1e-12:
-        print(
-            json.dumps({"error": "tolerance below machine default 1e-12"}),
-            file=sys.stderr,
-        )
-        return 2
     try:
         return args.fn(args)
     except NtpboostError as e:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 
 from ..dist import Alphabet, LanguageModel
-from ..distinguishers import Distinguisher
+from ..distinguishers import Distinguisher, set_keys
 from ..errors import PreconditionError
 from ..rnn.expr import (
     case_select,
@@ -128,25 +128,17 @@ def distinguisher_to_rnn(
     for i in range(1, n + 1):
         nodes.append(NodeSpec(f"p{i}", 0.0, _latch(i)))
 
+    # d(i, .) is read once its window is consumed, at counter value
+    # m = i - 1 + k; a window clipped at the document end ends before m,
+    # so those terms match on the latches alone
     terms = []
-    for m in range(k, n + k):
-        anchor = m - k + 1  # d's position argument
-        gate_m = ind_eq("c", float(m))
-        if m <= n:
-            for s in product(range(size), repeat=m - 1):
-                matches = _prefix_match(s)
-                for a in range(size):
-                    full = s + (a,)
-                    bit = d.value(anchor, full[: anchor - 1], full[anchor - 1 :])
-                    if bit:
-                        terms.append(
-                            (1.0, prod(gate_m, ind_eq("in", float(a)), *matches))
-                        )
+    for i, joint in set_keys(d, size):
+        gate_m = ind_eq("c", float(i - 1 + k))
+        if len(joint) == i - 1 + k:
+            *s, a = joint
+            terms.append((1.0, prod(gate_m, ind_eq("in", float(a)), *_prefix_match(s))))
         else:
-            for s in product(range(size), repeat=n):
-                bit = d.value(anchor, s[: anchor - 1], s[anchor - 1 :])
-                if bit:
-                    terms.append((1.0, prod(gate_m, *_prefix_match(s))))
+            terms.append((1.0, prod(gate_m, *_prefix_match(joint))))
     expr = relu(0.0, *terms) if terms else const(0.0)
     nodes.append(NodeSpec("out", 0.0, expr))
 

@@ -28,11 +28,21 @@ Document = tuple[int, ...]
 
 
 def enumeration_cap() -> int:
-    """Hard cap on table sizes; NTPBOOST_MAX_ENUM overrides (unsafe)."""
+    """Hard cap on table sizes; NTPBOOST_MAX_ENUM overrides (unsafe).
+
+    Raises SizingError when the override is not a positive integer.
+    """
     raw = os.environ.get("NTPBOOST_MAX_ENUM")
     if raw is None:
         return DEFAULT_MAX_ENUM
-    return int(raw)
+    bad = SizingError(f"NTPBOOST_MAX_ENUM must be a positive integer, got {raw!r}")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise bad from None
+    if cap < 1:
+        raise bad
+    return cap
 
 
 @dataclass(frozen=True)
@@ -374,23 +384,15 @@ def next_token_loss(p: TextDistribution, q: LanguageModel) -> float:
         lvl = q.levels[i]
         bad = mask & (lvl <= 0)
         if np.any(bad):
-            flat = int(np.argmax(bad))
-            pref_idx, tok = divmod(flat, s)
-            prefix = _index_to_prefix(pref_idx, i, s)
+            *prefix, tok = (
+                int(t) for t in np.unravel_index(int(np.argmax(bad)), (s,) * (i + 1))
+            )
             raise SupportError(
-                f"next-token loss undefined: q({tok}|{prefix}) = 0 on the "
+                f"next-token loss undefined: q({tok}|{tuple(prefix)}) = 0 on the "
                 f"support of p"
             )
         total += float(-(joint[mask] * np.log(lvl[mask])).sum())
     return total / p.n
-
-
-def _index_to_prefix(idx: int, length: int, size: int) -> Document:
-    out = []
-    for _ in range(length):
-        out.append(idx % size)
-        idx //= size
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -429,11 +431,3 @@ def divergence_report(p: TextDistribution, q: LanguageModel) -> DivergenceReport
 def min_conditional(q: LanguageModel) -> float:
     return min(float(lvl.min()) for lvl in q.levels)
 
-
-def all_prefixes(alphabet: Alphabet, max_len: int):
-    """All token tuples of length 0..max_len, shortest first."""
-    from itertools import product
-
-    for m in range(max_len + 1):
-        for s in product(alphabet.tokens, repeat=m):
-            yield s

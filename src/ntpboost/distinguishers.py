@@ -1,9 +1,13 @@
 """Next-k-token distinguishers and the advantage functional.
 
 A distinguisher is a binary predicate d(i, x) that may read the prefix
-x_{:i} and the window x_{i:i+k} (clipped at the document end).  The
-advantage measures, averaged over positions and true-data prefixes, how
-differently the predicate behaves on q's window completions versus p's.
+x_{:i} and the window x_{i:i+k} (clipped at the document end).  At a
+fixed alphabet size it is a finite table: ``Distinguisher.tables``
+holds one bit array D_i per position, with a row per prefix and a
+column per clipped window.  The advantage measures, averaged over
+positions and true-data prefixes, how differently the predicate behaves
+on q's window completions versus p's; on tables it is a dot product
+with the gaps G_i = p(prefix) * (q(window | prefix) - p(window | prefix)).
 """
 
 from __future__ import annotations
@@ -11,19 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (
-    Document,
-    TextDistribution,
-    block_distribution_completed,
-    kl,
-)
+from .dist import Document, TextDistribution, enumeration_cap, kl
 from .errors import PreconditionError, SizingError, ValidationError
 
 Predicate = Callable[[int, Document, Document], int]
+Tables = tuple[np.ndarray, ...]
+
+
+def table_shapes(k: int, n: int, size: int) -> list[tuple[int, int]]:
+    """Shape (|Sigma|^(i-1), |Sigma|^kc(i)) of D_i for i = 1..n."""
+    return [(size ** (i - 1), size ** min(k, n - i + 1)) for i in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -32,14 +37,17 @@ class Distinguisher:
 
     ``predicate`` receives the 1-based position i, the prefix x_{:i}
     (i-1 tokens) and the window x_{i:i+k} clipped at the document end.
-    ``size_meta`` optionally declares size/hidden/time/bits for size
-    accounting and reports.
+    ``tabulate``, when given, builds the tables of ``tables`` for an
+    alphabet size directly; otherwise they are read off the predicate.
     """
 
     k: int
     n: int
     predicate: Predicate
-    size_meta: dict = field(default_factory=dict)
+    tabulate: Callable[[int], Sequence[np.ndarray]] | None = field(
+        default=None, compare=False, repr=False
+    )
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -57,16 +65,112 @@ class Distinguisher:
     def value_on_document(self, i: int, x: Document) -> int:
         return self.value(i, tuple(x[: i - 1]), self.window(x, i))
 
+    def tables(self, size: int) -> Tables:
+        """Read-only bit tables D_1..D_n at alphabet size ``size``.
+
+        D_i[prefix, window] = d(i, x) where x_{:i-1+kc} is prefix.window,
+        so the flat index of D_i is the lexicographic index of that
+        string.  Built once per size, within the enumeration cap.
+        """
+        cached = self._tables.get(size)
+        if cached is not None:
+            return cached
+        shapes = table_shapes(self.k, self.n, size)
+        total, cap = sum(r * c for r, c in shapes), enumeration_cap()
+        if total > cap:
+            raise SizingError(
+                f"distinguisher tables of {total} entries exceed the exact "
+                f"enumeration cap {cap}"
+            )
+        raw = list(self.tabulate(size) if self.tabulate else self._read_predicate(size))
+        if len(raw) != self.n:
+            raise ValidationError(f"need {self.n} tables, got {len(raw)}")
+        out = []
+        for i, (shape, table) in enumerate(zip(shapes, raw), 1):
+            arr = np.asarray(table)
+            if arr.shape != shape:
+                raise ValidationError(f"D_{i} has shape {arr.shape}, expected {shape}")
+            bad = (arr != 0) & (arr != 1)
+            if bad.any():
+                raise ValidationError(
+                    f"distinguisher output {arr[bad][0].item()!r} is not a bit"
+                )
+            arr = arr.astype(np.uint8)
+            arr.flags.writeable = False
+            out.append(arr)
+        cached = self._tables[size] = tuple(out)
+        return cached
+
+    def _read_predicate(self, size: int) -> list[np.ndarray]:
+        out = []
+        for i, (rows, cols) in enumerate(table_shapes(self.k, self.n, size), 1):
+            kc = min(self.k, self.n - i + 1)
+            bits = [
+                self.value(i, x[: i - 1], x[i - 1 :])
+                for x in product(range(size), repeat=i - 1 + kc)
+            ]
+            out.append(np.array(bits, dtype=np.uint8).reshape(rows, cols))
+        return out
+
+
+def flat(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """All positions' tables as one vector, position 1 first."""
+    return np.concatenate([t.ravel() for t in tables])
+
+
+def _index(tokens: Document, size: int) -> int:
+    try:
+        return int(np.ravel_multi_index(tuple(tokens), (size,) * len(tokens)))
+    except ValueError:
+        raise ValidationError(f"tokens {tokens} outside alphabet of size {size}")
+
+
+def from_tables(
+    k: int, n: int, size: int, tables: Sequence[np.ndarray]
+) -> Distinguisher:
+    """The distinguisher whose tables at alphabet size ``size`` are given."""
+
+    def tabulate(s: int):
+        if s != size:
+            raise PreconditionError(
+                f"distinguisher is tabulated for alphabet size {size}, not {s}"
+            )
+        return tables
+
+    def lookup(i, prefix, window):
+        table = d.tables(size)[i - 1]
+        return int(table[_index(prefix, size), _index(window, size)])
+
+    d = Distinguisher(k, n, lookup, tabulate)
+    return d
+
+
+def set_keys(d: Distinguisher, size: int):
+    """(i, x_{:i-1+kc}) for every set bit of d, in table order."""
+    for i, table in enumerate(d.tables(size), 1):
+        length = i - 1 + min(d.k, d.n - i + 1)
+        digits = np.unravel_index(np.flatnonzero(table), (size,) * length)
+        for key in zip(*digits):
+            yield i, tuple(int(t) for t in key)
+
 
 def complement(d: Distinguisher) -> Distinguisher:
     pred = d.predicate
     return Distinguisher(
-        d.k, d.n, lambda i, s, w: 1 - pred(i, s, w), dict(d.size_meta)
+        d.k,
+        d.n,
+        lambda i, s, w: 1 - pred(i, s, w),
+        lambda size: [1 - t for t in d.tables(size)],
     )
 
 
 def constant_distinguisher(k: int, n: int, bit: int = 0) -> Distinguisher:
-    return Distinguisher(k, n, lambda i, s, w: bit, {"entries": 0})
+    return Distinguisher(
+        k,
+        n,
+        lambda i, s, w: bit,
+        lambda size: [np.full(shape, bit) for shape in table_shapes(k, n, size)],
+    )
 
 
 def table_distinguisher(
@@ -95,60 +199,55 @@ def table_distinguisher(
             return table.get((i, prev, tuple(w)), default)
     else:
         raise ValidationError(f"unknown table keying {keyed_on!r}")
-    return Distinguisher(
-        k, n, pred, {"entries": len(table), "keyed_on": keyed_on}
-    )
+    return Distinguisher(k, n, pred)
 
 
 # ---------------------------------------------------------------------------
 # advantage
 
 
-def _position_terms(
-    d: Distinguisher, p: TextDistribution, q: TextDistribution
-) -> np.ndarray:
-    """terms[i-1] = E_{y~p}[ E_{x~q}[d_i|x_{:i}=y_{:i}] - d_i(y) ].
+def _block_conditionals(
+    text: TextDistribution, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix marginals and window conditionals, uniform at zero marginals."""
+    blocks = text.probs.reshape(rows, cols, -1).sum(axis=2)
+    marg = blocks.sum(axis=1)
+    cond = np.full(blocks.shape, 1.0 / cols)
+    np.divide(blocks, marg[:, None], out=cond, where=marg[:, None] > 0)
+    return marg, cond
 
-    Conditional expectations under q use the uniform-completion
-    convention at zero-marginal prefixes; they enter only where p gives
-    the prefix positive mass.
+
+def position_gaps(p: TextDistribution, q: TextDistribution, k: int) -> Tables:
+    """G_i = p(x_{:i-1}) * (q(w | x_{:i-1}) - p(w | x_{:i-1})), shaped like D_i.
+
+    Conditionals under q use the uniform-completion convention at
+    zero-marginal prefixes; they enter only where p gives the prefix
+    positive mass.
     """
-    n, k, size = p.n, d.k, p.alphabet.size
-    terms = np.zeros(n)
-    for i in range(1, n + 1):
-        kc = min(k, n - i + 1)
-        pmarg = p.prefix_marginals(i - 1)
-        acc = 0.0
-        for s_idx in np.nonzero(pmarg > 0)[0]:
-            s = _prefix_of(int(s_idx), i - 1, size)
-            dvals = np.array(
-                [d.value(i, s, w) for w in product(range(size), repeat=kc)],
-                dtype=np.float64,
-            )
-            qblock = block_distribution_completed(q, s, kc)
-            pblock = block_distribution_completed(p, s, kc)
-            acc += float(pmarg[s_idx]) * float(((qblock - pblock) * dvals).sum())
-        terms[i - 1] = acc
-    return terms
+    if p.alphabet.size != q.alphabet.size or p.n != q.n:
+        raise ValidationError("p and q must share alphabet and n")
+    if k > p.n:
+        raise PreconditionError(f"window k={k} exceeds document length {p.n}")
+    gaps = []
+    for rows, cols in table_shapes(k, p.n, p.alphabet.size):
+        pmarg, pcond = _block_conditionals(p, rows, cols)
+        _, qcond = _block_conditionals(q, rows, cols)
+        gaps.append(pmarg[:, None] * (qcond - pcond))
+    return tuple(gaps)
 
 
-def _prefix_of(idx: int, length: int, size: int) -> Document:
-    out = []
-    for _ in range(length):
-        out.append(idx % size)
-        idx //= size
-    return tuple(reversed(out))
+def _tables_for(d: Distinguisher, p: TextDistribution) -> Tables:
+    if d.n != p.n:
+        raise PreconditionError(f"distinguisher has n={d.n}, distribution n={p.n}")
+    return d.tables(p.alphabet.size)
 
 
 def advantage(
     d: Distinguisher, p: TextDistribution, q: TextDistribution
 ) -> float:
     """Exact advantage a(d, p, q); signed (no WLOG complementing here)."""
-    if p.alphabet.size != q.alphabet.size or p.n != q.n:
-        raise ValidationError("p and q must share alphabet and n")
-    if d.k > p.n:
-        raise PreconditionError(f"window k={d.k} exceeds document length {p.n}")
-    return float(_position_terms(d, p, q).sum()) / p.n
+    gaps = position_gaps(p, q, d.k)
+    return float(flat(gaps) @ flat(_tables_for(d, p))) / p.n
 
 
 def block_weights(n: int, k: int) -> list[int]:
@@ -189,16 +288,14 @@ def offset_decomposition(
     d: Distinguisher, p: TextDistribution, q: TextDistribution
 ) -> AdvantageReport:
     n, k = p.n, d.k
-    terms = _position_terms(d, p, q)
+    gaps = position_gaps(p, q, k)
+    tables = _tables_for(d, p)
+    terms = [float(np.vdot(g, t)) for g, t in zip(gaps, tables)]
     weights = block_weights(n, k)
-    a = []
-    for j in range(k):
-        idx = [i for i in anchors(j, n, k)]
-        a.append(sum(terms[i] for i in idx) / weights[j])
+    a = [sum(terms[i] for i in anchors(j, n, k)) / weights[j] for j in range(k)]
     best = max(range(k), key=lambda j: (a[j], -j))
-    total = float(terms.sum()) / n
     return AdvantageReport(
-        advantage=total,
+        advantage=float(flat(gaps) @ flat(tables)) / n,
         offsets=tuple((j, weights[j], a[j]) for j in range(k)),
         best_offset=best,
     )
@@ -245,17 +342,15 @@ def max_advantage_oracle(
     return best_d, best_val
 
 
-def _position_gaps(p, q, k, i):
-    size = p.alphabet.size
-    kc = min(k, p.n - i + 1)
-    pmarg = p.prefix_marginals(i - 1)
-    gaps = np.zeros(size**kc)
-    for s_idx in np.nonzero(pmarg > 0)[0]:
-        s = _prefix_of(int(s_idx), i - 1, size)
-        qblock = block_distribution_completed(q, s, kc)
-        pblock = block_distribution_completed(p, s, kc)
-        gaps += float(pmarg[s_idx]) * (qblock - pblock)
-    return gaps
+def _window_gaps(
+    p: TextDistribution, q: TextDistribution, k: int
+) -> tuple[list[np.ndarray], float, float]:
+    """Per-position gaps summed over prefixes, with their positive and
+    negative totals over all positions."""
+    cols = [g.sum(axis=0) for g in position_gaps(p, q, k)]
+    hi = sum(c[c > 0].sum() for c in cols)
+    lo = sum(c[c < 0].sum() for c in cols)
+    return cols, hi, lo
 
 
 def _extreme_window_predicate(
@@ -263,21 +358,13 @@ def _extreme_window_predicate(
 ) -> Distinguisher:
     """The per-position window predicate attaining the extreme |advantage|."""
     size, n = p.alphabet.size, p.n
-    pos_gaps = {i: _position_gaps(p, q, k, i) for i in range(1, n + 1)}
-    hi = sum(g[g > 0].sum() for g in pos_gaps.values())
-    lo = sum(g[g < 0].sum() for g in pos_gaps.values())
+    cols, hi, lo = _window_gaps(p, q, k)
     sign = 1.0 if hi >= -lo else -1.0
-    tables = {}
-    for i, gaps in pos_gaps.items():
-        kc = min(k, n - i + 1)
-        for w_idx, w in enumerate(product(range(size), repeat=kc)):
-            if sign * gaps[w_idx] > 0:
-                tables[(i, w)] = 1
-
-    def pred(i, s, w, tables=tables):
-        return tables.get((i, tuple(w)), 0)
-
-    return Distinguisher(k, n, pred, {"entries": len(tables), "extreme": True})
+    tables = [
+        np.broadcast_to(sign * c > 0, shape)
+        for c, shape in zip(cols, table_shapes(k, n, size))
+    ]
+    return from_tables(k, n, size, tables)
 
 
 def max_window_predicate_advantage(
@@ -290,10 +377,5 @@ def max_window_predicate_advantage(
     position take the windows whose aggregated p-weighted gap is positive
     (for the max) or negative (for the min).
     """
-    hi = 0.0
-    lo = 0.0
-    for i in range(1, p.n + 1):
-        gaps = _position_gaps(p, q, k, i)
-        hi += gaps[gaps > 0].sum()
-        lo += gaps[gaps < 0].sum()
+    _, hi, lo = _window_gaps(p, q, k)
     return max(abs(hi), abs(lo)) / p.n

@@ -1,12 +1,22 @@
-"""Enumerable distinguisher families used by oracles and the self-boost loop."""
+"""Enumerable distinguisher families used by oracles and the self-boost loop.
+
+Each family is built as one stacked bit array per position, of shape
+(members, |Sigma|^(i-1), |Sigma|^kc(i)); member j's tables are the
+slices at j.
+"""
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .dist import Alphabet
-from .distinguishers import Distinguisher, constant_distinguisher
-from .errors import SizingError
+from .distinguishers import (
+    Distinguisher,
+    constant_distinguisher,
+    from_tables,
+    table_shapes,
+)
+from .errors import PreconditionError, SizingError
 
 FAMILY_CAP = 1 << 17
 
@@ -16,58 +26,60 @@ def _check_family_size(count: int, cap: int = FAMILY_CAP) -> None:
         raise SizingError(f"family of {count} distinguishers exceeds cap {cap}")
 
 
+def _members(
+    alphabet: Alphabet, n: int, k: int, stacked: list[np.ndarray]
+) -> list[Distinguisher]:
+    return [
+        from_tables(k, n, alphabet.size, [t[j] for t in stacked])
+        for j in range(len(stacked[0]))
+    ]
+
+
+def _subset_bits(subsets: np.ndarray, cols: int) -> np.ndarray:
+    """Bit j of each subset number, shaped (len(subsets), 1, cols)."""
+    return ((subsets[:, None, None] >> np.arange(cols)) & 1).astype(np.uint8)
+
+
 def single_position_window_subsets(
     alphabet: Alphabet, n: int, k: int, position: int
 ) -> list[Distinguisher]:
     """All predicates active at one position: d_i = [window in A], i fixed.
 
-    Enumerates every subset A of the clipped window space at ``position``;
-    other positions output 0.
+    Enumerates every subset A of the clipped window space at ``position``
+    (member m holds window j when bit j of m is set); other positions
+    output 0.
     """
-    size = alphabet.size
-    kc = min(k, n - position + 1)
-    windows = list(product(range(size), repeat=kc))
-    _check_family_size(2 ** len(windows))
-    family = []
-    for bits in range(2 ** len(windows)):
-        chosen = frozenset(w for j, w in enumerate(windows) if bits >> j & 1)
-
-        def pred(i, s, w, chosen=chosen, position=position):
-            return 1 if i == position and tuple(w) in chosen else 0
-
-        family.append(
-            Distinguisher(k, n, pred, {"position": position, "subset_bits": bits})
-        )
-    return family
+    if not 1 <= position <= n:
+        raise PreconditionError(f"position {position} outside [1, {n}]")
+    shapes = table_shapes(k, n, alphabet.size)
+    cols = shapes[position - 1][1]
+    _check_family_size(2**cols)
+    subsets = _subset_bits(np.arange(2**cols), cols)
+    stacked = [
+        np.broadcast_to(subsets if i == position else 0, (2**cols,) + shape)
+        for i, shape in enumerate(shapes, 1)
+    ]
+    return _members(alphabet, n, k, stacked)
 
 
 def product_window_family(alphabet: Alphabet, n: int, k: int) -> list[Distinguisher]:
     """All per-position window predicates: independent subset per position.
 
     Size is prod_i 2^(|Sigma|^kc(i)); only feasible for tiny instances.
+    Members run over the per-position subsets with position 1 most
+    significant.
     """
-    size = alphabet.size
-    per_pos = []
+    shapes = table_shapes(k, n, alphabet.size)
     count = 1
-    for i in range(1, n + 1):
-        kc = min(k, n - i + 1)
-        windows = list(product(range(size), repeat=kc))
-        count *= 2 ** len(windows)
+    for _, cols in shapes:
+        count *= 2**cols
         _check_family_size(count)
-        per_pos.append((i, windows))
-    family = []
-    for combo in product(*[range(2 ** len(ws)) for _, ws in per_pos]):
-        tables = {}
-        for (i, windows), bits in zip(per_pos, combo):
-            for j, w in enumerate(windows):
-                if bits >> j & 1:
-                    tables[(i, w)] = 1
-
-        def pred(i, s, w, tables=tables):
-            return tables.get((i, tuple(w)), 0)
-
-        family.append(Distinguisher(k, n, pred, {"combo": combo}))
-    return family
+    choices = np.unravel_index(np.arange(count), [2**cols for _, cols in shapes])
+    stacked = [
+        np.broadcast_to(_subset_bits(choice, cols), (count, rows, cols))
+        for choice, (rows, cols) in zip(choices, shapes)
+    ]
+    return _members(alphabet, n, k, stacked)
 
 
 def one_prefix_table_family(
@@ -77,29 +89,19 @@ def one_prefix_table_family(
 
     The same table applies at every position; at i = 1 the missing
     previous token reads as 0, and clipped windows are zero-padded to
-    length k, which preserves the window property.
+    length k, which preserves the window property.  Member m holds key
+    (prev, w) when bit prev * |Sigma|^k + index(w) of m is set.
     """
     size = alphabet.size
-    keys = list(product(range(size), *[range(size)] * k))
-    _check_family_size(2 ** len(keys))
-    key_index = {key: j for j, key in enumerate(keys)}
-    family = []
-    for bits in range(2 ** len(keys)):
-
-        def pred(i, s, w, bits=bits):
-            prev = s[-1] if len(s) >= 1 else 0
-            w = tuple(w) + (0,) * (k - len(w))
-            return bits >> key_index[(prev,) + w] & 1
-
-        family.append(
-            Distinguisher(
-                k,
-                n,
-                pred,
-                {"table_bits": bits, "entries": len(keys), "keyed_on": "prev_window"},
-            )
-        )
-    return family
+    keys = size ** (k + 1)
+    _check_family_size(2**keys)
+    members = np.arange(2**keys)[:, None, None]
+    stacked = []
+    for rows, cols in table_shapes(k, n, size):
+        prev = np.arange(rows) % size
+        key = prev[:, None] * size**k + np.arange(cols) * (size**k // cols)
+        stacked.append(((members >> key) & 1).astype(np.uint8))
+    return _members(alphabet, n, k, stacked)
 
 
 def trivial_family(k: int, n: int) -> list[Distinguisher]:

@@ -28,7 +28,12 @@ from typing import Any
 import numpy as np
 
 from .dist import Alphabet, TextDistribution
-from .distinguishers import Distinguisher, table_distinguisher
+from .distinguishers import (
+    Distinguisher,
+    set_keys,
+    table_distinguisher,
+    table_shapes,
+)
 from .errors import FormatError, NtpboostError
 from .rnn.expr import from_sexpr, to_sexpr
 from .rnn.graph import NodeSpec, RnnGraph
@@ -198,16 +203,8 @@ def _parse_entry_key(key: str, location: str) -> tuple[int, tuple[int, ...]]:
 
 
 def distinguisher_to_json(d: Distinguisher, alphabet: Alphabet) -> dict:
-    """Tabulate d exhaustively over (i, x_{:i+k}) into the file format."""
-    from itertools import product
-
-    entries = {}
-    for i in range(1, d.n + 1):
-        kc = min(d.k, d.n - i + 1)
-        for joint in product(range(alphabet.size), repeat=i - 1 + kc):
-            bit = d.value(i, joint[: i - 1], joint[i - 1 :])
-            if bit:
-                entries[_entry_key(i, joint)] = 1
+    """Write the set bits of d's tables over (i, x_{:i+k}) in the file format."""
+    entries = {_entry_key(i, joint): 1 for i, joint in set_keys(d, alphabet.size)}
     return {"kind": "table", "k": d.k, "n": d.n, "default": 0, "entries": entries}
 
 
@@ -251,33 +248,41 @@ def distinguisher_from_graph(graph: RnnGraph, k: int, n: int) -> Distinguisher:
 
     d(i, x) feeds x_{:i-1+k} (zero-padded past the document end, which a
     clipping-aware circuit ignores) and reads the output after the last
-    token's window.
+    token's window.  The tables take one batched run per position.
     """
     from .rnn.engine import compile_graph, run
 
     program = compile_graph(graph)
-    cache: dict = {}
+
+    def bits(i: int, streams: np.ndarray) -> np.ndarray:
+        """d(i, .) on each column of ``streams``, the strings x_{:i-1+kc}."""
+        m = i - 1 + k
+        padded = np.zeros((m, streams.shape[1]))
+        padded[: len(streams)] = streams
+        tr = run(graph, padded, program=program)
+        out = tr.value(graph.output_id, m * graph.rnn_time)
+        bad = (out != 0.0) & (out != 1.0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            stream = tuple(int(t) for t in padded[:, j])
+            raise FormatError(
+                f"circuit distinguisher emitted non-bit {out[j]} on {stream}"
+            )
+        return out.astype(np.uint8)
 
     def pred(i, prefix, window):
-        stream = tuple(prefix) + tuple(window)
-        m = i - 1 + k
-        stream = stream + (0,) * (m - len(stream))
-        if stream not in cache:
-            tr = run(graph, np.array(stream, dtype=float), program=program)
-            out = float(tr.value(graph.output_id, m * graph.rnn_time)[0])
-            if out not in (0.0, 1.0):
-                raise FormatError(
-                    f"circuit distinguisher emitted non-bit {out} on {stream}"
-                )
-            cache[stream] = int(out)
-        return cache[stream]
+        stream = np.array(tuple(prefix) + tuple(window), dtype=float)
+        return int(bits(i, stream[:, None])[0])
 
-    return Distinguisher(
-        k,
-        n,
-        pred,
-        {"size": graph.size, "hidden": graph.hidden_size, "time": graph.rnn_time},
-    )
+    def tabulate(size: int) -> list[np.ndarray]:
+        tables = []
+        for i, shape in enumerate(table_shapes(k, n, size), 1):
+            length = i - 1 + min(k, n - i + 1)
+            strings = np.indices((size,) * length).reshape(length, -1)
+            tables.append(bits(i, strings).reshape(shape))
+        return tables
+
+    return Distinguisher(k, n, pred, tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,10 @@ def load_and_validate(path: str, kind: str, alphabet: Alphabet | None = None):
         return graph_from_json(obj, location=path)
     if kind == "distinguisher":
         if alphabet is None:
-            size = obj.get("alphabet_size", 2)
-            alphabet = Alphabet(int(size))
+            raise FormatError(
+                "loading a distinguisher needs the alphabet argument; the "
+                "format does not store the alphabet size",
+                location=path,
+            )
         return distinguisher_from_json(obj, alphabet, location=path)
     return obj

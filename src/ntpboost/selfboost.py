@@ -19,9 +19,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .boosting import boost_text
 from .dist import Alphabet, TextDistribution, kl, next_token_loss, text_to_lm, uniform_text
-from .distinguishers import Distinguisher, advantage
+from .distinguishers import Distinguisher, flat, position_gaps
 from .errors import PreconditionError
 from .construct.boosted import (
     boosted_hidden_formula,
@@ -178,13 +180,21 @@ class MinimizeResult:
 def best_member(
     family: list[Distinguisher], p: TextDistribution, q: TextDistribution
 ) -> tuple[int, float]:
-    """Index and signed advantage of the member with largest |advantage|."""
-    best_i, best_val = 0, 0.0
-    for i, d in enumerate(family):
-        val = advantage(d, p, q)
-        if abs(val) > abs(best_val) + 1e-18:
-            best_i, best_val = i, val
-    return best_i, best_val
+    """Index and signed advantage of the member with largest |advantage|.
+
+    All members' flattened tables are stacked and multiplied once by the
+    flattened gaps; ties go to the lowest index.
+    """
+    if not family:
+        raise PreconditionError("empty distinguisher family")
+    k = family[0].k
+    if any(d.k != k or d.n != p.n for d in family):
+        raise PreconditionError(f"family members must share k={k} and n={p.n}")
+    gaps = flat(position_gaps(p, q, k))
+    bits = np.stack([flat(d.tables(p.alphabet.size)) for d in family])
+    values = bits @ gaps / p.n
+    best = int(np.argmax(np.abs(values)))
+    return best, float(values[best])
 
 
 def minimize_loss_constrained(

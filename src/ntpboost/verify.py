@@ -2,8 +2,9 @@
 
 Each check pits a production code path against an independent
 computation (enumeration, cross-construction, closed form) on small
-seeded instances and returns one pass/fail row.  The CLI collates the
-rows into a matrix; tests reuse the same checks.
+seeded instances and returns (ok, detail).  ``run_all`` turns each into
+one pass/fail row named after the check, also when the check crashes;
+the CLI collates the rows into a matrix.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class CheckResult:
 
 
 def _check(name):
+    """Register a check under its row name; the check returns (ok, detail)."""
+
     def wrap(fn):
         fn.check_name = name
         return fn
@@ -78,19 +81,21 @@ def _check(name):
     return wrap
 
 
-@_check("round-trip: text <-> next-token model")
-def check_round_trip() -> CheckResult:
+@_check("round_trip")
+def check_round_trip() -> tuple[bool, str]:
+    """Round-trip: text <-> next-token model."""
     rng = rng_for(1001)
     worst = 0.0
     for n in (2, 3, 4):
         t = random_text(B2, n, rng)
         back = lm_to_text(text_to_lm(t))
         worst = max(worst, float(np.max(np.abs(back.probs - t.probs))))
-    return CheckResult("round_trip", worst < 1e-10, f"worst gap {worst:.2e}")
+    return worst < 1e-10, f"worst gap {worst:.2e}"
 
 
-@_check("identity: n*loss - KL = entropy")
-def check_loss_kl_identity() -> CheckResult:
+@_check("loss_kl_identity")
+def check_loss_kl_identity() -> tuple[bool, str]:
+    """Identity: n*loss - KL = entropy."""
     rng = rng_for(1009)
     worst = 0.0
     for n in (2, 3, 4, 5):
@@ -98,11 +103,12 @@ def check_loss_kl_identity() -> CheckResult:
         q = text_to_lm(random_text(B2, n, rng))
         gap = abs(n * next_token_loss(p, q) - kl(p, lm_to_text(q)) - entropy(p))
         worst = max(worst, gap)
-    return CheckResult("loss_kl_identity", worst < 1e-9, f"worst gap {worst:.2e}")
+    return worst < 1e-9, f"worst gap {worst:.2e}"
 
 
-@_check("advantage bounded by sqrt(k/2n KL) over all window predicates")
-def check_pinsker() -> CheckResult:
+@_check("pinsker_bound")
+def check_pinsker() -> tuple[bool, str]:
+    """Advantage bounded by sqrt(k/2n KL) over all window predicates."""
     rng = rng_for(1013)
     margin = float("inf")
     for k in (1, 2):
@@ -112,11 +118,12 @@ def check_pinsker() -> CheckResult:
             bound = pinsker_bound(p, q, k)
             best = max_window_predicate_advantage(p, q, k)
             margin = min(margin, bound - best)
-    return CheckResult("pinsker_bound", margin >= -1e-12, f"min margin {margin:.2e}")
+    return margin >= -1e-12, f"min margin {margin:.2e}"
 
 
-@_check("boosting drops KL by alpha^2 n / 4k")
-def check_boost_drop() -> CheckResult:
+@_check("boost_drop")
+def check_boost_drop() -> tuple[bool, str]:
+    """Boosting drops KL by alpha^2 n / 4k."""
     rng = rng_for(1019)
     worst = float("inf")
     for n, k in [(3, 1), (4, 2), (5, 3), (6, 2)]:
@@ -126,11 +133,12 @@ def check_boost_drop() -> CheckResult:
         res = boost_text(p, q, d)
         slack = (res.kl_before - res.guaranteed_drop) - res.kl_after
         worst = min(worst, slack)
-    return CheckResult("boost_drop", worst >= -1e-9, f"min slack {worst:.2e}")
+    return worst >= -1e-9, f"min slack {worst:.2e}"
 
 
-@_check("next-token form reconstructs the boosted table")
-def check_eq5_consistency() -> CheckResult:
+@_check("eq5_consistency")
+def check_eq5_consistency() -> tuple[bool, str]:
+    """Next-token form reconstructs the boosted table."""
     rng = rng_for(1021)
     worst = 0.0
     for n, k in [(4, 2), (5, 2), (4, 3)]:
@@ -140,11 +148,12 @@ def check_eq5_consistency() -> CheckResult:
         res = boost_text(p, q, d)
         rebuilt = lm_to_text(res.lm_boosted)
         worst = max(worst, float(np.max(np.abs(rebuilt.probs - res.q_boosted.probs))))
-    return CheckResult("eq5_consistency", worst < 1e-9, f"worst gap {worst:.2e}")
+    return worst < 1e-9, f"worst gap {worst:.2e}"
 
 
-@_check("offset decomposition reconstructs the advantage")
-def check_offset_reconstruction() -> CheckResult:
+@_check("offset_reconstruction")
+def check_offset_reconstruction() -> tuple[bool, str]:
+    """Offset decomposition reconstructs the advantage."""
     rng = rng_for(1031)
     worst = 0.0
     for _ in range(5):
@@ -154,7 +163,7 @@ def check_offset_reconstruction() -> CheckResult:
         rep = offset_decomposition(d, p, q)
         recon = sum(w * a for _, w, a in rep.offsets) / 5
         worst = max(worst, abs(recon - advantage(d, p, q)))
-    return CheckResult("offset_reconstruction", worst < 1e-10, f"worst {worst:.2e}")
+    return worst < 1e-10, f"worst {worst:.2e}"
 
 
 def _compiled_instance(seed, n, k):
@@ -168,8 +177,9 @@ def _compiled_instance(seed, n, k):
     return p, qt, res, q, D
 
 
-@_check("compiled boosted circuit matches the analytic conditionals")
-def check_compiled_boost() -> CheckResult:
+@_check("compiled_boost")
+def check_compiled_boost() -> tuple[bool, str]:
+    """Compiled boosted circuit matches the analytic conditionals."""
     p, qt, res, q, D = _compiled_instance(1033, 4, 2)
     Qp, report = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
     docs = np.array(list(product(range(2), repeat=4))).T
@@ -181,11 +191,12 @@ def check_compiled_boost() -> CheckResult:
             want = res.lm_boosted.prob(doc[i - 1], doc[: i - 1])
             worst = max(worst, abs(float(outs[i][col]) - want))
     ok = worst < 1e-9 and report.built_size == report.formula_size
-    return CheckResult("compiled_boost", ok, f"worst gap {worst:.2e}")
+    return ok, f"worst gap {worst:.2e}"
 
 
-@_check("doubling construction is trace-equivalent to the efficient one")
-def check_cross_construction() -> CheckResult:
+@_check("cross_construction")
+def check_cross_construction() -> tuple[bool, str]:
+    """Doubling construction is trace-equivalent to the efficient one."""
     p, qt, res, q, D = _compiled_instance(1039, 4, 2)
     Qp, _ = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
     Qs = build_boosted_rnn_simple(q, D, 2, res.alpha, res.offset, 2)
@@ -193,11 +204,12 @@ def check_cross_construction() -> CheckResult:
     a = run(Qp, docs).output_at_multiples()
     b = run(Qs, docs).output_at_multiples()
     worst = max(float(np.max(np.abs(a[i] - b[i]))) for i in range(1, 5))
-    return CheckResult("cross_construction", worst < 1e-12, f"worst gap {worst:.2e}")
+    return worst < 1e-12, f"worst gap {worst:.2e}"
 
 
-@_check("transition library matches the mathematical definitions")
-def check_transition_library() -> CheckResult:
+@_check("transition_library")
+def check_transition_library() -> tuple[bool, str]:
+    """Transition library matches the mathematical definitions."""
     bad = 0
     for c in range(-2, 8):
         eq = build_transition("indicator_eq", x="x", c=float(c))
@@ -214,21 +226,23 @@ def check_transition_library() -> CheckResult:
     e = build_transition("exp_binary", alpha=0.4, x="x")
     bad += evaluate(e, {"x": 0.0}) != 1.0
     bad += evaluate(e, {"x": 1.0}) != math.exp(0.4)
-    return CheckResult("transition_library", bad == 0, f"{bad} mismatches")
+    return bad == 0, f"{bad} mismatches"
 
 
-@_check("hidden sufficiency scrubbing on constructed circuits")
-def check_hidden_sufficiency() -> CheckResult:
+@_check("hidden_sufficiency")
+def check_hidden_sufficiency() -> tuple[bool, str]:
+    """Hidden sufficiency scrubbing on constructed circuits."""
     p, qt, res, q, D = _compiled_instance(1049, 4, 2)
     Qp, _ = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
     rng = rng_for(1051)
     rep = verify_hidden_sufficiency(Qp, trials=5, rng=rng)
     detail = "ok" if rep.ok else str(rep.first_failure())
-    return CheckResult("hidden_sufficiency", rep.ok, detail)
+    return rep.ok, detail
 
 
-@_check("quantized boosted circuit stays within its error envelope")
-def check_quantized_boost() -> CheckResult:
+@_check("quantized_boost")
+def check_quantized_boost() -> tuple[bool, str]:
+    """Quantized boosted circuit stays within its error envelope."""
     rng = rng_for(1061)
     n, k, ell = 4, 1, 1 / 8
     p = random_text(B2, n, rng)
@@ -237,7 +251,7 @@ def check_quantized_boost() -> CheckResult:
     d = random_prefix_window_distinguisher(B2, n, k, rng)
     res = boost_text(p, qt, d)
     if res.alpha == 0:
-        return CheckResult("quantized_boost", True, "degenerate draw, skipped")
+        return True, "degenerate draw, skipped"
     q = lm_to_rnn(lm, 2)
     D = distinguisher_to_rnn(res.applied, B2, 2)
     bf = max(minimal_fraction_bits(k, res.alpha, ell), 14)
@@ -259,14 +273,14 @@ def check_quantized_boost() -> CheckResult:
         and low >= out.prob_lower_bound
         and tq.saturation_events == 0
     )
-    return CheckResult(
-        "quantized_boost", ok, f"err {worst:.2e} <= {out.max_output_error:.2e}, "
-        f"min cond {low:.4f}"
+    return ok, (
+        f"err {worst:.2e} <= {out.max_output_error:.2e}, min cond {low:.4f}"
     )
 
 
-@_check("error-propagation bounds survive fuzzing")
-def check_error_bounds() -> CheckResult:
+@_check("error_bounds")
+def check_error_bounds() -> tuple[bool, str]:
+    """Error-propagation bounds survive fuzzing."""
     rng = rng_for(1063)
     bad = 0
     for _ in range(2000):
@@ -281,11 +295,12 @@ def check_error_bounds() -> CheckResult:
         ell = float(rng.uniform(0.01, y))
         delta = float(rng.uniform(1e-6, ell * 0.999))
         bad += (x + delta) / (y - delta) > fraction_error_bound(x, y, delta, ell) + 1e-12
-    return CheckResult("error_bounds", bad == 0, f"{bad} violations")
+    return bad == 0, f"{bad} violations"
 
 
-@_check("self-boosting loop certifies family indistinguishability")
-def check_selfboost_loop() -> CheckResult:
+@_check("selfboost_loop")
+def check_selfboost_loop() -> tuple[bool, str]:
+    """Self-boosting loop certifies family indistinguishability."""
     rng = rng_for(1069)
     p = random_text(B2, 4, rng)
     fam = one_prefix_table_family(B2, 4, 1)
@@ -300,10 +315,7 @@ def check_selfboost_loop() -> CheckResult:
             for a, b in zip(trace.rounds, trace.rounds[1:])
         )
     )
-    return CheckResult(
-        "selfboost_loop", ok,
-        f"rounds {len(trace.rounds)}, final adv {trace.final_advantage:.3f}",
-    )
+    return ok, f"rounds {len(trace.rounds)}, final adv {trace.final_advantage:.3f}"
 
 
 ALL_CHECKS = [
@@ -327,7 +339,8 @@ def run_all(checks=None) -> list[CheckResult]:
     out = []
     for fn in checks or ALL_CHECKS:
         try:
-            out.append(fn())
+            ok, detail = fn()
         except Exception as e:  # a crashed oracle is a failed check
-            out.append(CheckResult(fn.check_name, False, f"crashed: {e!r}"))
+            ok, detail = False, f"crashed: {e!r}"
+        out.append(CheckResult(fn.check_name, ok, detail))
     return out

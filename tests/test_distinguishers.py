@@ -1,10 +1,12 @@
 """Distinguisher advantage, offset decomposition, Pinsker-type bound."""
 
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 
-from ntpboost.dist import Alphabet, point_mass_text
+from ntpboost.dist import Alphabet, TextDistribution, point_mass_text
 from ntpboost.distinguishers import (
     Distinguisher,
     advantage,
@@ -18,6 +20,7 @@ from ntpboost.distinguishers import (
     offset_decomposition,
     pinsker_bound,
     table_distinguisher,
+    table_shapes,
 )
 from ntpboost.errors import PreconditionError, SizingError, ValidationError
 from ntpboost.families import (
@@ -31,6 +34,7 @@ from ntpboost.instances import (
     random_window_table_distinguisher,
     rng_for,
 )
+from ntpboost.selfboost import best_member
 
 from oracles import advantage_double_enumeration
 
@@ -275,3 +279,135 @@ class TestAllWindowPredicatesString:
         p = random_text(Alphabet(2), 4, rng)
         with pytest.raises(SizingError):
             max_advantage_oracle(p, p, 20, "all_window_predicates")
+
+
+def _lex(tokens, size):
+    return sum(t * size ** (len(tokens) - 1 - j) for j, t in enumerate(tokens))
+
+
+def _zero_prefix_text(alphabet, n, rng):
+    """Random text with the whole block under one random prefix set to 0."""
+    probs = rng.random(alphabet.size**n)
+    length = int(rng.integers(1, n + 1))
+    block = alphabet.size ** (n - length)
+    start = int(rng.integers(0, alphabet.size**length)) * block
+    probs[start : start + block] = 0.0
+    return TextDistribution(alphabet, n, probs / probs.sum())
+
+
+class TestDenseTables:
+    def test_tables_match_predicate(self):
+        rng = rng_for(161)
+        for size, n, k in [(2, 4, 2), (3, 3, 3), (3, 3, 1)]:
+            alphabet = Alphabet(size)
+            for make in (
+                random_prefix_window_distinguisher,
+                random_window_table_distinguisher,
+            ):
+                d = make(alphabet, n, k, rng)
+                tables = d.tables(size)
+                assert [t.shape for t in tables] == table_shapes(k, n, size)
+                for i, table in enumerate(tables, 1):
+                    kc = min(k, n - i + 1)
+                    joints = product(range(size), repeat=i - 1 + kc)
+                    want = [d.value(i, x[: i - 1], x[i - 1 :]) for x in joints]
+                    assert table.ravel().tolist() == want
+                    assert not table.flags.writeable
+
+    def test_tables_cached_per_size(self):
+        d = constant_distinguisher(1, 3, 1)
+        assert d.tables(2) is d.tables(2)
+        assert d.tables(3)[2].shape == (9, 3)
+
+    def test_non_bit_table_rejected(self):
+        d = Distinguisher(1, 3, lambda i, s, w: 2)
+        with pytest.raises(ValidationError, match="not a bit"):
+            d.tables(2)
+
+    def test_tables_respect_enumeration_cap(self, monkeypatch):
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", "8")
+        with pytest.raises(SizingError):
+            constant_distinguisher(2, 3).tables(2)
+
+    def test_complement_tables(self):
+        rng = rng_for(163)
+        d = random_prefix_window_distinguisher(Alphabet(3), 3, 2, rng)
+        for t, c in zip(d.tables(3), complement(d).tables(3)):
+            assert np.array_equal(c, 1 - t)
+
+    def test_family_tables_tied_to_their_alphabet(self):
+        d = one_prefix_table_family(B2, 3, 1)[5]
+        with pytest.raises(PreconditionError):
+            d.tables(3)
+
+    def test_one_prefix_members_follow_their_bits(self):
+        for size, n, k in [(2, 4, 2), (3, 3, 1)]:
+            fam = one_prefix_table_family(Alphabet(size), n, k)
+            for bits in (0, 1, 6, len(fam) // 3, len(fam) - 1):
+                for i, table in enumerate(fam[bits].tables(size), 1):
+                    kc = min(k, n - i + 1)
+                    for x in product(range(size), repeat=i - 1 + kc):
+                        prev = x[i - 2] if i > 1 else 0
+                        w = x[i - 1 :] + (0,) * (k - kc)
+                        key = prev * size**k + _lex(w, size)
+                        row, col = _lex(x[: i - 1], size), _lex(x[i - 1 :], size)
+                        assert table[row, col] == bits >> key & 1
+
+    def test_window_families_follow_their_bits(self):
+        size, n, k = 2, 3, 1
+        fam = product_window_family(B2, n, k)
+        shapes = table_shapes(k, n, size)
+        for m, d in enumerate(fam):
+            rest = m
+            for i in range(n, 0, -1):  # position 1 is most significant
+                rows, cols = shapes[i - 1]
+                bits = rest % 2**cols
+                rest //= 2**cols
+                want = [[bits >> w & 1 for w in range(cols)]] * rows
+                assert d.tables(size)[i - 1].tolist() == want
+        for m, d in enumerate(single_position_window_subsets(B2, n, 2, position=2)):
+            tables = d.tables(size)
+            assert tables[1].tolist() == [[m >> w & 1 for w in range(4)]] * 2
+            assert not tables[0].any() and not tables[2].any()
+
+
+class TestAdvantageDifferential:
+    """Dense-table advantage, offset terms and family search vs enumeration."""
+
+    CASES = [(2, 3, 3), (2, 4, 4), (2, 4, 2), (3, 2, 2), (3, 3, 3), (3, 3, 1)]
+
+    @pytest.mark.parametrize("size,n,k", CASES)
+    def test_against_double_enumeration(self, size, n, k):
+        alphabet = Alphabet(size)
+        rng = rng_for(5300 + 10 * size + n + k)
+        for _ in range(3):
+            p = _zero_prefix_text(alphabet, n, rng)
+            q = _zero_prefix_text(alphabet, n, rng)
+            family = [
+                random_prefix_window_distinguisher(alphabet, n, k, rng),
+                random_window_table_distinguisher(alphabet, n, k, rng),
+                constant_distinguisher(k, n, 1),
+            ]
+            expected = [
+                advantage_double_enumeration(d, p.probs, q.probs, size, n)
+                for d in family
+            ]
+            for d, want in zip(family, expected):
+                assert abs(advantage(d, p, q) - want) < 1e-12
+
+            d = family[0]
+            terms = []
+            for i in range(1, n + 1):
+                only_i = Distinguisher(
+                    k, n, lambda j, s, w, i=i: d.value(j, s, w) if j == i else 0
+                )
+                terms.append(
+                    n * advantage_double_enumeration(only_i, p.probs, q.probs, size, n)
+                )
+            rep = offset_decomposition(d, p, q)
+            for j, w, a in rep.offsets:
+                assert abs(a - sum(terms[j::k]) / w) < 1e-12
+
+            idx, val = best_member(family, p, q)
+            assert abs(val - expected[idx]) < 1e-12
+            assert abs(val) >= max(abs(e) for e in expected) - 1e-12

@@ -77,6 +77,20 @@ class TestDistinguisherFormat:
                     i, joint[: i - 1], joint[i - 1 :]
                 )
 
+    def test_table_round_trip_ternary(self, tmp_path):
+        b3 = Alphabet(3)
+        rng = rng_for(909)
+        d = random_prefix_window_distinguisher(b3, 3, 2, rng)
+        path = tmp_path / "d.json"
+        nio.write_json_atomic(str(path), nio.distinguisher_to_json(d, b3))
+        back = nio.load_and_validate(str(path), "distinguisher", b3)
+        for a, b in zip(back.tables(3), d.tables(3)):
+            assert np.array_equal(a, b)
+
+    def test_missing_alphabet_rejected(self):
+        with pytest.raises(FormatError, match="alphabet"):
+            nio.load_and_validate(fixture("distinguisher_n4_k2.json"), "distinguisher")
+
     def test_bad_key_length_rejected(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(
@@ -268,8 +282,58 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "FormatError"
 
+    @pytest.mark.parametrize("cap", ["abc", "0", "-4"])
+    def test_bad_enumeration_cap_is_machine_readable(
+        self, tmp_path, capsys, monkeypatch, cap
+    ):
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", cap)
+        rc = run_cli(
+            "boost",
+            "--out", str(tmp_path),
+            "--train", fixture("train_n4.json"),
+            "--model", fixture("model_n4.json"),
+            "--distinguisher", fixture("distinguisher_n4_k2.json"),
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "NTPBOOST_MAX_ENUM" in payload["message"]
+
+    def test_construct_needs_model_alphabet(self, tmp_path, capsys):
+        graph = json.load(open(fixture("model_circuit_n4.json")))
+        del graph["meta"]["alphabet_size"]
+        model = str(tmp_path / "model.json")
+        nio.write_json_atomic(model, graph)
+        rc = run_cli(
+            "construct",
+            "--out", str(tmp_path / "c"),
+            "--model", model,
+            "--distinguisher", model,
+            "--k", "2",
+            "--alpha", "0.1",
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert "alphabet_size" in payload["message"]
+
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
         assert rc == 0
         matrix = json.load(open(os.path.join(str(tmp_path), "verify_matrix.json")))
         assert matrix["all_ok"] is True
+
+
+class TestVerifyRows:
+    def test_crashed_check_keeps_its_row_name(self, monkeypatch):
+        from ntpboost import verify
+
+        [normal] = verify.run_all([verify.check_round_trip])
+        assert normal.ok
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "random_text", broken)
+        [crashed] = verify.run_all([verify.check_round_trip])
+        assert crashed.name == normal.name == "round_trip"
+        assert not crashed.ok and "boom" in crashed.detail
