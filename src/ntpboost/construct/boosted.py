@@ -164,6 +164,7 @@ def build_boosted_rnn(
             "k": k,
             "tau": tau,
             "base": base,
+            "alphabet_size": base,
             "i0_star": i0_star,
             "alpha": alpha,
             "depth_bound": 20,
@@ -340,6 +341,7 @@ def build_boosted_rnn_simple(
             "k": k,
             "tau": tau,
             "base": base,
+            "alphabet_size": base,
             "i0_star": i0_star,
             "alpha": alpha,
             "depth_bound": 20,

@@ -6,8 +6,32 @@ advances every ``rnn_time`` steps.  Time is 1-based: the state at t = 1
 is the initial values with the first token applied, matching the
 counter conventions of the constructions.
 
-Expressions are compiled once into a flat tape evaluated with numpy, so
-a run can carry a whole batch of streams at once (used to sweep every
+Expressions are compiled once into a flat tape (one slot per distinct
+subtree), and the tape into a level schedule.  A slot's level is 0 for
+constants and node reads and one more than its deepest child otherwise;
+slots of one level with the same operator and arity form a group, and
+each group is evaluated for the whole batch at once: one gather of its
+children's rows of the slot array, one coefficient multiply, one
+reduction over the term axis, the bias, then relu or the reciprocal.
+Every update of ``run``, ``step`` and the scrubbing harness goes
+through the one step function ``_advance``.
+
+The schedule gives the same bytes as evaluating the tape slot by slot
+with a left-to-right sum:
+
+* terms are added in tape order, ``((c1 x1 + c2 x2) + c3 x3) + ...``:
+  numpy reduces the term axis of a (terms, group, batch) array
+  elementwise, and a batch of one (where numpy would switch to pairwise
+  summation) accumulates instead;
+* the bias is added last, and where it is zero nothing is added: the
+  schedule adds -0.0, which leaves every value (-0.0 included) as it is,
+  so the sign of a zero sum is kept;
+* products multiply their factors left to right, and a term-less sum is
+  the bias itself.
+
+A zero reciprocal denominator is reported for the lowest tape slot that
+hits zero in that step, the slot a tape-order evaluation would stop at.
+A run can carry a whole batch of streams at once (used to sweep every
 document of Sigma^n in one pass).  Optional fixed-point mode quantizes
 every node value after every update and counts saturation events.
 """
@@ -64,15 +88,50 @@ _CONST, _NODE, _RELU, _RECIP, _PROD = range(5)
 
 
 @dataclass
+class Group:
+    """Tape slots of one level, operator and arity, evaluated together.
+
+    Their values live in rows ``rows`` of the slot array; ``src`` (terms,
+    slots) holds the rows of their children, ``coef`` (terms, slots, 1)
+    the weights (None when all are 1), ``bias`` (slots, 1) the biases
+    (None when a group with terms has only zero biases), and ``slots``
+    the tape slots, for naming the node of a zero reciprocal.
+    """
+
+    op: int
+    rows: slice
+    src: np.ndarray
+    coef: np.ndarray | None
+    bias: np.ndarray | None
+    slots: np.ndarray
+
+
+@dataclass
+class Schedule:
+    """The tape laid out as rows of one (num_rows, batch) slot array.
+
+    Rows [0, num_nodes) hold the previous state, the next ``const_values``
+    rows the tape's constants, and the rest the groups in level order.
+    ``next_rows`` is the row each node's new value is read from (its own
+    row for input nodes, which the stream then overwrites).
+    """
+
+    num_rows: int
+    const_values: np.ndarray
+    groups: list[Group]
+    next_rows: np.ndarray
+
+
+@dataclass
 class Program:
     graph: RnnGraph
     tape: list
-    num_slots: int
     node_index: dict[str, int]
     node_slot: dict[str, int]  # root slot of each non-input node
     input_cols: list[int]
     reset_cols: list[int]
     checks: list[tuple[int, str, frozenset]]
+    schedule: Schedule
 
     def new_state(self, batch: int) -> np.ndarray:
         state = np.empty((len(self.graph.nodes), batch))
@@ -84,13 +143,10 @@ class Program:
 def compile_graph(graph: RnnGraph) -> Program:
     node_index = {n.name: j for j, n in enumerate(graph.nodes)}
     tape: list = []
-    num_slots = 0
 
     def emit(entry) -> int:
-        nonlocal num_slots
         tape.append(entry)
-        num_slots += 1
-        return num_slots - 1
+        return len(tape) - 1
 
     cache: dict = {}
 
@@ -130,54 +186,110 @@ def compile_graph(graph: RnnGraph) -> Program:
     return Program(
         graph=graph,
         tape=tape,
-        num_slots=num_slots,
         node_index=node_index,
         node_slot=node_slot,
         input_cols=[node_index[n] for n in graph.input_ids],
         reset_cols=[node_index[n] for n in graph.meta.get("reset_on_advance", [])],
         checks=checks,
+        schedule=_schedule(tape, graph, node_index, node_slot),
     )
 
 
-def _wsum(entry, slots, batch: int):
-    bias, parts = entry[1], entry[2]
-    if not parts:
-        return np.full(batch, bias)
-    coef, src = parts[0]
-    acc = slots[src] * coef
-    for coef, src in parts[1:]:
-        if coef == 1.0:
-            acc += slots[src]
-        else:
-            acc += coef * slots[src]
-    if bias != 0.0:
-        acc += bias
-    return acc
-
-
-def _exec_tape(prog: Program, old: np.ndarray, slots: list, t: int) -> None:
-    batch = old.shape[1]
-    for dst, entry in enumerate(prog.tape):
+def _schedule(tape, graph, node_index, node_slot) -> Schedule:
+    num_nodes = len(graph.nodes)
+    row = [0] * len(tape)
+    level = [0] * len(tape)
+    consts = []
+    members: dict = {}
+    for slot, entry in enumerate(tape):
         op = entry[0]
         if op is _NODE:
-            slots[dst] = old[entry[1]]
-        elif op is _RELU:
-            acc = _wsum(entry, slots, batch)
-            np.maximum(acc, 0.0, out=acc)
-            slots[dst] = acc
-        elif op is _PROD:
-            srcs = entry[1]
-            acc = slots[srcs[0]] * slots[srcs[1]]
-            for src in srcs[2:]:
-                acc *= slots[src]
-            slots[dst] = acc
-        elif op is _RECIP:
-            acc = _wsum(entry, slots, batch)
-            if (acc == 0.0).any():
-                raise ReciprocalZeroError(_slot_owner(prog, dst), t)
-            slots[dst] = 1.0 / acc
-        else:  # _CONST
-            slots[dst] = np.full(batch, entry[1])
+            row[slot] = entry[1]
+        elif op is _CONST:
+            row[slot] = num_nodes + len(consts)
+            consts.append(entry[1])
+        else:
+            children = entry[1] if op is _PROD else [s for _, s in entry[2]]
+            level[slot] = 1 + max((level[s] for s in children), default=0)
+            members.setdefault((level[slot], op, len(children)), []).append(slot)
+
+    groups = []
+    top = num_nodes + len(consts)
+    for key in sorted(members):
+        _, op, arity = key
+        slots = members[key]
+        for j, slot in enumerate(slots):
+            row[slot] = top + j
+        rows = slice(top, top + len(slots))
+        top += len(slots)
+        coef = bias = None
+        if op is _PROD:
+            children = [tape[slot][1] for slot in slots]
+        else:
+            children = [[s for _, s in tape[slot][2]] for slot in slots]
+            weights = np.array([[c for c, _ in tape[slot][2]] for slot in slots])
+            bias = np.array([tape[slot][1] for slot in slots])[:, None]
+            if arity:  # a term-less sum is its bias, as it is
+                if not (weights == 1.0).all():
+                    coef = weights.T[:, :, None]
+                # a zero bias is not added: -0.0 is the additive identity
+                # that keeps the sign of a zero sum
+                zero = bias == 0.0
+                bias = None if zero.all() else np.where(zero, -0.0, bias)
+        src = np.array([[row[s] for s in ch] for ch in children], dtype=np.intp)
+        src = src.reshape(len(slots), arity).T
+        groups.append(Group(op, rows, src, coef, bias, np.array(slots)))
+
+    next_rows = np.arange(num_nodes)
+    for name, slot in node_slot.items():
+        next_rows[node_index[name]] = row[slot]
+    return Schedule(
+        num_rows=top,
+        const_values=np.array(consts, dtype=np.float64),
+        groups=groups,
+        next_rows=next_rows,
+    )
+
+
+def _evaluate(sched: Schedule, S: np.ndarray) -> int | None:
+    """Fill the group rows of ``S`` from its state and constant rows.
+
+    Returns the lowest tape slot whose reciprocal denominator was zero,
+    or None.  Such a denominator is replaced by 1 so the step finishes
+    without warnings: a tape-order evaluation would have stopped at the
+    lowest such slot, and every slot below it depends on none above it.
+    """
+    single = S.shape[1] == 1
+    zero_slot = None
+    for g in sched.groups:
+        dst = S[g.rows]
+        if g.src.shape[0]:
+            terms = S.take(g.src, axis=0)
+            if g.op is _PROD:
+                np.multiply.reduce(terms, axis=0, out=dst)
+                continue
+            if g.coef is not None:
+                terms *= g.coef
+            if single:
+                # numpy would sum one value per term pairwise
+                np.add.accumulate(terms, axis=0, out=terms)
+                dst[...] = terms[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=dst)
+            if g.bias is not None:
+                dst += g.bias
+        else:
+            dst[...] = g.bias
+        if g.op is _RELU:
+            np.maximum(dst, 0.0, out=dst)
+            continue
+        hit = dst == 0.0
+        if hit.any():
+            first = int(g.slots[hit.any(axis=1)].min())
+            zero_slot = first if zero_slot is None else min(zero_slot, first)
+            dst[hit] = 1.0
+        np.divide(1.0, dst, out=dst)
+    return zero_slot
 
 
 def _slot_owner(prog: Program, slot: int) -> str:
@@ -185,6 +297,51 @@ def _slot_owner(prog: Program, slot: int) -> str:
         if root >= slot:
             return name
     return "?"
+
+
+def _advance(
+    prog: Program,
+    state: np.ndarray,
+    stream: np.ndarray,
+    t0: int,
+    t1: int,
+    fixed_point: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, int]:
+    """States at times t0..t1 given the state at t0, and the saturations.
+
+    ``stream`` is (n_tokens, batch).  Each update evaluates the schedule
+    on the previous state, zeroes the reset nodes when the input pointer
+    advances, writes the current token into the input nodes, snaps to
+    ``fixed_point`` = (integer_bits, fraction_bits) when given, and
+    checks the declared value domains.
+    """
+    sched = prog.schedule
+    period = prog.graph.rnn_time
+    n_tokens = stream.shape[0]
+    num_nodes, batch = state.shape
+    out = np.empty((t1 - t0 + 1, num_nodes, batch))
+    out[0] = state
+    S = np.empty((sched.num_rows, batch))
+    S[num_nodes : num_nodes + len(sched.const_values)] = sched.const_values[:, None]
+    saturation = 0
+    prev_idx = min((t0 - 1) // period + 1, n_tokens)
+    for t in range(t0 + 1, t1 + 1):
+        idx = min((t - 1) // period + 1, n_tokens)
+        S[:num_nodes] = out[t - t0 - 1]
+        zero_slot = _evaluate(sched, S)
+        if zero_slot is not None:
+            raise ReciprocalZeroError(_slot_owner(prog, zero_slot), t)
+        new = S[sched.next_rows]
+        if idx != prev_idx:
+            new[prog.reset_cols] = 0.0
+        new[prog.input_cols] = stream[idx - 1]
+        if fixed_point is not None:
+            new, sat = quantize_array(new, *fixed_point)
+            saturation += sat
+        _run_checks(prog, new, t)
+        out[t - t0] = new
+        prev_idx = idx
+    return out, saturation
 
 
 def quantize_array(
@@ -206,6 +363,19 @@ def quantize_array(
     return sign * snapped, saturated
 
 
+def _check_tokens(graph: RnnGraph, tokens: np.ndarray) -> None:
+    """Every token must be an integer in [0, alphabet_size) when declared."""
+    size = graph.meta.get("alphabet_size")
+    if size is None:
+        return
+    ok = (tokens >= 0) & (tokens < size) & (tokens == np.floor(tokens))
+    if not ok.all():
+        bad = float(tokens[~ok][0])
+        raise ValidationError(
+            f"token {bad} is not in the alphabet {{0, ..., {int(size) - 1}}}"
+        )
+
+
 def run(
     graph: RnnGraph,
     stream,
@@ -216,7 +386,9 @@ def run(
     """Run the graph on a token stream (optionally a batch of streams).
 
     ``stream`` has shape (n_tokens,) or (n_tokens, batch); every input
-    node receives the current token.  ``fixed_point`` = (integer_bits,
+    node receives the current token.  When the graph declares
+    ``meta["alphabet_size"]``, every token must be an integer in
+    [0, alphabet_size).  ``fixed_point`` = (integer_bits,
     fraction_bits) quantizes every node value after every update.
     """
     prog = program if program is not None else compile_graph(graph)
@@ -226,57 +398,27 @@ def run(
     n_tokens, batch = arr.shape
     if n_tokens < 1:
         raise ValidationError("empty input stream")
+    _check_tokens(graph, arr)
     period = graph.rnn_time
     T = total_steps if total_steps is not None else n_tokens * period
-    if T > n_tokens * period:
+    if not 1 <= T <= n_tokens * period:
         raise ValidationError(
-            f"total_steps {T} exceeds stream capacity {n_tokens * period}"
+            f"total_steps {T} outside [1, stream capacity {n_tokens * period}]"
         )
 
-    values = np.empty((T, len(graph.nodes), batch))
-    input_index = np.empty(T, dtype=np.int64)
-    slots: list = [None] * prog.num_slots
-    saturation = 0
-
     state = prog.new_state(batch)
-    tok = arr[0]
-    for col in prog.input_cols:
-        state[col] = tok
+    state[prog.input_cols] = arr[0]
+    saturation = 0
     if fixed_point is not None:
-        state, sat = quantize_array(state, *fixed_point)
-        saturation += sat
+        state, saturation = quantize_array(state, *fixed_point)
     _run_checks(prog, state, 1)
-    values[0] = state
-    input_index[0] = 1
-
-    for t in range(2, T + 1):
-        idx = (t - 1) // period + 1  # 1-based token index at time t
-        if idx > n_tokens:
-            idx = n_tokens
-        _exec_tape(prog, state, slots, t)
-        new = state.copy()
-        for name, root in prog.node_slot.items():
-            new[prog.node_index[name]] = slots[root]
-        if idx != input_index[t - 2] and prog.reset_cols:
-            for col in prog.reset_cols:
-                new[col] = 0.0
-        tok = arr[idx - 1]
-        for col in prog.input_cols:
-            new[col] = tok
-        if fixed_point is not None:
-            new, sat = quantize_array(new, *fixed_point)
-            saturation += sat
-        _run_checks(prog, new, t)
-        values[t - 1] = new
-        input_index[t - 1] = idx
-        state = new
-
+    values, sat = _advance(prog, state, arr, 1, T, fixed_point)
     return ExecutionTrace(
         graph=graph,
         values=values,
-        input_index=input_index,
+        input_index=np.minimum(np.arange(T) // period + 1, n_tokens),
         node_index=dict(prog.node_index),
-        saturation_events=saturation,
+        saturation_events=saturation + sat,
     )
 
 
@@ -292,15 +434,11 @@ def _run_checks(prog: Program, state: np.ndarray, t: int) -> None:
 
 
 def step(graph: RnnGraph, state: dict[str, float], current_input: float) -> dict:
-    """One synchronous update from a named state (single-step primitive)."""
+    """One synchronous update from a named state (single-step primitive).
+
+    The update is time step 2 of a one-token stream, so no reset fires.
+    """
     prog = compile_graph(graph)
-    old = np.array([[state[n.name]] for n in graph.nodes])
-    slots: list = [None] * prog.num_slots
-    _exec_tape(prog, old, slots, 0)
-    new = {}
-    for spec in graph.nodes:
-        if spec.name in graph.input_ids:
-            new[spec.name] = float(current_input)
-        else:
-            new[spec.name] = float(slots[prog.node_slot[spec.name]][0])
-    return new
+    old = np.array([[state[n.name]] for n in graph.nodes], dtype=np.float64)
+    states, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2)
+    return {n.name: float(states[1, j, 0]) for j, n in enumerate(graph.nodes)}

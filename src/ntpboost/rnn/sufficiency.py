@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Program, _exec_tape, compile_graph
+from .engine import _advance, compile_graph
 from .graph import RnnGraph
 
 
@@ -28,36 +28,6 @@ class SufficiencyReport:
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
-
-
-def _run_states(
-    prog: Program, stream: np.ndarray, start_state: np.ndarray, t0: int, t1: int
-) -> np.ndarray:
-    """States at times t0..t1 given the state at t0; stream is (n, batch)."""
-    graph = prog.graph
-    period = graph.rnn_time
-    n_tokens = stream.shape[0]
-    out = np.empty((t1 - t0 + 1,) + start_state.shape)
-    out[0] = start_state
-    state = start_state
-    slots: list = [None] * prog.num_slots
-    prev_idx = min((t0 - 1) // period + 1, n_tokens)
-    for t in range(t0 + 1, t1 + 1):
-        idx = min((t - 1) // period + 1, n_tokens)
-        _exec_tape(prog, state, slots, t)
-        new = state.copy()
-        for name, root in prog.node_slot.items():
-            new[prog.node_index[name]] = slots[root]
-        if idx != prev_idx and prog.reset_cols:
-            for col in prog.reset_cols:
-                new[col] = 0.0
-        tok = stream[idx - 1]
-        for col in prog.input_cols:
-            new[col] = tok
-        out[t - t0] = new
-        state = new
-        prev_idx = idx
-    return out
 
 
 def verify_hidden_sufficiency(
@@ -84,7 +54,7 @@ def verify_hidden_sufficiency(
     init = prog.new_state(trials)
     for col in prog.input_cols:
         init[col] = streams[0]
-    baseline = _run_states(prog, streams, init, 1, total)
+    baseline, _ = _advance(prog, init, streams, 1, total)
 
     for i in sorted(set(int(v) for v in scrub_at)):
         cols = np.nonzero(scrub_at == i)[0]
@@ -92,9 +62,7 @@ def verify_hidden_sufficiency(
         scrubbed = baseline[scrub_t - 1][:, cols].copy()
         for row_pos, row in enumerate(scrub_rows):
             scrubbed[row] = garbage[row_pos, cols]
-        resumed = _run_states(
-            prog, streams[:, cols], scrubbed, scrub_t, total
-        )
+        resumed, _ = _advance(prog, scrubbed, streams[:, cols], scrub_t, total)
         for j in range(i + 1, n_tokens + 1):
             t = j * period
             want = baseline[t - 1][out_row, cols]

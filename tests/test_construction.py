@@ -33,7 +33,7 @@ from ntpboost.dist import (
     uniform_lm,
 )
 from ntpboost.distinguishers import anchor_of, constant_distinguisher
-from ntpboost.errors import PreconditionError
+from ntpboost.errors import PreconditionError, ValidationError
 from ntpboost.instances import (
     random_prefix_window_distinguisher,
     random_text,
@@ -392,6 +392,15 @@ class TestSimpleConstruction:
         b = run(Qs, docs).output_at_multiples()
         for i in range(1, n + 1):
             assert np.max(np.abs(a[i] - b[i])) < 1e-12
+
+    def test_both_constructions_declare_the_alphabet(self):
+        p, qt, res, q, D = build_instance(619, 3, 1)
+        Qp, _ = build_boosted_rnn(q, D, 1, res.alpha, res.offset, 2)
+        Qs = build_boosted_rnn_simple(q, D, 1, res.alpha, res.offset, 2)
+        for graph in (Qp, Qs):
+            assert graph.meta["alphabet_size"] == graph.meta["base"] == 2
+            with pytest.raises(ValidationError, match="alphabet"):
+                run(graph, [0, 2, 1])
 
     def test_size_comparison(self):
         # doubling beats hidden-copying only when |Q| is small

@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ntpboost.construct import lm_to_rnn
+from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
 from ntpboost.errors import ReciprocalZeroError, ValidationError
 from ntpboost.rnn.engine import quantize_array, run, step
 from ntpboost.rnn.expr import (
+    Const,
+    Node,
+    Prod,
+    Recip,
+    Relu,
     case_select,
     const,
+    evaluate,
     ind_eq,
     ind_le,
     node,
@@ -108,6 +118,33 @@ class TestStepAndRun:
         for i, tok in enumerate(stream):
             assert tr.scalar("out", 3 * i + 3) == float(tok)
 
+    def test_reset_on_advance_zeroes_named_nodes(self):
+        # "acc" counts steps and is zeroed whenever the pointer advances;
+        # "held" counts too but is not reset
+        g = RnnGraph(
+            nodes=[
+                NodeSpec("in", 0.0, None),
+                NodeSpec("acc", 0.0, relu(1.0, (1.0, "acc"))),
+                NodeSpec("held", 0.0, relu(1.0, (1.0, "held"))),
+            ],
+            input_ids=("in",),
+            output_id="acc",
+            hidden_ids=(),
+            rnn_time=3,
+            meta={"reset_on_advance": ["acc"]},
+        )
+        tr = run(g, [0, 1, 0])
+        assert [tr.scalar("acc", t) for t in range(1, 10)] == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        assert [tr.scalar("held", t) for t in range(1, 10)] == list(range(9))
+        assert tr.input_index.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    def test_fixed_point_snaps_every_update_and_counts_saturations(self):
+        # with 2 integer bits the counter is capped at 4: every update
+        # from t=5 on computes 5 and saturates back to 4
+        tr = run(counter_graph(8), [0, 0], fixed_point=(2, 0))
+        assert [tr.scalar("w0", t) for t in range(1, 17)] == [1, 2, 3] + [4] * 13
+        assert tr.saturation_events == 12
+
     def test_batch_runs_match_single(self):
         g = counter_graph(4)
         streams = np.array([[0, 1], [1, 0], [0, 0]])  # (tokens, batch)
@@ -137,6 +174,39 @@ class TestStepAndRun:
             run(g, [0, 0, 0])
         assert err.value.node == "y"
         assert err.value.time_step == 3
+
+    def test_reciprocal_zero_names_lowest_tape_slot(self):
+        # y's reciprocal sits at depth 2 but is lowered before z's at
+        # depth 1; both denominators hit zero at t=3, and the error names
+        # the node whose slot comes first on the tape
+        g = RnnGraph(
+            nodes=[
+                NodeSpec("in", 0.0, None),
+                NodeSpec("x", 1.0, relu(-1.0, (1.0, "x"))),
+                NodeSpec("y", 0.0, recip(0.0, (1.0, relu(0.0, (1.0, "x"))))),
+                NodeSpec("z", 0.0, recip(0.0, (1.0, "x"))),
+            ],
+            input_ids=("in",),
+            output_id="y",
+            hidden_ids=(),
+            rnn_time=1,
+        )
+        with pytest.raises(ReciprocalZeroError) as err:
+            run(g, [0, 0, 0])
+        assert err.value.node == "y"
+        assert err.value.time_step == 3
+
+    def test_termless_reciprocal_of_zero_raises(self):
+        g = RnnGraph(
+            nodes=[NodeSpec("in", 0.0, None), NodeSpec("z", 1.0, Recip(0.0, ()))],
+            input_ids=("in",),
+            output_id="z",
+            hidden_ids=(),
+            rnn_time=1,
+        )
+        with pytest.raises(ReciprocalZeroError) as err:
+            run(g, [0, 0])
+        assert (err.value.node, err.value.time_step) == ("z", 2)
 
     def test_hidden_reading_non_hidden_rejected(self):
         with pytest.raises(ValidationError):
@@ -345,3 +415,132 @@ class TestSufficiency:
         rep = verify_hidden_sufficiency(g, trials=20, rng=rng)
         assert not rep.ok
         assert rep.first_failure()["diverged_at"] > rep.first_failure()["scrub_time"]
+
+
+class TestTokenAlphabet:
+    def binary_model(self):
+        text = TextDistribution(Alphabet(2), 3, np.full(8, 1.0 / 8))
+        return lm_to_rnn(text_to_lm(text))
+
+    @pytest.mark.parametrize("bad", [5, 1.5, -1, 2, float("nan")])
+    def test_out_of_alphabet_token_rejected(self, bad):
+        with pytest.raises(ValidationError, match="alphabet"):
+            run(self.binary_model(), [0, bad, 1])
+
+    def test_bad_token_in_one_stream_of_a_batch_rejected(self):
+        streams = np.array([[0, 1], [1, 0], [1, 2]])
+        with pytest.raises(ValidationError, match="alphabet"):
+            run(self.binary_model(), streams)
+
+    def test_alphabet_tokens_accepted(self):
+        outs = run(self.binary_model(), [0, 1, 1]).output_at_multiples()
+        assert [float(outs[i][0]) for i in (1, 2, 3)] == [0.5, 0.5, 0.5]
+
+
+# -- differential tests of the step kernel against expr.evaluate -------------
+
+R = 4.0  # every node value stays in [0, R]
+CAP = 8.0  # every subexpression value stays in [0, CAP]
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs of Relu, Recip, Prod, Const and Node expressions.
+
+    Subexpressions are drawn from a growing pool, so later ones share
+    earlier ones.  Each pool entry carries an upper bound on its value
+    (all values are nonnegative); an entry whose bound exceeds CAP is
+    wrapped as 1 / (1 + e), so no value overflows, every reciprocal
+    denominator is at least 1, and one step's rounding stays near 1e-15.
+    """
+    names = [f"n{j}" for j in range(draw(st.integers(1, 4)))]
+    coef = st.one_of(st.just(1.0), st.floats(-2.0, 2.0))
+    bias = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+    pool = [(Node(name), R) for name in names + ["in"]]
+    pool += [(Const(c), c) for c in draw(st.lists(st.floats(0.0, 2.0), max_size=2))]
+    pool.append((Relu(draw(bias), ()), 2.0))
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["relu", "recip", "prod"]))
+        children = [pick() for _ in range(draw(st.integers(1, 3)))]
+        if kind == "relu":
+            b = draw(bias)
+            cs = [draw(coef) for _ in children]
+            expr = Relu(b, tuple((c, e) for c, (e, _) in zip(cs, children)))
+            bound = max(b, 0.0) + sum(abs(c) * cb for c, (_, cb) in zip(cs, children))
+        elif kind == "recip":
+            cs = [draw(st.floats(0.0, 2.0)) for _ in children]
+            expr = Recip(
+                draw(st.floats(1.0, 3.0)),
+                tuple((c, e) for c, (e, _) in zip(cs, children)),
+            )
+            bound = 1.0
+        else:
+            children.append(pick())
+            expr = Prod(tuple(e for e, _ in children))
+            bound = float(np.prod([cb for _, cb in children]))
+        if bound > CAP:
+            expr, bound = Recip(1.0, ((1.0, expr),)), 1.0
+        pool.append((expr, bound))
+
+    nodes = [NodeSpec("in", 0.0, None)]
+    for name in names:
+        expr, bound = pick()
+        if bound > R:
+            expr = Recip(1.0, ((1.0, expr),))
+        nodes.append(NodeSpec(name, draw(st.floats(0.0, R)), expr))
+    graph = RnnGraph(
+        nodes=nodes, input_ids=("in",), output_id=names[0], hidden_ids=(), rnn_time=1
+    )
+    streams = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=8, max_size=8)))
+    return graph, streams.reshape(4, 2)
+
+
+class TestKernelDifferential:
+    @given(small_graphs())
+    def test_each_step_matches_tree_evaluation(self, case):
+        graph, streams = case
+        tr = run(graph, streams)
+        # a batch of one sums through the accumulate path, a batch of two
+        # through the elementwise reduce: both give the same bytes
+        single = run(graph, streams[:, 0])
+        assert single.values.tobytes() == tr.values[:, :, :1].tobytes()
+        names = [n.name for n in graph.nodes]
+        for t in range(2, tr.total_steps + 1):
+            for b in range(streams.shape[1]):
+                prev = dict(zip(names, tr.values[t - 2, :, b]))
+                for j, spec in enumerate(graph.nodes):
+                    got = tr.values[t - 1, j, b]
+                    if spec.expr is None:
+                        assert got == streams[t - 1, b]
+                    else:
+                        assert abs(got - evaluate(spec.expr, prev)) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_long_weighted_sum_adds_left_to_right(self, batch):
+        rng = np.random.default_rng(29)
+        m = 240
+        # one huge term first: added one at a time, each small term rounds
+        # against it, while pairwise blocks would sum the small ones first
+        inits = rng.uniform(0.5, 2.0, m)
+        inits[0] = 2.0**60  # its ulp is 256, far above any small term
+        coefs = rng.uniform(0.5, 2.0, m)
+        names = [f"x{j}" for j in range(m)]
+        nodes = [NodeSpec("in", 0.0, None)]
+        nodes += [NodeSpec(n, float(v), node(n)) for n, v in zip(names, inits)]
+        nodes.append(NodeSpec("s", 0.0, relu(0.75, *zip(coefs, names))))
+        g = RnnGraph(
+            nodes=nodes, input_ids=("in",), output_id="s", hidden_ids=(), rnn_time=1
+        )
+        products = [float(c) * float(v) for c, v in zip(coefs, inits)]
+        want = products[0]
+        for p in products[1:]:
+            want += p
+        want += 0.75
+        # the data tell the orders apart: numpy's pairwise sum differs
+        assert float(np.sum(products)) + 0.75 != want
+        tr = run(g, np.zeros((2, batch)))
+        assert tr.value("s", 2).tolist() == [want] * batch

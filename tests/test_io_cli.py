@@ -316,6 +316,19 @@ class TestCli:
         assert payload["error"] == "FormatError"
         assert "alphabet_size" in payload["message"]
 
+    def test_simulate_rejects_out_of_alphabet_token(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate",
+            "--out", str(tmp_path),
+            "--graph", fixture("model_circuit_n4.json"),
+            "--input", "0,5,1",
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValidationError"
+        assert "alphabet" in payload["message"]
+        assert not os.path.exists(os.path.join(str(tmp_path), "simulation.json"))
+
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
         assert rc == 0
