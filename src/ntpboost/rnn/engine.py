@@ -6,13 +6,18 @@ advances every ``rnn_time`` steps.  Time is 1-based: the state at t = 1
 is the initial values with the first token applied, matching the
 counter conventions of the constructions.
 
-Expressions are compiled once into a flat tape (one slot per distinct
-subtree), and the tape into a level schedule.  A slot's level is 0 for
-constants and node reads and one more than its deepest child otherwise;
-slots of one level with the same operator and arity form a group, and
-each group is evaluated for the whole batch at once: one gather of its
-children's rows of the slot array, one coefficient multiply, one
-reduction over the term axis, the bias, then relu or the reciprocal.
+Expressions are compiled once into a flat tape, and the tape into a
+level schedule.  The tape has one slot per distinct subtree: each
+interned expression object (see ``expr``) is lowered once, and objects
+whose entries agree over their child slots, ``(op, bias, ((coef, slot),
+...))`` with floats compared by value, share the slot of the first (so
+a ``0.0`` and a ``-0.0`` bias on otherwise equal sums merge).  A slot's
+level is 0 for constants and node reads and one more than its deepest
+child otherwise; slots of one level with the same operator and arity
+form a group, and each group is evaluated for the whole batch at once:
+one gather of its children's rows of the slot array, one coefficient
+multiply, one reduction over the term axis, the bias, then relu or the
+reciprocal.
 Every update of ``run``, ``step`` and the scrubbing harness goes
 through the one step function ``_advance``.
 
@@ -143,35 +148,29 @@ class Program:
 def compile_graph(graph: RnnGraph) -> Program:
     node_index = {n.name: j for j, n in enumerate(graph.nodes)}
     tape: list = []
-
-    def emit(entry) -> int:
-        tape.append(entry)
-        return len(tape) - 1
-
-    cache: dict = {}
+    slot_of: dict = {}  # tape entry -> its slot
+    lowered: dict[int, int] = {}  # id(expr) -> slot; the graph keeps each alive
 
     def lower(expr) -> int:
-        # structural key: identical subtrees (shared conditions, mirrored
-        # lookups) collapse to one tape slot
-        key = expr
-        if key in cache:
-            return cache[key]
+        slot = lowered.get(id(expr))
+        if slot is not None:
+            return slot
         if isinstance(expr, Const):
-            slot = emit((_CONST, expr.value))
+            entry = (_CONST, expr.value)
         elif isinstance(expr, Node):
-            slot = emit((_NODE, node_index[expr.name]))
+            entry = (_NODE, node_index[expr.name])
         elif isinstance(expr, Relu):
-            parts = tuple((c, lower(e)) for c, e in expr.terms)
-            slot = emit((_RELU, expr.bias, parts))
+            entry = (_RELU, expr.bias, tuple((c, lower(e)) for c, e in expr.terms))
         elif isinstance(expr, Recip):
-            parts = tuple((c, lower(e)) for c, e in expr.terms)
-            slot = emit((_RECIP, expr.bias, parts))
+            entry = (_RECIP, expr.bias, tuple((c, lower(e)) for c, e in expr.terms))
         elif isinstance(expr, Prod):
-            parts = tuple(lower(f) for f in expr.factors)
-            slot = emit((_PROD, parts))
+            entry = (_PROD, tuple(lower(f) for f in expr.factors))
         else:
             raise ValidationError(f"unknown expression {expr!r}")
-        cache[key] = slot
+        slot = slot_of.setdefault(entry, len(tape))
+        if slot == len(tape):
+            tape.append(entry)
+        lowered[id(expr)] = slot
         return slot
 
     node_slot = {}

@@ -1,10 +1,22 @@
-"""Transition-function expression trees.
+"""Transition-function expressions, hash-consed.
 
 The only internal operators are relu of a weighted sum, product, and
 reciprocal of a weighted sum; leaves are constants and references to
 incoming-neighbor values at the previous time step.  Indicator gadgets
 built from these are exact on integer inputs because the machine
 precision constant is a power of two.
+
+Expressions are hash-consed: building a node equal to a live one
+returns the live object, so a circuit is a DAG holding one object per
+distinct structure.  The intern key is the class, the float fields by
+their bits and the children by identity, so ``0.0`` and ``-0.0`` stay
+two objects and ``to_sexpr`` prints each as it was built.  The intern
+table holds its nodes weakly: an expression nothing else refers to is
+freed.  Each node caches its depth, its free node names (a frozenset)
+and its hash, all computed from its children when it is built, so
+``depth``, ``free_nodes`` and ``hash`` cost O(1).  Equality stays
+structural, with floats compared by value: ``Relu(0.0, t) ==
+Relu(-0.0, t)``.
 
 Case selectors (sums of value*condition products) assume nonnegative
 branch values, which holds for every graph this package constructs;
@@ -13,55 +25,160 @@ relu of such a sum is then exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+import weakref
 
 from ..errors import ValidationError
 
 MACHINE_EPS = 2.0**-32  # indicator window; inputs here are always integers
 
-Term = tuple[float, "Expr"]
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NO_NAMES: frozenset = frozenset()
+
+
+def _bits(*xs: float) -> bytes:
+    """Bit-exact key of float fields: 0.0 and -0.0 differ."""
+    return struct.pack(f"{len(xs)}d", *xs)
 
 
 class Expr:
+    """An interned, immutable expression node, compared structurally."""
+
+    __slots__ = ("_depth", "_free", "_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"expressions are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"expressions are immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # rebuild through the constructor, which interns
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _child(e) -> Expr:
+    if not isinstance(e, Expr):
+        raise ValidationError(f"unknown expression {e!r}")
+    return e
+
+
+def _union(children) -> frozenset:
+    """Free names of the children, reusing a child's set when it covers the rest."""
+    free = _NO_NAMES
+    for e in children:
+        if not e._free <= free:
+            free = e._free if free <= e._free else free | e._free
+    return free
+
+
+def _intern(cls, key, fields: tuple, depth: int, free: frozenset) -> Expr:
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_depth", depth)
+    object.__setattr__(obj, "_free", free)
+    object.__setattr__(obj, "_hash", hash((cls, *fields)))
+    _INTERNED[key] = obj
+    return obj
+
+
+class Const(Expr):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: float):
+        value = float(value)
+        key = (cls, _bits(value))
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = _intern(cls, key, (value,), 0, _NO_NAMES)
+        return obj
+
+
+class Node(Expr):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = _intern(cls, key, (name,), 0, frozenset((name,)))
+        return obj
+
+
+class _WeightedSum(Expr):
+    """bias + sum coef * child, then the subclass's activation."""
+
+    __slots__ = ("bias", "terms")
+    __match_args__ = ("bias", "terms")
+
+    def __new__(cls, bias: float, terms):
+        bias = float(bias)
+        terms = tuple((float(c), _child(e)) for c, e in terms)
+        key = (cls, _bits(bias, *(c for c, _ in terms)), *(id(e) for _, e in terms))
+        obj = _INTERNED.get(key)
+        if obj is None:
+            children = [e for _, e in terms]
+            depth = 1 + max((e._depth for e in children), default=0)
+            obj = _intern(cls, key, (bias, terms), depth, _union(children))
+        return obj
+
+
+class Relu(_WeightedSum):
+    """relu(bias + sum coef * child)."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
-
-
-@dataclass(frozen=True)
-class Node(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Relu(Expr):
-    """relu(bias + sum coef * child)."""
-
-    bias: float
-    terms: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class Recip(Expr):
+class Recip(_WeightedSum):
     """1 / (bias + sum coef * child); denominator must be nonzero."""
 
-    bias: float
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prod(Expr):
-    factors: tuple[Expr, ...]
+    """Product of one or more factors."""
+
+    __slots__ = ("factors",)
+    __match_args__ = ("factors",)
+
+    def __new__(cls, factors):
+        factors = tuple(_child(f) for f in factors)
+        if not factors:
+            raise ValidationError("a product needs at least one factor")
+        key = (cls, *(id(f) for f in factors))
+        obj = _INTERNED.get(key)
+        if obj is None:
+            depth = 1 + max(f._depth for f in factors)
+            obj = _intern(cls, key, (factors,), depth, _union(factors))
+        return obj
 
 
 # -- construction helpers ---------------------------------------------------
 
 
 def const(v: float) -> Const:
-    return Const(float(v))
+    return Const(v)
 
 
 def node(name) -> Expr:
@@ -69,11 +186,11 @@ def node(name) -> Expr:
 
 
 def relu(bias: float, *terms: tuple[float, Expr]) -> Relu:
-    return Relu(float(bias), tuple((float(c), node(e)) for c, e in terms))
+    return Relu(bias, [(c, node(e)) for c, e in terms])
 
 
 def recip(bias: float, *terms: tuple[float, Expr]) -> Recip:
-    return Recip(float(bias), tuple((float(c), node(e)) for c, e in terms))
+    return Recip(bias, [(c, node(e)) for c, e in terms])
 
 
 def prod(*factors) -> Expr:
@@ -145,43 +262,40 @@ def hold(name: str) -> Expr:
 # -- inspection -------------------------------------------------------------
 
 
-def free_nodes(expr: Expr) -> set[str]:
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Node):
-            out.add(e.name)
-        elif isinstance(e, (Relu, Recip)):
-            stack.extend(child for _, child in e.terms)
-        elif isinstance(e, Prod):
-            stack.extend(e.factors)
-    return out
+def free_nodes(expr: Expr) -> frozenset[str]:
+    """Names of the nodes the expression reads (cached at construction)."""
+    return expr._free
 
 
 def depth(expr: Expr) -> int:
-    if isinstance(expr, (Const, Node)):
-        return 0
-    if isinstance(expr, (Relu, Recip)):
-        return 1 + max((depth(c) for _, c in expr.terms), default=0)
-    if isinstance(expr, Prod):
-        return 1 + max(depth(f) for f in expr.factors)
-    raise ValidationError(f"unknown expression {expr!r}")
+    """Operator depth: 0 for leaves (cached at construction)."""
+    return expr._depth
 
 
 def substitute(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename node references; names absent from the mapping are kept."""
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Node):
-        return Node(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Relu):
-        return Relu(expr.bias, tuple((c, substitute(e, mapping)) for c, e in expr.terms))
-    if isinstance(expr, Recip):
-        return Recip(expr.bias, tuple((c, substitute(e, mapping)) for c, e in expr.terms))
-    if isinstance(expr, Prod):
-        return Prod(tuple(substitute(f, mapping) for f in expr.factors))
-    raise ValidationError(f"unknown expression {expr!r}")
+    """Rename node references; names absent from the mapping are kept.
+
+    A subexpression reading no mapped name is returned as it is, and each
+    shared subexpression is renamed once.
+    """
+    mapped = frozenset(mapping)
+    memo: dict[int, Expr] = {}  # by identity: ``expr`` keeps its nodes alive
+
+    def rename(e: Expr) -> Expr:
+        if mapped.isdisjoint(e._free):
+            return e
+        out = memo.get(id(e))
+        if out is None:
+            if isinstance(e, Node):
+                out = Node(mapping[e.name])
+            elif isinstance(e, Prod):
+                out = Prod([rename(f) for f in e.factors])
+            else:
+                out = type(e)(e.bias, [(c, rename(x)) for c, x in e.terms])
+            memo[id(e)] = out
+        return out
+
+    return rename(expr)
 
 
 def evaluate(expr: Expr, values: dict[str, float]) -> float:

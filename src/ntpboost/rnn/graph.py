@@ -81,7 +81,7 @@ class RnnGraph:
                 if n.expr is not None:
                     raise ValidationError(f"input node {n.name!r} has an expression")
                 continue
-            if n.expr is None:
+            if not isinstance(n.expr, Expr):
                 raise ValidationError(f"non-input node {n.name!r} lacks an expression")
             refs = free_nodes(n.expr)
             missing = refs - name_set

@@ -23,18 +23,6 @@ from .expr import (
 )
 
 
-def indicator_eq(x, c: float) -> Expr:
-    return ind_eq(x, c)
-
-
-def indicator_le(x, c: float) -> Expr:
-    return ind_le(x, c)
-
-
-def indicator_ge(x, c: float) -> Expr:
-    return ind_ge(x, c)
-
-
 def if_else(b, c: float, then_expr, else_expr, cmp: str = "eq") -> Expr:
     """then_expr if (b cmp c) else else_expr, branches nonnegative."""
     if cmp == "eq":
@@ -103,9 +91,9 @@ def exp_binary(alpha: float, x) -> Expr:
 
 
 _KINDS = {
-    "indicator_eq": indicator_eq,
-    "indicator_le": indicator_le,
-    "indicator_ge": indicator_ge,
+    "indicator_eq": ind_eq,
+    "indicator_le": ind_le,
+    "indicator_ge": ind_ge,
     "if_else": if_else,
     "or": or_,
     "and": and_,

@@ -1,14 +1,35 @@
 """Engine semantics: stepping, schedules, determinism, gating, scrubbing."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ntpboost.construct import lm_to_rnn
+from ntpboost import io as nio
+from ntpboost.boosting import boost_text
+from ntpboost.construct import (
+    build_boosted_rnn,
+    build_boosted_rnn_simple,
+    distinguisher_to_rnn,
+    lm_to_rnn,
+)
 from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
 from ntpboost.errors import ReciprocalZeroError, ValidationError
-from ntpboost.rnn.engine import quantize_array, run, step
+from ntpboost.instances import random_prefix_window_distinguisher, random_text, rng_for
+from ntpboost.rnn.engine import (
+    _CONST,
+    _NODE,
+    _PROD,
+    _RECIP,
+    _RELU,
+    compile_graph,
+    quantize_array,
+    run,
+    step,
+)
 from ntpboost.rnn.expr import (
     Const,
     Node,
@@ -29,6 +50,7 @@ from ntpboost.rnn.gating import gated_augment
 from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from ntpboost.rnn.universal import embed, universal_edges, universal_graph
+from test_expr import distinct_objects
 
 
 def counter_graph(period):
@@ -544,3 +566,109 @@ class TestKernelDifferential:
         assert float(np.sum(products)) + 0.75 != want
         tr = run(g, np.zeros((2, batch)))
         assert tr.value("s", 2).tolist() == [want] * batch
+
+
+# -- differential tests of the tape against a structural lowering -----------
+
+
+def reference_tape(graph):
+    """The tape as lowered through a cache keyed on each subtree's full
+    structure, floats compared by value: a subtree equal to one lowered
+    before reuses that slot, and the first emitted entry wins."""
+    index = {n.name: j for j, n in enumerate(graph.nodes)}
+    structures = {}
+
+    def structure(e):
+        if id(e) not in structures:
+            if isinstance(e, Const):
+                s = ("const", e.value)
+            elif isinstance(e, Node):
+                s = ("node", e.name)
+            elif isinstance(e, Prod):
+                s = ("prod", tuple(structure(f) for f in e.factors))
+            else:
+                s = (type(e).__name__, e.bias, tuple((c, structure(x)) for c, x in e.terms))
+            structures[id(e)] = s
+        return structures[id(e)]
+
+    tape, cache = [], {}
+
+    def lower(e):
+        key = structure(e)
+        if key not in cache:
+            if isinstance(e, Const):
+                entry = (_CONST, e.value)
+            elif isinstance(e, Node):
+                entry = (_NODE, index[e.name])
+            elif isinstance(e, Prod):
+                entry = (_PROD, tuple(lower(f) for f in e.factors))
+            else:
+                op = _RELU if isinstance(e, Relu) else _RECIP
+                entry = (op, e.bias, tuple((c, lower(x)) for c, x in e.terms))
+            tape.append(entry)
+            cache[key] = len(tape) - 1
+        return cache[key]
+
+    for spec in graph.nodes:
+        if spec.expr is not None:
+            lower(spec.expr)
+    return tape
+
+
+def assert_reference_tape(graph):
+    got, want = compile_graph(graph).tape, reference_tape(graph)
+    # repr tells a 0.0 from a -0.0 where == would not
+    assert repr(got) == repr(want)
+
+
+def boosted_instance(seed, n, k):
+    b2 = Alphabet(2)
+    rng = rng_for(seed)
+    p, qt = random_text(b2, n, rng), random_text(b2, n, rng)
+    res = boost_text(p, qt, random_prefix_window_distinguisher(b2, n, k, rng))
+    q = lm_to_rnn(text_to_lm(qt), 2)
+    d = distinguisher_to_rnn(res.applied, b2, 2)
+    return q, d, k, res.alpha, res.offset, 2
+
+
+class TestTapeDifferential:
+    def test_fixture_graphs(self):
+        fixtures = os.path.join(os.path.dirname(nio.__file__), "fixtures")
+        graphs = 0
+        for name in sorted(os.listdir(fixtures)):
+            with open(os.path.join(fixtures, name)) as fh:
+                payload = json.load(fh) if name.endswith(".json") else {}
+            if "nodes" in payload:
+                assert_reference_tape(nio.graph_from_json(payload))
+                graphs += 1
+        assert graphs >= 1
+
+    @pytest.mark.parametrize("seed,n,k", [(641, 4, 2), (643, 3, 1)])
+    def test_boosted_constructions(self, seed, n, k):
+        args = boosted_instance(seed, n, k)
+        efficient, _ = build_boosted_rnn(*args)
+        for graph in (efficient, build_boosted_rnn_simple(*args)):
+            assert_reference_tape(graph)
+        # hash-consing leaves one object per distinct structure
+        roots = [n.expr for n in efficient.nodes if n.expr is not None]
+        assert distinct_objects(*roots) == len(compile_graph(efficient).tape)
+
+    @given(small_graphs())
+    def test_random_graphs(self, case):
+        graph, _ = case
+        assert_reference_tape(graph)
+
+    def test_signed_zero_biases_merge_into_the_first(self):
+        x = Node("x")
+        neg, pos = Relu(-0.0, ((1.0, x),)), Relu(0.0, ((1.0, x),))
+        nodes = [
+            NodeSpec("x", 0.0, None),
+            NodeSpec("a", 0.0, relu(0.0, (1.0, neg), (2.0, pos))),
+            NodeSpec("b", 0.0, prod(pos, Const(0.0), Const(-0.0), neg)),
+            NodeSpec("c", 0.0, Relu(-0.0, ((1.0, pos), (1.0, Const(-0.0))))),
+        ]
+        g = RnnGraph(nodes=nodes, input_ids=("x",), output_id="a", hidden_ids=(), rnn_time=1)
+        assert_reference_tape(g)
+        tape = compile_graph(g).tape
+        assert repr(tape[1]) == "(2, -0.0, ((1.0, 0),))"  # the -0.0 sum came first
+        assert len(tape) == 6  # x, the merged sum, a, the merged constant, b, c

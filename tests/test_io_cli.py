@@ -329,6 +329,19 @@ class TestCli:
         assert "alphabet" in payload["message"]
         assert not os.path.exists(os.path.join(str(tmp_path), "simulation.json"))
 
+    def test_simulate_rejects_empty_product(self, tmp_path, capsys):
+        graph = json.load(open(fixture("model_circuit_n4.json")))
+        graph["nodes"][1]["expr"] = "(prod )"
+        path = str(tmp_path / "g.json")
+        nio.write_json_atomic(path, graph)
+        rc = run_cli(
+            "simulate", "--out", str(tmp_path / "s"), "--graph", path, "--input", "0,1,1"
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert "at least one factor" in payload["message"]
+
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
         assert rc == 0
