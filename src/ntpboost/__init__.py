@@ -19,7 +19,6 @@ from .dist import (
     entropy,
     kl,
     lm_to_text,
-    marginal,
     next_token_loss,
     text_to_lm,
     tv,

@@ -15,7 +15,6 @@ marginalize out, so both views agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -26,8 +25,10 @@ from .dist import (
     block_distribution_completed,
     extended_block_distribution,
     kl,
+    lex_index,
     lm_to_text,
     text_to_lm,
+    token_strings,
 )
 from .distinguishers import (
     Distinguisher,
@@ -139,7 +140,8 @@ def _f2_row(
     """exp(-alpha d_{|base|+1}(base.w)) over the clipped windows w."""
     if len(base) >= q.n:
         raise PreconditionError(f"block start {len(base)} must be < n={q.n}")
-    return np.exp(-alpha * d.tables(q.alphabet.size)[len(base)][q.index(base)])
+    size = q.alphabet.size
+    return np.exp(-alpha * d.tables(size)[len(base)][lex_index(base, size)])
 
 
 def components_f_g(
@@ -174,9 +176,9 @@ def components_f_g(
     realized = tuple(x[anchor:i])  # x_{anchor+1} .. x_i, r0 tokens
     r0 = i - anchor
     block = extended_block_distribution(q, base, d.k)
-    f1 = float(block[q.index(s)])
+    f1 = float(block[lex_index(s, q.alphabet.size)])
     kc = min(d.k, q.n - anchor)
-    f2 = float(_f2_row(q, d, alpha, base)[q.index(s[:kc])])
+    f2 = float(_f2_row(q, d, alpha, base)[lex_index(s[:kc], q.alphabet.size)])
     g1 = 1 if s[:r0] == realized else 0
     g2 = 1 if s[: r0 - 1] == realized[: r0 - 1] else 0
     return f1, f2, g1, g2
@@ -203,7 +205,7 @@ def boosted_next_token(
     size = q.alphabet.size
     if i <= i0_star:
         row = extended_block_distribution(q, prefix, 1)
-        return float(row[token])
+        return float(row[lex_index((token,), size)])
     anchor = anchor_of(i, i0_star, d.k)
     base = prefix[:anchor]
     realized = prefix[anchor:] + (token,)  # x_{anchor+1} .. x_i
@@ -212,18 +214,22 @@ def boosted_next_token(
     # full windows agreeing up to the document end share one f2
     kc = min(d.k, q.n - anchor)
     f2_full = np.repeat(_f2_row(q, d, alpha, base), size ** (d.k - kc))
+    # The windows w with g1 = 1 (w_{:r0} = realized) are the run of
+    # ``tail`` indices from ``hit``; those with g2 = 1 (w_{:r0-1} =
+    # realized_{:r0-1}) are the aligned run of size * tail holding it.
+    tail = size ** (d.k - r0)
+    hit = lex_index(realized, size) * tail
+    first = hit - hit % (size * tail)
     num = 0.0
     den = 0.0
-    for w_idx, w in enumerate(product(range(size), repeat=d.k)):
+    for w_idx in range(first, first + size * tail):
         f1 = float(block[w_idx])
         if f1 == 0.0:
             continue
-        f2 = float(f2_full[w_idx])
-        v = f1 * f2
-        if w[: r0 - 1] == realized[: r0 - 1]:
-            den += v
-            if w[:r0] == realized:
-                num += v
+        v = f1 * float(f2_full[w_idx])
+        den += v
+        if hit <= w_idx < hit + tail:
+            num += v
     if den <= 0.0:
         raise ZeroMarginalError(
             f"boosted conditional undefined at prefix {prefix}: "
@@ -244,7 +250,7 @@ def boosted_lm(
     levels = []
     for m in range(q.n):
         rows = np.empty((size**m, size))
-        for s_idx, prefix in enumerate(product(range(size), repeat=m)):
+        for s_idx, prefix in enumerate(token_strings(size, m).T.tolist()):
             for tok in range(size):
                 try:
                     rows[s_idx, tok] = boosted_next_token(

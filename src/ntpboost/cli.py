@@ -21,7 +21,7 @@ import numpy as np
 from . import io as nio
 from .boosting import boost_text
 from .construct import build_boosted_rnn, distinguisher_to_rnn, lm_to_rnn
-from .dist import text_to_lm, uniform_text
+from .dist import text_to_lm, token_strings, uniform_text
 from .errors import FormatError, NtpboostError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
@@ -224,7 +224,6 @@ def make_compile_hook(p, family, enum_cap: int = 1 << 14):
     asserts its scheduled outputs against the analytic conditionals.
     Rounds with no boosts (or instances beyond the cap) report False.
     """
-    from itertools import product as _product
 
     def hook(record, prev_model, steps) -> bool:
         if not steps:
@@ -240,17 +239,18 @@ def make_compile_hook(p, family, enum_cap: int = 1 << 14):
         graph, _ = build_boosted_rnn(
             q, d_circ, res.applied.k, res.alpha, res.offset, size
         )
-        docs = np.array(list(_product(range(size), repeat=n))).T
+        docs = token_strings(size, n)
         outs = engine_run(graph, docs).output_at_multiples()
-        for col in range(docs.shape[1]):
-            doc = tuple(int(x) for x in docs.T[col])
-            for i in range(1, n + 1):
-                want = res.lm_boosted.prob(doc[i - 1], doc[: i - 1])
-                if abs(float(outs[i][col]) - want) > 1e-9:
-                    raise NtpboostError(
-                        f"compiled round diverged from analytic boost at "
-                        f"prefix {doc[:i - 1]}, token {doc[i - 1]}"
-                    )
+        got = np.stack([outs[i] for i in range(1, n + 1)])
+        # (document, position) pairs whose gap is not within 1e-9, NaN included
+        bad = ~(np.abs(got - res.lm_boosted.conditionals()) <= 1e-9).T
+        if bad.any():
+            col, i = divmod(int(np.argmax(bad)), n)
+            doc = tuple(docs[:, col].tolist())
+            raise NtpboostError(
+                f"compiled round diverged from analytic boost at "
+                f"prefix {doc[:i]}, token {doc[i]}"
+            )
         return True
 
     return hook

@@ -11,6 +11,12 @@ pinned to the anchor prefix, one scratch) and likewise for the
 distinguisher, copying entire states instead of hidden sets.  It never
 relies on hidden-set sufficiency, which is what makes it an independent
 oracle for the efficient construction.
+
+``_full_copy_main`` and ``_full_copy_scratch`` repeat the enumerator's
+H (anchor) and Ht (scratch) case schedules on purpose instead of sharing
+a schedule builder: a fault in a shared builder (a wrong phase gate, an
+off-by-one replay window) would enter both constructions alike, their
+outputs would still agree, and ``cross_construction`` could not catch it.
 """
 
 from __future__ import annotations

@@ -17,9 +17,7 @@ expects when it replays anchor prefixes extended with candidate windows.
 
 from __future__ import annotations
 
-from itertools import product
-
-from ..dist import Alphabet, LanguageModel
+from ..dist import Alphabet, LanguageModel, token_strings
 from ..distinguishers import Distinguisher, set_keys
 from ..errors import PreconditionError
 from ..rnn.expr import (
@@ -79,10 +77,10 @@ def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
     terms = []
     for m in range(1, n + 1):
         gate_m = ind_eq("c", float(m))
-        for s in product(range(size), repeat=m - 1):
+        prefixes = token_strings(size, m - 1).T.tolist()
+        for s, row in zip(prefixes, lm.levels[m - 1].tolist()):
             matches = _prefix_match(s)
-            for a in range(size):
-                qv = lm.prob(a, s)
+            for a, qv in enumerate(row):
                 if qv == 0.0:
                     continue
                 terms.append(

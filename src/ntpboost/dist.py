@@ -8,7 +8,8 @@ next-token loss are computed by summing the full table.  Natural
 logarithms throughout.
 
 Documents are tuples of integer tokens in [0, size).  Tables are indexed
-in lexicographic document order (first token most significant).
+in lexicographic document order (first token most significant).  That
+layout is written once, in ``lex_index`` and ``token_strings``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,29 @@ def _check_table_size(size: int, n: int) -> int:
     return total
 
 
+def lex_index(tokens, size: int) -> int:
+    """Table index of a token string: lexicographic, first token most significant.
+
+    ValidationError unless every token is an integer in [0, size).  A
+    plain loop: it runs per prefix on the next-token paths.
+    """
+    idx = 0
+    for tok in tokens:
+        if not ((type(tok) is int or isinstance(tok, np.integer)) and 0 <= tok < size):
+            raise ValidationError(f"token {tok!r} is not an integer in [0, {size})")
+        idx = idx * size + tok
+    return int(idx)
+
+
+def token_strings(size: int, length: int) -> np.ndarray:
+    """Every token string of ``length`` as a column of a (length,
+    size**length) array: column j has ``lex_index`` j.  Within the cap."""
+    if size < 1 or length < 0:
+        raise ValidationError(f"need size >= 1 and length >= 0, got {size}, {length}")
+    total = _check_table_size(size, length)
+    return np.indices((size,) * length).reshape(length, total)
+
+
 @dataclass(frozen=True)
 class TextDistribution:
     """Dense joint distribution over documents in Sigma^n.
@@ -106,31 +130,17 @@ class TextDistribution:
 
     # -- indexing -----------------------------------------------------
 
-    def index(self, doc: Document) -> int:
-        s = self.alphabet.size
-        idx = 0
-        for tok in doc:
-            if not 0 <= tok < s:
-                raise ValidationError(f"token {tok} outside alphabet of size {s}")
-            idx = idx * s + tok
-        return idx
-
     def document(self, idx: int) -> Document:
-        s = self.alphabet.size
-        out = []
-        for _ in range(self.n):
-            out.append(idx % s)
-            idx //= s
-        return tuple(reversed(out))
-
-    def documents(self):
-        for idx in range(self.alphabet.size**self.n):
-            yield self.document(idx)
+        """The document at table index ``idx``; the inverse of ``lex_index``."""
+        total = self.probs.size
+        if not (isinstance(idx, (int, np.integer)) and 0 <= idx < total):
+            raise ValidationError(f"document index {idx!r} outside [0, {total})")
+        return tuple(map(int, np.unravel_index(idx, (self.alphabet.size,) * self.n)))
 
     def prob(self, doc: Document) -> float:
         if len(doc) != self.n:
             raise ValidationError(f"document length {len(doc)} != n={self.n}")
-        return float(self.probs[self.index(doc)])
+        return float(self.probs[lex_index(doc, self.alphabet.size)])
 
     # -- marginals ----------------------------------------------------
 
@@ -142,14 +152,11 @@ class TextDistribution:
         return self.probs.reshape(s**level, s ** (self.n - level)).sum(axis=1)
 
     def marginal(self, s: Document) -> float:
+        """Total probability of documents extending the prefix ``s``."""
         if len(s) > self.n:
             raise ValidationError(f"prefix longer than n={self.n}: {s}")
         size = self.alphabet.size
-        idx = 0
-        for tok in s:
-            if not 0 <= tok < size:
-                raise ValidationError(f"token {tok} outside alphabet of size {size}")
-            idx = idx * size + tok
+        idx = lex_index(s, size)
         block = size ** (self.n - len(s))
         return float(self.probs[idx * block : (idx + 1) * block].sum())
 
@@ -198,20 +205,25 @@ class LanguageModel:
             frozen.append(arr)
         object.__setattr__(self, "levels", tuple(frozen))
 
-    def prefix_index(self, prefix: Document) -> int:
-        s = self.alphabet.size
-        idx = 0
-        for tok in prefix:
-            idx = idx * s + tok
-        return idx
-
     def row(self, prefix: Document) -> np.ndarray:
         if len(prefix) >= self.n:
             raise ValidationError(f"prefix length {len(prefix)} must be < n={self.n}")
-        return self.levels[len(prefix)][self.prefix_index(prefix)]
+        return self.levels[len(prefix)][lex_index(prefix, self.alphabet.size)]
 
     def prob(self, token: int, prefix: Document) -> float:
-        return float(self.row(prefix)[token])
+        """q(token | prefix): level |prefix| flattened, at the string prefix.token."""
+        x = (*prefix, token)
+        if len(x) > self.n:
+            raise ValidationError(f"prefix length {len(prefix)} must be < n={self.n}")
+        return float(self.levels[len(prefix)].flat[lex_index(x, self.alphabet.size)])
+
+    def conditionals(self) -> np.ndarray:
+        """Shape (n, size**n): row i-1 holds q(x_i | x_{:i}) for every document
+        x in table order; level i flattened is indexed by x_{:i+1}, the prefix
+        of a contiguous run of size**(n-1-i) documents."""
+        s, n = self.alphabet.size, self.n
+        runs = [np.repeat(q.ravel(), s ** (n - 1 - i)) for i, q in enumerate(self.levels)]
+        return np.stack(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +274,15 @@ def uniform_lm(alphabet: Alphabet, n: int) -> LanguageModel:
 
 def point_mass_text(alphabet: Alphabet, n: int, doc: Document) -> TextDistribution:
     total = _check_table_size(alphabet.size, n)
+    if len(doc) != n:
+        raise ValidationError(f"document length {len(doc)} != n={n}")
     probs = np.zeros(total)
-    idx = 0
-    for tok in doc:
-        idx = idx * alphabet.size + tok
-    probs[idx] = 1.0
+    probs[lex_index(doc, alphabet.size)] = 1.0
     return TextDistribution(alphabet, n, probs)
 
 
 # ---------------------------------------------------------------------------
-# marginals and conditionals
-
-
-def marginal(text: TextDistribution, s: Document) -> float:
-    """Total probability of documents extending the prefix ``s``."""
-    return text.marginal(s)
+# block conditionals
 
 
 def block_conditional(text: TextDistribution, s: Document, z: Document) -> float:
@@ -305,9 +311,7 @@ def block_distribution_completed(
         raise ValidationError(
             f"|s| + length = {len(s) + length} exceeds n = {text.n}"
         )
-    idx = 0
-    for tok in s:
-        idx = idx * size + tok
+    idx = lex_index(s, size)
     rest = size ** (text.n - len(s))
     block = text.probs[idx * rest : (idx + 1) * rest]
     sums = block.reshape(size**length, size ** (text.n - len(s) - length)).sum(axis=1)
@@ -384,9 +388,7 @@ def next_token_loss(p: TextDistribution, q: LanguageModel) -> float:
         lvl = q.levels[i]
         bad = mask & (lvl <= 0)
         if np.any(bad):
-            *prefix, tok = (
-                int(t) for t in np.unravel_index(int(np.argmax(bad)), (s,) * (i + 1))
-            )
+            *prefix, tok = token_strings(s, i + 1)[:, int(np.argmax(bad))].tolist()
             raise SupportError(
                 f"next-token loss undefined: q({tok}|{tuple(prefix)}) = 0 on the "
                 f"support of p"
@@ -426,8 +428,4 @@ def divergence_report(p: TextDistribution, q: LanguageModel) -> DivergenceReport
         tv=tv(p, qt),
         n=p.n,
     )
-
-
-def min_conditional(q: LanguageModel) -> float:
-    return min(float(lvl.min()) for lvl in q.levels)
 

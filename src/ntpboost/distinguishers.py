@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import Document, TextDistribution, enumeration_cap, kl
+from .dist import (
+    Document,
+    TextDistribution,
+    enumeration_cap,
+    kl,
+    lex_index,
+    token_strings,
+)
 from .errors import PreconditionError, SizingError, ValidationError
 
 Predicate = Callable[[int, Document, Document], int]
@@ -104,11 +110,8 @@ class Distinguisher:
     def _read_predicate(self, size: int) -> list[np.ndarray]:
         out = []
         for i, (rows, cols) in enumerate(table_shapes(self.k, self.n, size), 1):
-            kc = min(self.k, self.n - i + 1)
-            bits = [
-                self.value(i, x[: i - 1], x[i - 1 :])
-                for x in product(range(size), repeat=i - 1 + kc)
-            ]
+            strings = token_strings(size, i - 1 + min(self.k, self.n - i + 1))
+            bits = [self.value(i, x[: i - 1], x[i - 1 :]) for x in strings.T.tolist()]
             out.append(np.array(bits, dtype=np.uint8).reshape(rows, cols))
         return out
 
@@ -116,13 +119,6 @@ class Distinguisher:
 def flat(tables: Sequence[np.ndarray]) -> np.ndarray:
     """All positions' tables as one vector, position 1 first."""
     return np.concatenate([t.ravel() for t in tables])
-
-
-def _index(tokens: Document, size: int) -> int:
-    try:
-        return int(np.ravel_multi_index(tuple(tokens), (size,) * len(tokens)))
-    except ValueError:
-        raise ValidationError(f"tokens {tokens} outside alphabet of size {size}")
 
 
 def from_tables(
@@ -139,7 +135,7 @@ def from_tables(
 
     def lookup(i, prefix, window):
         table = d.tables(size)[i - 1]
-        return int(table[_index(prefix, size), _index(window, size)])
+        return int(table[lex_index(prefix, size), lex_index(window, size)])
 
     d = Distinguisher(k, n, lookup, tabulate)
     return d
@@ -149,9 +145,8 @@ def set_keys(d: Distinguisher, size: int):
     """(i, x_{:i-1+kc}) for every set bit of d, in table order."""
     for i, table in enumerate(d.tables(size), 1):
         length = i - 1 + min(d.k, d.n - i + 1)
-        digits = np.unravel_index(np.flatnonzero(table), (size,) * length)
-        for key in zip(*digits):
-            yield i, tuple(int(t) for t in key)
+        for key in token_strings(size, length)[:, np.flatnonzero(table)].T.tolist():
+            yield i, tuple(key)
 
 
 def complement(d: Distinguisher) -> Distinguisher:

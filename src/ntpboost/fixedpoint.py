@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import boosted_next_token
-from .dist import LanguageModel, TextDistribution
+from .boosting import boosted_lm
+from .dist import LanguageModel, TextDistribution, token_strings
 from .distinguishers import Distinguisher
 from .errors import PreconditionError, ValidationError
 from .rnn.engine import ExecutionTrace, quantize_array, run
@@ -33,10 +33,6 @@ class FixedPointFormat:
     def __post_init__(self):
         if self.integer_bits < 0 or self.fraction_bits < 0:
             raise ValidationError("bit counts must be nonnegative")
-
-    @property
-    def total_bits(self) -> int:
-        return 1 + self.integer_bits + self.fraction_bits
 
     @property
     def grid(self) -> float:
@@ -98,20 +94,12 @@ def boosted_lower_bound_check(
 ) -> bool:
     """Every boosted conditional >= ell/3 when q's conditionals >= ell.
 
-    Checked by full prefix enumeration; requires alpha <= 1.
+    Checked on the whole boosted table (``boosted_lm``); requires alpha <= 1.
     """
     if alpha > 1.0:
         raise PreconditionError(f"the ell/3 bound assumes alpha <= 1, got {alpha}")
-    from itertools import product as iproduct
-
-    size = q.alphabet.size
-    floor = ell / 3.0 - slack
-    for m in range(q.n):
-        for prefix in iproduct(range(size), repeat=m):
-            for tok in range(size):
-                if boosted_next_token(q, d, alpha, i0_star, prefix, tok) < floor:
-                    return False
-    return True
+    levels = boosted_lm(q, d, alpha, i0_star).levels
+    return all(float(lvl.min()) >= ell / 3.0 - slack for lvl in levels)
 
 
 def quantized_loss_gap(
@@ -129,13 +117,11 @@ def quantized_loss_gap(
     """
     if not 0 < delta < ell:
         raise PreconditionError(f"need 0 < delta < ell, got delta={delta}, ell={ell}")
-    from itertools import product as iproduct
-
     size = p.alphabet.size
     for m in range(p.n):
-        for prefix in iproduct(range(size), repeat=m):
-            for tok in range(size):
-                qv = q.prob(tok, prefix)
+        prefixes = map(tuple, token_strings(size, m).T.tolist())
+        for prefix, row in zip(prefixes, q.levels[m].tolist()):
+            for tok, qv in enumerate(row):
                 if qv < ell - 1e-15:
                     raise PreconditionError(
                         f"q({tok}|{prefix}) = {qv} below the floor {ell}"
@@ -150,8 +136,9 @@ def quantized_loss_gap(
 def generalized_loss(p: TextDistribution, cond) -> float:
     """-E_{x~p}(1/n) sum_i log cond(x_{:i}, x_i); cond may be unnormalized."""
     total = 0.0
+    docs = token_strings(p.alphabet.size, p.n).T.tolist()
     for idx in np.nonzero(p.probs > 0)[0]:
-        doc = p.document(int(idx))
+        doc = tuple(docs[idx])
         ll = 0.0
         for i in range(1, p.n + 1):
             v = cond(doc[: i - 1], doc[i - 1])

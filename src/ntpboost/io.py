@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from typing import Any
 
 import numpy as np
 
-from .dist import Alphabet, TextDistribution
+from .dist import Alphabet, TextDistribution, token_strings
 from .distinguishers import (
     Distinguisher,
     set_keys,
@@ -57,22 +58,11 @@ def read_json(path: str) -> Any:
 
 def write_json_atomic(path: str, payload: Any) -> None:
     """Serialize deterministically and replace the target atomically."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then replace it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -90,6 +80,18 @@ def _require(obj: dict, key: str, location: str):
     if key not in obj:
         raise FormatError(f"missing field {key!r}", location=location)
     return obj[key]
+
+
+def _number(obj: dict, key: str, location: str, integer: bool = False):
+    """The JSON number under ``key``: a finite float, or an int when ``integer``."""
+    where = f"{location}/{key}"
+    value = _require(obj, key, where)
+    if integer and type(value) is int:
+        return value
+    if not integer and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise FormatError(f"{key} must be {kind}, got {value!r}", where)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def graph_from_json(obj: dict, location: str = "") -> RnnGraph:
     for j, spec in enumerate(_require(obj, "nodes", location + "/nodes")):
         loc = f"{location}/nodes/{j}"
         name = _require(spec, "id", loc)
-        init = float(_require(spec, "init", loc))
+        init = _number(spec, "init", loc)
         raw = spec.get("expr")
         try:
             expr = None if raw is None else from_sexpr(raw)
@@ -178,7 +180,7 @@ def graph_from_json(obj: dict, location: str = "") -> RnnGraph:
             input_ids=tuple(_require(obj, "input_ids", location + "/input_ids")),
             output_id=_require(obj, "output_id", location + "/output_id"),
             hidden_ids=tuple(_require(obj, "hidden_ids", location + "/hidden_ids")),
-            rnn_time=int(_require(obj, "rnn_time", location + "/rnn_time")),
+            rnn_time=_number(obj, "rnn_time", location, integer=True),
             meta=dict(obj.get("meta", {})),
         )
     except NtpboostError as e:
@@ -275,12 +277,10 @@ def distinguisher_from_graph(graph: RnnGraph, k: int, n: int) -> Distinguisher:
         return int(bits(i, stream[:, None])[0])
 
     def tabulate(size: int) -> list[np.ndarray]:
-        tables = []
-        for i, shape in enumerate(table_shapes(k, n, size), 1):
-            length = i - 1 + min(k, n - i + 1)
-            strings = np.indices((size,) * length).reshape(length, -1)
-            tables.append(bits(i, strings).reshape(shape))
-        return tables
+        return [
+            bits(i, token_strings(size, i - 1 + min(k, n - i + 1))).reshape(shape)
+            for i, shape in enumerate(table_shapes(k, n, size), 1)
+        ]
 
     return Distinguisher(k, n, pred, tabulate)
 

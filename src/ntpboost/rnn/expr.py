@@ -25,6 +25,7 @@ relu of such a sum is then exact.
 
 from __future__ import annotations
 
+import math
 import struct
 import weakref
 
@@ -228,10 +229,6 @@ def ind_ge(x, c: float) -> Expr:
     return relu(0.0, (inv, relu(MACHINE_EPS - c, (1.0, x))), (-inv, relu(-c, (1.0, x))))
 
 
-def ind_between(x, lo: float, hi: float) -> Expr:
-    return prod(ind_ge(x, lo), ind_le(x, hi))
-
-
 def lnot(b: Expr) -> Expr:
     return relu(1.0, (-1.0, b))
 
@@ -346,45 +343,63 @@ def _tokenize(text: str) -> list[str]:
 
 
 def from_sexpr(text: str) -> Expr:
+    """Parse ``to_sexpr`` output; malformed text raises ValidationError.
+
+    One walk over the token list by index: linear in the text's length.
+    """
+    if not isinstance(text, str):
+        raise ValidationError(f"expression must be a string, got {text!r}")
     tokens = _tokenize(text)
-    expr, rest = _parse(tokens)
-    if rest:
-        raise ValidationError(f"trailing tokens in expression: {rest[:5]}")
-    return expr
+    pos = 0
 
+    def take(want: str | None = None) -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValidationError(f"expression ended early, expected {want or 'a token'}")
+        tok = tokens[pos]
+        if want is not None and tok != want:
+            raise ValidationError(f"expected {want!r} in expression, got {tok!r}")
+        pos += 1
+        return tok
 
-def _parse(tokens: list[str]):
-    if not tokens or tokens[0] != "(":
-        raise ValidationError(f"expected '(' in expression near {tokens[:5]}")
-    head = tokens[1]
-    rest = tokens[2:]
-    if head == "const":
-        return Const(float(rest[0])), rest[2:]
-    if head == "node":
-        return Node(rest[0]), rest[2:]
-    if head in ("relu", "recip"):
-        bias = float(rest[0])
-        rest = rest[1:]
-        terms = []
-        while rest and rest[0] == "(" and rest[1] != ")":
-            if rest[1] in ("const", "node", "relu", "recip", "prod"):
-                raise ValidationError("weighted term must be (coef expr)")
-            coef = float(rest[1])
-            child, rest2 = _parse(rest[2:])
-            if not rest2 or rest2[0] != ")":
-                raise ValidationError("unterminated weighted term")
-            terms.append((coef, child))
-            rest = rest2[1:]
-        if not rest or rest[0] != ")":
-            raise ValidationError(f"unterminated {head}")
-        cls = Relu if head == "relu" else Recip
-        return cls(bias, tuple(terms)), rest[1:]
-    if head == "prod":
-        factors = []
-        while rest and rest[0] == "(":
-            child, rest = _parse(rest)
-            factors.append(child)
-        if not rest or rest[0] != ")":
-            raise ValidationError("unterminated prod")
-        return Prod(tuple(factors)), rest[1:]
-    raise ValidationError(f"unknown operator {head!r}")
+    def number() -> float:
+        tok = take()
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValidationError(f"{tok!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite number {tok!r}")
+        return value
+
+    def expr() -> Expr:
+        take("(")
+        head = take()
+        if head == "const":
+            out = Const(number())
+        elif head == "node":
+            name = take()
+            if name in ("(", ")"):
+                raise ValidationError(f"expected a node name, got {name!r}")
+            out = Node(name)
+        elif head in ("relu", "recip"):
+            bias, terms = number(), []
+            while tokens[pos : pos + 1] == ["("]:  # weighted terms (coef expr)
+                take("(")
+                terms.append((number(), expr()))
+                take(")")
+            out = (Relu if head == "relu" else Recip)(bias, terms)
+        elif head == "prod":
+            factors = []
+            while tokens[pos : pos + 1] == ["("]:
+                factors.append(expr())
+            out = Prod(factors)
+        else:
+            raise ValidationError(f"unknown operator {head!r}")
+        take(")")
+        return out
+
+    out = expr()
+    if pos < len(tokens):
+        raise ValidationError(f"trailing tokens in expression: {tokens[pos:pos + 5]}")
+    return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .dist import (
     lm_to_text,
     next_token_loss,
     text_to_lm,
+    token_strings,
 )
 from .distinguishers import (
     advantage,
@@ -182,14 +182,9 @@ def check_compiled_boost() -> tuple[bool, str]:
     """Compiled boosted circuit matches the analytic conditionals."""
     p, qt, res, q, D = _compiled_instance(1033, 4, 2)
     Qp, report = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
-    docs = np.array(list(product(range(2), repeat=4))).T
-    outs = run(Qp, docs).output_at_multiples()
-    worst = 0.0
-    for col in range(docs.shape[1]):
-        doc = tuple(int(x) for x in docs.T[col])
-        for i in range(1, 5):
-            want = res.lm_boosted.prob(doc[i - 1], doc[: i - 1])
-            worst = max(worst, abs(float(outs[i][col]) - want))
+    outs = run(Qp, token_strings(2, 4)).output_at_multiples()
+    got = np.stack([outs[i] for i in range(1, 5)])
+    worst = float(np.max(np.abs(got - res.lm_boosted.conditionals())))
     ok = worst < 1e-9 and report.built_size == report.formula_size
     return ok, f"worst gap {worst:.2e}"
 
@@ -200,7 +195,7 @@ def check_cross_construction() -> tuple[bool, str]:
     p, qt, res, q, D = _compiled_instance(1039, 4, 2)
     Qp, _ = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
     Qs = build_boosted_rnn_simple(q, D, 2, res.alpha, res.offset, 2)
-    docs = np.array(list(product(range(2), repeat=4))).T
+    docs = token_strings(2, 4)
     a = run(Qp, docs).output_at_multiples()
     b = run(Qs, docs).output_at_multiples()
     worst = max(float(np.max(np.abs(a[i] - b[i]))) for i in range(1, 5))
@@ -259,7 +254,7 @@ def check_quantized_boost() -> tuple[bool, str]:
         q, D, k, res.alpha, res.offset, 2,
         FixedPointFormat(20, bf), FixedPointFormat(2, 8), ell,
     )
-    docs = np.array(list(product(range(2), repeat=n))).T
+    docs = token_strings(2, n)
     tq = quantized_run(out.graph, out.format, docs)
     tx = run(out.graph, docs)
     worst = 0.0

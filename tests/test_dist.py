@@ -11,14 +11,16 @@ from ntpboost.dist import (
     LanguageModel,
     TextDistribution,
     block_conditional,
+    block_distribution_completed,
     divergence_report,
     entropy,
     kl,
+    lex_index,
     lm_to_text,
-    marginal,
     next_token_loss,
     point_mass_text,
     text_to_lm,
+    token_strings,
     tv,
     uniform_lm,
     uniform_text,
@@ -33,6 +35,8 @@ from ntpboost.instances import random_lm, random_text, rng_for
 
 from oracles import (
     conditional_by_sums,
+    doc_index,
+    docs,
     entropy_direct,
     kl_direct,
     loss_by_document_enumeration,
@@ -70,6 +74,106 @@ class TestValidation:
         t = uniform_text(B2, 2)
         with pytest.raises(ValueError):
             t.probs[0] = 0.5
+
+
+class TestLexIndex:
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
+    def test_matches_enumeration_oracle(self, size, length):
+        strings = token_strings(size, length)
+        expected = list(docs(size, length))
+        assert strings.shape == (length, size**length)
+        assert [tuple(col) for col in strings.T.tolist()] == expected
+        for j, doc in enumerate(expected):
+            assert lex_index(doc, size) == doc_index(doc, size) == j
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_document_inverts_lex_index(self, size, n):
+        t = uniform_text(Alphabet(size), n)
+        for j in range(size**n):
+            doc = t.document(j)
+            assert all(type(tok) is int for tok in doc)
+            assert lex_index(doc, size) == j
+        for doc in docs(size, n):
+            assert t.document(lex_index(doc, size)) == doc
+
+    def test_accepts_numpy_integers(self):
+        assert lex_index(np.array([1, 0, 1]), 2) == 5
+        assert lex_index((np.int8(2), 1), 3) == 7
+
+    @pytest.mark.parametrize(
+        "tokens", [(-1,), (2,), (0, 1.5), (0, "1"), (None,), (True,)]
+    )
+    def test_rejects_tokens_outside_alphabet(self, tokens):
+        with pytest.raises(ValidationError):
+            lex_index(tokens, 2)
+
+    def test_token_strings_respects_cap(self, monkeypatch):
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", "8")
+        assert token_strings(2, 3).shape == (3, 8)
+        with pytest.raises(SizingError):
+            token_strings(2, 4)
+
+    def test_token_strings_rejects_bad_shape(self):
+        with pytest.raises(ValidationError):
+            token_strings(0, 2)
+        with pytest.raises(ValidationError):
+            token_strings(2, -1)
+
+
+class TestIndexValidation:
+    """Every string-to-index path raises ValidationError on a bad token."""
+
+    lm = random_lm(B2, 3, rng_for(71))
+    t = random_text(B2, 3, rng_for(73))
+
+    def test_row_negative_token(self):
+        with pytest.raises(ValidationError):
+            self.lm.row((1, -1))
+
+    def test_prob_negative_token(self):
+        with pytest.raises(ValidationError):
+            self.lm.prob(-1, (0,))
+
+    def test_prob_token_past_alphabet(self):
+        with pytest.raises(ValidationError):
+            self.lm.prob(5, (0,))
+
+    def test_point_mass_token_past_alphabet(self):
+        with pytest.raises(ValidationError):
+            point_mass_text(B2, 2, (0, 2))
+
+    def test_point_mass_wrong_length(self):
+        with pytest.raises(ValidationError):
+            point_mass_text(B2, 2, (0,))
+        with pytest.raises(ValidationError):
+            point_mass_text(B2, 2, (0, 1, 1))
+
+    def test_block_distribution_token_past_alphabet(self):
+        with pytest.raises(ValidationError):
+            block_distribution_completed(self.t, (0, 2), 1)
+
+    def test_document_index_out_of_range(self):
+        for idx in (-1, 8, 9, 1.0):
+            with pytest.raises(ValidationError):
+                self.t.document(idx)
+
+    def test_text_prob_fractional_token(self):
+        with pytest.raises(ValidationError):
+            self.t.prob((0, 1, 1.5))
+
+
+class TestConditionals:
+    def test_matches_prob_per_document_and_position(self):
+        for size, n in [(2, 4), (3, 3)]:
+            lm = random_lm(Alphabet(size), n, rng_for(79))
+            table = lm.conditionals()
+            assert table.shape == (n, size**n)
+            for j, doc in enumerate(docs(size, n)):
+                for i in range(n):
+                    row = lm.levels[i][doc_index(doc[:i], size)]
+                    assert table[i, j] == row[doc[i]] == lm.prob(doc[i], doc[:i])
 
 
 class TestLmToText:
@@ -137,12 +241,12 @@ class TestMarginals:
     def test_empty_prefix_is_one(self):
         rng = rng_for(3)
         t = random_text(B2, 3, rng)
-        assert abs(marginal(t, ()) - 1.0) < 1e-12
+        assert abs(t.marginal(()) - 1.0) < 1e-12
 
     def test_point_mass_prefixes(self):
         t = point_mass_text(B2, 2, (0, 1))
-        assert marginal(t, (0,)) == 1.0
-        assert marginal(t, (1,)) == 0.0
+        assert t.marginal((0,)) == 1.0
+        assert t.marginal((1,)) == 0.0
 
     def test_all_length2_prefixes_match_enumeration(self):
         rng = rng_for(13)
@@ -150,7 +254,7 @@ class TestMarginals:
         for a in (0, 1):
             for b in (0, 1):
                 expected = marginal_by_suffix_enumeration(t.probs, 2, 4, (a, b))
-                assert abs(marginal(t, (a, b)) - expected) < 1e-15
+                assert abs(t.marginal((a, b)) - expected) < 1e-15
 
     def test_block_conditional(self):
         rng = rng_for(17)

@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import time
 import weakref
 
 import pytest
@@ -184,3 +185,50 @@ class TestSubstitute:
         out = substitute(e, {"x": "y"})
         assert out is doubling_chain(60, leaf="y")
         assert distinct_objects(out) == distinct_objects(e) == 61
+
+
+class TestFromSexpr:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(const abc)",
+            "(relu x)",
+            "(",
+            "(const 1.0",
+            "(node)",
+            "(relu nan)",
+            "(const inf)",
+            "(const -inf)",
+            "(recip 0.0 (nan (node a)))",
+            "(relu 0.0 (1.0 (node a))",
+            "(const 1.0) (const 2.0)",
+            "",
+        ],
+    )
+    def test_malformed_text_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError):
+            from_sexpr(text)
+
+    def test_negative_zero_parses(self):
+        e = from_sexpr("(relu -0.0 (1.0 (const -0.0)))")
+        assert e is relu(-0.0, (1.0, Const(-0.0)))
+        assert to_sexpr(e) == "(relu -0.0 (1.0 (const -0.0)))"
+
+    def test_round_trips_every_operator(self):
+        e = recip(
+            0.25,
+            (1.0, prod(ind_eq("a", 2.0), Node("b"))),
+            (-3.5, relu(-0.0, (2.0, Const(1e-300)))),
+        )
+        text = to_sexpr(e)
+        assert from_sexpr(text) is e
+        assert to_sexpr(from_sexpr(text)) == text
+        assert to_sexpr(from_sexpr("(recip 1.0)")) == "(recip 1.0)"
+
+    def test_long_sums_parse_in_linear_time(self):
+        # 20,000 terms: a token-list-slicing parser takes minutes here
+        e = relu(0.5, *((float(j), Node(f"x{j % 50}")) for j in range(20_000)))
+        text = to_sexpr(e)
+        start = time.perf_counter()
+        assert from_sexpr(text) is e
+        assert time.perf_counter() - start < 10.0

@@ -3,16 +3,19 @@
 import json
 import os
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ntpboost import cli
 from ntpboost import io as nio
 from ntpboost.cli import main
 from ntpboost.construct import lm_to_rnn
 from ntpboost.dist import Alphabet, text_to_lm
 from ntpboost.distinguishers import advantage
-from ntpboost.errors import FormatError
+from ntpboost.errors import FormatError, NtpboostError
+from ntpboost.families import one_prefix_table_family
 from ntpboost.instances import (
     random_prefix_window_distinguisher,
     random_text,
@@ -252,6 +255,27 @@ class TestCli:
         boosted_rounds = [r for r in trace["rounds"] if r["boosts"] > 0]
         assert all(r["compiled"] for r in boosted_rounds)
 
+    def test_compile_hook_names_first_divergence(self, monkeypatch):
+        p = random_text(B2, 4, rng_for(83))
+        family = one_prefix_table_family(B2, 4, 2)
+        real_run = cli.engine_run
+
+        def skewed_run(graph, docs):
+            # break position 1 of document 9 and position 2 of document 5:
+            # document order puts (0, 1, 0, 1) first, at prefix (0,)
+            trace = real_run(graph, docs)
+            out = trace.node_index[graph.output_id]
+            trace.values[graph.rnn_time - 1, out, 9] += 0.5
+            trace.values[2 * graph.rnn_time - 1, out, 5] += 0.5
+            return trace
+
+        hook = cli.make_compile_hook(p, family)
+        step = SimpleNamespace(member_index=3)
+        assert hook(None, None, [step]) is True
+        monkeypatch.setattr(cli, "engine_run", skewed_run)
+        with pytest.raises(NtpboostError, match=r"at prefix \(0,\), token 1$"):
+            hook(None, None, [step])
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = json.load(open(fixture("selfboost_config.json")))
         cfg["distribution_file"] = fixture("train_n4.json")
@@ -341,6 +365,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "FormatError"
         assert "at least one factor" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda g: g["nodes"][1].update(init="abc"), "/nodes/1/init"),
+            (lambda g: g["nodes"][2].update(init=None), "/nodes/2/init"),
+            (lambda g: g.update(rnn_time="two"), "/rnn_time"),
+            (lambda g: g.update(rnn_time=2.5), "/rnn_time"),
+            (lambda g: g["nodes"][1].update(expr="(const abc)"), "/nodes/1/expr"),
+        ],
+        ids=["init-string", "init-null", "rnn_time-string", "rnn_time-fraction",
+             "const-abc"],
+    )
+    def test_simulate_rejects_non_numbers(self, tmp_path, capsys, edit, where):
+        graph = json.load(open(fixture("model_circuit_n4.json")))
+        edit(graph)
+        path = str(tmp_path / "g.json")
+        nio.write_json_atomic(path, graph)
+        rc = run_cli(
+            "simulate", "--out", str(tmp_path / "s"), "--graph", path, "--input", "0,1,1"
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert f"(at {path}{where})" in payload["message"]
 
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
