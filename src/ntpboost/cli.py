@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io as _io
 import json
 import os
@@ -22,7 +23,7 @@ from . import io as nio
 from .boosting import boost_text
 from .construct import build_boosted_rnn, distinguisher_to_rnn, lm_to_rnn
 from .dist import text_to_lm, token_strings, uniform_text
-from .errors import FormatError, NtpboostError
+from .errors import FormatError, NtpboostError, ValidationError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
 from .rnn.engine import run as engine_run
@@ -91,9 +92,21 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _parse_tokens(text: str) -> list[float]:
+    tokens = []
+    for pos, tok in enumerate(text.split(","), start=1):
+        try:
+            tokens.append(float(tok))
+        except ValueError:
+            raise ValidationError(
+                f"--input token {pos} is not a number: {tok!r}"
+            ) from None
+    return tokens
+
+
 def cmd_simulate(args) -> int:
     graph = nio.load_and_validate(args.graph, "graph")
-    stream = np.array([float(tok) for tok in args.input.split(",")])
+    stream = np.array(_parse_tokens(args.input))
     if args.quantized:
         bits = graph.meta.get("bits")
         if bits is None:
@@ -149,6 +162,32 @@ def _rounds_csv(rounds: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _exact_decimal(value: int) -> str:
+    """Every decimal digit of a nonnegative integer, at any size.
+
+    ``str`` refuses integers of more than 4300 digits unless a
+    process-wide limit is raised.  The integer is split in halves down to
+    128-bit pieces, which ``Decimal`` holds exactly, and recombined as
+    lo + hi * 2^w in a local context that cannot round (rounding would
+    trap).  Decimal multiplies large numbers in subquadratic time, so
+    275k digits take a tenth of a second, where ``str(Decimal(value))``
+    takes two.
+    """
+
+    def join(n: int, w: int) -> decimal.Decimal:
+        if w <= 128:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        low = join(n - (hi << half), half)
+        return low + join(hi, w - half) * decimal.Decimal(2) ** half
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(join(value, value.bit_length()))
+
+
 def _trace_payload(trace) -> dict:
     return {
         "variant": trace.variant,
@@ -164,7 +203,7 @@ def _trace_payload(trace) -> dict:
                 "index": r.index,
                 "budget_size": r.budget_size,
                 "budget_hidden": r.budget_hidden,
-                "budget_time": str(r.budget_time),
+                "budget_time": _exact_decimal(r.budget_time),
                 "loss": r.loss,
                 "kl": r.kl,
                 "boosts": r.boosts,

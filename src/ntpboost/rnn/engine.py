@@ -39,6 +39,31 @@ hits zero in that step, the slot a tape-order evaluation would stop at.
 A run can carry a whole batch of streams at once (used to sweep every
 document of Sigma^n in one pass).  Optional fixed-point mode quantizes
 every node value after every update and counts saturation events.
+
+Columns of a batch share their schedule evaluations.  A column's state
+at time t depends only on its state at the start t0 of the call and on
+the tokens written into its input nodes since, so ``_advance`` groups
+the columns by the bits of that pair and evaluates the schedule on the
+first column of each group.  Every other step of an update (reset on
+advance, the token write, fixed-point snapping, domain checks and the
+trace) runs on the full batch, so saturation counts and errors stay per
+column.  The groups are refined only when the input pointer advances
+(and at the first update), by the token then written: sweeping all of
+Sigma^n evaluates about |Sigma|^i columns while token i is read, not
+|Sigma|^n.  Two details keep the result byte-identical to running each
+column alone:
+
+* the start state is part of the key: the scrubbing harness resumes
+  columns that read the same stream from different garbage states, and
+  merging them would hide a divergence or a zero reciprocal;
+* bits are compared, not values, so a ``0.0`` and a ``-0.0`` token (or
+  state) stay apart.
+
+When every column is its own group (a batch of one, ``step``, resumed
+runs from distinct garbage) the schedule runs on the batch as it is,
+without any gather.  ``ExecutionTrace.evaluated_columns`` counts the
+columns evaluated, summed over updates: (total_steps - 1) * batch when
+nothing is shared.
 """
 
 from __future__ import annotations
@@ -54,13 +79,19 @@ from .graph import RnnGraph
 
 @dataclass
 class ExecutionTrace:
-    """Per-step values of every node, plus the input pointer trajectory."""
+    """Per-step values of every node, plus the input pointer trajectory.
+
+    ``saturation_events`` counts fixed-point saturations over every
+    column; ``evaluated_columns`` is the number of columns the schedule
+    evaluated, summed over the updates (see the module docstring).
+    """
 
     graph: RnnGraph
     values: np.ndarray  # shape (T, num_nodes, batch)
     input_index: np.ndarray  # shape (T,), 1-based token index per step
     node_index: dict[str, int]
     saturation_events: int = 0
+    evaluated_columns: int = 0
 
     @property
     def total_steps(self) -> int:
@@ -298,6 +329,25 @@ def _slot_owner(prog: Program, slot: int) -> str:
     return "?"
 
 
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group the columns of ``keys`` (words, batch) by their bits.
+
+    Returns the first column of each group and the group of every
+    column, or None when every column is its own group.  Bits, not
+    values, are compared, so a ``0.0`` and a ``-0.0`` stay apart.
+    """
+    bits = keys.view(np.uint64)
+    bits = bits[(bits != bits[:, :1]).any(axis=1)]  # rows that tell columns apart
+    if not len(bits):
+        return np.zeros(1, dtype=np.intp), np.zeros(keys.shape[1], dtype=np.intp)
+    cols = np.ascontiguousarray(bits.T)
+    cols = cols.view(np.dtype((np.void, 8 * cols.shape[1]))).ravel()
+    _, first, inverse = np.unique(cols, return_index=True, return_inverse=True)
+    if len(first) == len(cols):
+        return None
+    return first, inverse
+
+
 def _advance(
     prog: Program,
     state: np.ndarray,
@@ -305,14 +355,18 @@ def _advance(
     t0: int,
     t1: int,
     fixed_point: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, int]:
-    """States at times t0..t1 given the state at t0, and the saturations.
+) -> tuple[np.ndarray, int, int]:
+    """States at times t0..t1 given the state at t0, the saturations, and
+    the number of columns the schedule evaluated.
 
     ``stream`` is (n_tokens, batch).  Each update evaluates the schedule
     on the previous state, zeroes the reset nodes when the input pointer
     advances, writes the current token into the input nodes, snaps to
     ``fixed_point`` = (integer_bits, fraction_bits) when given, and
-    checks the declared value domains.
+    checks the declared value domains.  Columns that agree bit for bit
+    on their state at t0 and on every token written since hold the same
+    state, so the schedule runs on the first column of each such group
+    and its result is copied to the rest before the token is written.
     """
     sched = prog.schedule
     period = prog.graph.rnn_time
@@ -320,27 +374,42 @@ def _advance(
     num_nodes, batch = state.shape
     out = np.empty((t1 - t0 + 1, num_nodes, batch))
     out[0] = state
-    S = np.empty((sched.num_rows, batch))
-    S[num_nodes : num_nodes + len(sched.const_values)] = sched.const_values[:, None]
-    saturation = 0
+    groups = _group(state) if batch > 1 else None
+    S = None
+    saturation = evaluated = 0
     prev_idx = min((t0 - 1) // period + 1, n_tokens)
     for t in range(t0 + 1, t1 + 1):
         idx = min((t - 1) // period + 1, n_tokens)
-        S[:num_nodes] = out[t - t0 - 1]
+        prev = out[t - t0 - 1]
+        width = batch if groups is None else len(groups[0])
+        if S is None or S.shape[1] != width:
+            S = np.empty((sched.num_rows, width))
+            S[num_nodes : num_nodes + len(sched.const_values)] = sched.const_values[:, None]
+        S[:num_nodes] = prev if groups is None else prev[:, groups[0]]
         zero_slot = _evaluate(sched, S)
+        evaluated += width
         if zero_slot is not None:
             raise ReciprocalZeroError(_slot_owner(prog, zero_slot), t)
         new = S[sched.next_rows]
-        if idx != prev_idx:
+        if groups is not None:
+            new = new[:, groups[1]]
+        advanced = idx != prev_idx
+        if advanced:
             new[prog.reset_cols] = 0.0
-        new[prog.input_cols] = stream[idx - 1]
+        tokens = stream[idx - 1]
+        new[prog.input_cols] = tokens
         if fixed_point is not None:
             new, sat = quantize_array(new, *fixed_point)
             saturation += sat
         _run_checks(prog, new, t)
         out[t - t0] = new
+        if groups is not None and (advanced or t == t0 + 1):
+            keys = np.empty((2, batch), dtype=np.uint64)
+            keys[0] = groups[1]
+            keys[1] = np.asarray(tokens, dtype=np.float64).view(np.uint64)
+            groups = _group(keys)
         prev_idx = idx
-    return out, saturation
+    return out, saturation, evaluated
 
 
 def quantize_array(
@@ -411,13 +480,14 @@ def run(
     if fixed_point is not None:
         state, saturation = quantize_array(state, *fixed_point)
     _run_checks(prog, state, 1)
-    values, sat = _advance(prog, state, arr, 1, T, fixed_point)
+    values, sat, evaluated = _advance(prog, state, arr, 1, T, fixed_point)
     return ExecutionTrace(
         graph=graph,
         values=values,
         input_index=np.minimum(np.arange(T) // period + 1, n_tokens),
         node_index=dict(prog.node_index),
         saturation_events=saturation + sat,
+        evaluated_columns=evaluated,
     )
 
 
@@ -439,5 +509,5 @@ def step(graph: RnnGraph, state: dict[str, float], current_input: float) -> dict
     """
     prog = compile_graph(graph)
     old = np.array([[state[n.name]] for n in graph.nodes], dtype=np.float64)
-    states, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2)
+    states, _, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2)
     return {n.name: float(states[1, j, 0]) for j, n in enumerate(graph.nodes)}

@@ -83,12 +83,22 @@ def _child(e) -> Expr:
 
 
 def _union(children) -> frozenset:
-    """Free names of the children, reusing a child's set when it covers the rest."""
+    """Free names of the children, reusing a child's set when it covers the rest.
+
+    Nested sets are walked once; otherwise one union is taken over all of
+    them, never one per child, so the cost stays linear in their names.
+    """
     free = _NO_NAMES
     for e in children:
         if not e._free <= free:
-            free = e._free if free <= e._free else free | e._free
-    return free
+            if not free <= e._free:
+                break
+            free = e._free
+    else:
+        return free
+    names = [e._free for e in children]
+    free = max(names, key=len)
+    return free if all(s <= free for s in names) else free.union(*names)
 
 
 def _intern(cls, key, fields: tuple, depth: int, free: frozenset) -> Expr:

@@ -54,7 +54,7 @@ def verify_hidden_sufficiency(
     init = prog.new_state(trials)
     for col in prog.input_cols:
         init[col] = streams[0]
-    baseline, _ = _advance(prog, init, streams, 1, total)
+    baseline, _, _ = _advance(prog, init, streams, 1, total)
 
     for i in sorted(set(int(v) for v in scrub_at)):
         cols = np.nonzero(scrub_at == i)[0]
@@ -62,7 +62,7 @@ def verify_hidden_sufficiency(
         scrubbed = baseline[scrub_t - 1][:, cols].copy()
         for row_pos, row in enumerate(scrub_rows):
             scrubbed[row] = garbage[row_pos, cols]
-        resumed, _ = _advance(prog, scrubbed, streams[:, cols], scrub_t, total)
+        resumed, _, _ = _advance(prog, scrubbed, streams[:, cols], scrub_t, total)
         for j in range(i + 1, n_tokens + 1):
             t = j * period
             want = baseline[t - 1][out_row, cols]

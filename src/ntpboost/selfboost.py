@@ -45,6 +45,7 @@ class Schedule:
     epsilon: float
     alphabet: Alphabet
     b_d: int = 0
+    _times: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in (PLAIN, BITS):
@@ -61,7 +62,13 @@ class Schedule:
         return 12 * (self.d_bound + self.k) * i
 
     def time(self, i: int) -> int:
-        return (8 * self.k * self.alphabet.size**self.k) ** (i - 1) * self.tau
+        # built once per index: at the starting indices the loop samples,
+        # the exact integer has hundreds of thousands of bits
+        t = self._times.get(i)
+        if t is None:
+            t = (8 * self.k * self.alphabet.size**self.k) ** (i - 1) * self.tau
+            self._times[i] = t
+        return t
 
     def bits(self, i: int) -> int:
         if self.variant != BITS:

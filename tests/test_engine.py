@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ntpboost import io as nio
 from ntpboost.boosting import boost_text
+from itertools import product
+
 from ntpboost.construct import (
     build_boosted_rnn,
     build_boosted_rnn_simple,
@@ -25,6 +27,7 @@ from ntpboost.rnn.engine import (
     _PROD,
     _RECIP,
     _RELU,
+    _advance,
     compile_graph,
     quantize_array,
     run,
@@ -672,3 +675,150 @@ class TestTapeDifferential:
         tape = compile_graph(g).tape
         assert repr(tape[1]) == "(2, -0.0, ((1.0, 0),))"  # the -0.0 sum came first
         assert len(tape) == 6  # x, the merged sum, a, the merged constant, b, c
+
+
+# -- prefix sharing: columns with equal start state and tokens step once -----
+
+
+def columns_alone(graph, streams):
+    """Run each column as its own batch of one: the unshared reference."""
+    runs = [run(graph, streams[:, b]) for b in range(streams.shape[1])]
+    return np.concatenate([r.values for r in runs], axis=2)
+
+
+def updates_times_prefixes(graph, n, size):
+    """Columns a sweep of all of Sigma^n evaluates: at each update, one per
+    distinct prefix read up to the previous step."""
+    period = graph.rnn_time
+    return sum(size ** (((t - 2) // period) + 1) for t in range(2, n * period + 1))
+
+
+class TestPrefixSharing:
+    def test_all_documents_with_duplicates_match_single_runs(self):
+        q, d, k, alpha, offset, size = boosted_instance(641, 4, 2)
+        graph, _ = build_boosted_rnn(q, d, k, alpha, offset, size)
+        docs = np.array(list(product(range(size), repeat=4)), dtype=float).T
+        streams = docs[:, [0, 5, 3, 5, 15, 0] + list(range(16))]
+        tr = run(graph, streams)
+        want = columns_alone(graph, streams)
+        assert tr.values.tobytes() == want.tobytes()
+        assert tr.evaluated_columns == updates_times_prefixes(graph, 4, size)
+
+    @given(small_graphs())
+    def test_shared_batch_matches_single_runs_and_evaluate(self, case):
+        graph, streams = case
+        batch = streams[:, [0, 1, 0, 1, 1]]
+        tr = run(graph, batch)
+        want = columns_alone(graph, batch)
+        assert tr.values.tobytes() == want.tobytes()
+        names = [n.name for n in graph.nodes]
+        for t in range(2, tr.total_steps + 1):
+            prev = dict(zip(names, tr.values[t - 2, :, 0]))
+            for j, spec in enumerate(graph.nodes):
+                if spec.expr is not None:
+                    got = tr.values[t - 1, j, 0]
+                    assert abs(got - evaluate(spec.expr, prev)) <= 1e-12
+
+    def test_signed_zero_tokens_are_not_merged(self):
+        # no alphabet_size, so -0.0 is a valid token; "a" copies its sign
+        g = RnnGraph(
+            nodes=[
+                NodeSpec("in", 0.0, None),
+                NodeSpec("a", 0.0, prod(node("in"), const(1.0))),
+            ],
+            input_ids=("in",),
+            output_id="a",
+            hidden_ids=(),
+            rnn_time=1,
+        )
+        streams = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0]])
+        tr = run(g, streams)
+        want = columns_alone(g, streams)
+        assert tr.values.tobytes() == want.tobytes()
+        assert [np.signbit(v) for v in tr.value("a", 3)] == [False, True, False]
+        assert tr.evaluated_columns == 1 + 2
+
+    def decrementer(self):
+        # x counts down by one; y = 1 / x has a zero denominator once x is 0
+        return RnnGraph(
+            nodes=[
+                NodeSpec("in", 0.0, None),
+                NodeSpec("x", 1.0, relu(-1.0, (1.0, "x"))),
+                NodeSpec("y", 0.0, recip(0.0, (1.0, "x"))),
+            ],
+            input_ids=("in",),
+            output_id="y",
+            hidden_ids=(),
+            rnn_time=1,
+        )
+
+    def test_one_stream_two_start_states_evolve_apart(self):
+        g = self.decrementer()
+        prog = compile_graph(g)
+        stream = np.zeros((4, 2))
+        state = np.array([[0.0, 0.0], [9.0, 7.0], [0.5, 0.5]])
+        both, _, evaluated = _advance(prog, state, stream, 1, 4)
+        for b in range(2):
+            alone, _, _ = _advance(prog, state[:, b : b + 1], stream[:, :1], 1, 4)
+            assert both[:, :, b : b + 1].tobytes() == alone.tobytes()
+        assert evaluated == 3 * 2
+
+    def test_one_stream_start_state_that_raises_is_not_merged(self):
+        # the second column alone raises at t=4; the first never does
+        g = self.decrementer()
+        prog = compile_graph(g)
+        state = np.array([[0.0, 0.0], [9.0, 2.0], [0.5, 0.5]])
+        with pytest.raises(ReciprocalZeroError) as alone:
+            _advance(prog, state[:, 1:], np.zeros((4, 1)), 1, 4)
+        with pytest.raises(ReciprocalZeroError) as both:
+            _advance(prog, state, np.zeros((4, 2)), 1, 4)
+        assert (both.value.node, both.value.time_step) == ("y", 4)
+        assert (both.value.node, both.value.time_step) == (
+            alone.value.node,
+            alone.value.time_step,
+        )
+
+    def test_identical_columns_count_saturations_per_column(self):
+        tr = run(counter_graph(8), np.zeros((2, 2)), fixed_point=(2, 0))
+        assert tr.saturation_events == 2 * 12
+        assert tr.values[:, :, 0].tobytes() == tr.values[:, :, 1].tobytes()
+        assert tr.evaluated_columns == 15
+
+    def test_reciprocal_zero_matches_the_unshared_run(self):
+        g = self.decrementer()
+        distinct = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ReciprocalZeroError) as unshared:
+            run(g, distinct)
+        with pytest.raises(ReciprocalZeroError) as shared:
+            run(g, distinct[:, [0, 1, 1, 0, 1]])
+        assert (shared.value.node, shared.value.time_step) == (
+            unshared.value.node,
+            unshared.value.time_step,
+        )
+
+    def test_domain_check_message_matches_the_unshared_run(self):
+        g = RnnGraph(
+            nodes=[
+                NodeSpec("in", 0.0, None),
+                NodeSpec("c", 0.0, relu(0.0, (1.0, "in"))),
+            ],
+            input_ids=("in",),
+            output_id="c",
+            hidden_ids=(),
+            rnn_time=1,
+            meta={"domain_checks": [("c", [0.0, 0.5, 1.0])]},
+        )
+        # the first tokens differ, so the distinct batch shares nothing
+        distinct = np.array([[0.0, 1.0, 0.5], [1.0, 3.0, 2.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValidationError) as unshared:
+            run(g, distinct)
+        assert run(g, distinct[:2, :]).evaluated_columns == 3
+        with pytest.raises(ValidationError) as shared:
+            run(g, distinct[:, [2, 0, 1, 1, 0, 2]])
+        assert "emitted 2.0 at t=3" in str(unshared.value)
+        assert str(shared.value) == str(unshared.value)
+
+    def test_distinct_columns_evaluate_every_column(self):
+        streams = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        tr = run(counter_graph(3), streams)
+        assert tr.evaluated_columns == (tr.total_steps - 1) * 3

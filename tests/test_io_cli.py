@@ -22,6 +22,7 @@ from ntpboost.instances import (
     rng_for,
 )
 from ntpboost.rnn.engine import run
+from ntpboost.selfboost import make_schedule
 
 B2 = Alphabet(2)
 FIXTURES = os.path.join(os.path.dirname(nio.__file__), "fixtures")
@@ -154,6 +155,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def decimal_digits(value):
+    """Decimal string of a nonnegative integer, 1000 digits at a time."""
+    chunks = []
+    while True:
+        value, low = divmod(value, 10**1000)
+        chunks.append(low)
+        if not value:
+            break
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
 class TestCli:
     def test_boost_then_simulate_consistency(self, tmp_path):
         out = str(tmp_path / "run")
@@ -255,6 +267,33 @@ class TestCli:
         boosted_rounds = [r for r in trace["rounds"] if r["boosts"] > 0]
         assert all(r["compiled"] for r in boosted_rounds)
 
+    def test_selfboost_writes_budget_times_of_any_size(self, tmp_path):
+        # at eps=0.05, k=2 the starting index is in the thousands, and the
+        # time budget (8k|Sigma|^k)^(i-1) tau has tens of thousands of digits
+        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg.update(distribution_file=fixture("train_n4.json"), epsilon=0.05, k=2)
+        cfg_path = str(tmp_path / "cfg.json")
+        nio.write_json_atomic(cfg_path, cfg)
+        out = str(tmp_path / "sb")
+        assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
+        trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
+        rows = open(os.path.join(out, "rounds.csv")).read().splitlines()[1:]
+        schedule = make_schedule("plain", 7, 2, 3, 0.05, B2)
+        assert len(rows) == len(trace["rounds"]) >= 1
+        for r, row in zip(trace["rounds"], rows):
+            want = decimal_digits(schedule.time(r["index"]))
+            assert len(want) > 4300
+            assert r["budget_time"] == want
+            assert row.split(",")[3] == want
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, 2**128 - 1, 2**128, 2**129 + 7, 10**5000 - 1, 3 * 64**30_000],
+        ids=["0", "7", "2^128-1", "2^128", "2^129+7", "10^5000-1", "3*64^30000"],
+    )
+    def test_exact_decimal_writes_every_digit(self, value):
+        assert cli._exact_decimal(value) == decimal_digits(value)
+
     def test_compile_hook_names_first_divergence(self, monkeypatch):
         p = random_text(B2, 4, rng_for(83))
         family = one_prefix_table_family(B2, 4, 2)
@@ -351,6 +390,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValidationError"
         assert "alphabet" in payload["message"]
+        assert not os.path.exists(os.path.join(str(tmp_path), "simulation.json"))
+
+    def test_simulate_rejects_non_numeric_token(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate",
+            "--out", str(tmp_path),
+            "--graph", fixture("model_circuit_n4.json"),
+            "--input", "0,a,1",
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == "--input token 2 is not a number: 'a'"
         assert not os.path.exists(os.path.join(str(tmp_path), "simulation.json"))
 
     def test_simulate_rejects_empty_product(self, tmp_path, capsys):

@@ -37,6 +37,15 @@ class TestSchedule:
         s = make_schedule("plain", 2, 1, 7, 0.5, B2)
         assert s.time(1) == 7
 
+    def test_time_is_built_once_per_index(self):
+        s = make_schedule("plain", 7, 2, 3, 0.05, B2)
+        big = s.time(65546)
+        assert big == 64**65545 * 3
+        assert s.time(65546) is big
+        # the cache is not part of the schedule's value
+        assert s == make_schedule("plain", 7, 2, 3, 0.05, B2)
+        assert hash(s) == hash(make_schedule("plain", 7, 2, 3, 0.05, B2))
+
     def test_bits_floor_example(self):
         s = make_schedule("bits", 2, 1, 3, 0.5, B2, b_d=4)
         assert s.floor(3) == 0.99 / (2 * 16) == 0.0309375
