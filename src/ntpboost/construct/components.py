@@ -31,16 +31,6 @@ from .enumerator import (
 )
 
 
-def _ind_eq_nodes(a: str, b: str):
-    """1 if the integer-valued nodes a and b agree, else 0."""
-    from ..rnn.expr import MACHINE_EPS
-
-    inv = 1.0 / MACHINE_EPS
-    above = relu(0.0, (1.0, a), (-1.0, b))
-    below = relu(0.0, (1.0, b), (-1.0, a))
-    return relu(1.0, (-inv, above), (-inv, below))
-
-
 def build_f1(
     q_graph: RnnGraph,
     k: int,
@@ -156,7 +146,7 @@ def build_g(
             NodeSpec(
                 nm(f"m{l}"),
                 0.0,
-                _ind_eq_nodes(nm(f"y{l}"), nm(f"e{k + 1 - l}")),
+                ind_eq(nm(f"y{l}"), nm(f"e{k + 1 - l}")),
             )
         )
 

@@ -13,11 +13,27 @@ whose entries agree over their child slots, ``(op, bias, ((coef, slot),
 ...))`` with floats compared by value, share the slot of the first (so
 a ``0.0`` and a ``-0.0`` bias on otherwise equal sums merge).  A slot's
 level is 0 for constants and node reads and one more than its deepest
-child otherwise; slots of one level with the same operator and arity
-form a group, and each group is evaluated for the whole batch at once:
-one gather of its children's rows of the slot array, one coefficient
-multiply, one reduction over the term axis, the bias, then relu or the
-reciprocal.
+child otherwise.  A level's rows in the slot array hold its relu, then
+its reciprocal, then its product slots, and its slots are bucketed by
+operator and ``arity.bit_length()`` (arity 1, 2-3, 4-7, ...).  Each
+bucket is padded to its longest term list from one shared pad row:
+-0.0 with weight 1 for sums and 1.0 for products, each the exact
+identity.  Every update evaluates a level for the whole batch with a
+fixed set of numpy calls: one ``take`` of every term into a scratch
+buffer, one coefficient multiply, one reduction per bucket, one bias
+add, one ``maximum`` over the relu rows, and one zero check and divide
+over the reciprocal rows.  The scratch is allocated once per
+``_advance``, for the widest level at the full batch, and the views
+each level uses are bound once per batch width.  The gather uses
+``take``'s ``"clip"`` mode, which writes into the scratch without
+buffering but would clamp a bad row silently, so ``_schedule`` checks
+that every row a level reads belongs to the state, a constant or an
+earlier level.  ``Schedule`` reports the cost: ``levels``,
+``reductions`` (numpy reductions per update), ``term_cells`` (terms and
+factors on the tape) and ``padded_cells`` (cells gathered per column
+and update).  On one n=6, k=2 boosted circuit of the ``sweep``
+benchmark, 1,777 tape slots give 8 levels and 27 reductions, gathering
+6,397 cells for 5,815 terms.
 Every update of ``run``, ``step`` and the scrubbing harness goes
 through the one step function ``_advance``.
 
@@ -25,15 +41,21 @@ The schedule gives the same bytes as evaluating the tape slot by slot
 with a left-to-right sum:
 
 * terms are added in tape order, ``((c1 x1 + c2 x2) + c3 x3) + ...``:
-  numpy reduces the term axis of a (terms, group, batch) array
-  elementwise, and a batch of one (where numpy would switch to pairwise
-  summation) accumulates instead;
+  numpy reduces the term axis of a bucket's (arity, slots, batch)
+  block elementwise, starting from -0.0, and a batch of one (where
+  numpy would switch to pairwise summation) accumulates instead.
+  ``np.add.reduceat`` is not used: it does not add left to right;
+* pads come after a slot's own terms, and adding -0.0 (or multiplying
+  by 1.0) leaves every value, -0.0, infinities and NaN included, as it
+  is;
 * the bias is added last, and where it is zero nothing is added: the
-  schedule adds -0.0, which leaves every value (-0.0 included) as it is,
-  so the sign of a zero sum is kept;
+  schedule adds -0.0, so the sign of a zero sum is kept;
 * products multiply their factors left to right, and a term-less sum is
-  the bias itself.
+  its bias, as it is (its one term is the pad).
 
+The sign of a zero sum does not reach the state: relu maps both zeros
+to +0.0 (``np.maximum(-0.0, 0.0)`` is +0.0), and a zero denominator
+raises.
 A zero reciprocal denominator is reported for the lowest tape slot that
 hits zero in that step, the slot a tape-order evaluation would stop at.
 A run can carry a whole batch of streams at once (used to sweep every
@@ -124,38 +146,52 @@ _CONST, _NODE, _RELU, _RECIP, _PROD = range(5)
 
 
 @dataclass
-class Group:
-    """Tape slots of one level, operator and arity, evaluated together.
+class Level:
+    """Tape slots of one level, evaluated together.
 
-    Their values live in rows ``rows`` of the slot array; ``src`` (terms,
-    slots) holds the rows of their children, ``coef`` (terms, slots, 1)
-    the weights (None when all are 1), ``bias`` (slots, 1) the biases
-    (None when a group with terms has only zero biases), and ``slots``
-    the tape slots, for naming the node of a zero reciprocal.
+    Their values live in consecutive rows of the slot array: relu rows
+    ``relu``, then reciprocal rows ``recip``, then product rows.
+    ``src`` holds the rows every term reads, bucket after bucket;
+    ``buckets`` lists ``(op, first cell, arity, first row, slots)``,
+    whose cells are laid out term-major so that a bucket's terms are one
+    (arity, slots, batch) block.  The first ``sum_cells`` cells are the
+    sums' terms, weighted by ``coef`` (None when all weights are 1);
+    ``bias`` (sums, 1) is added to the relu and reciprocal rows (None
+    when every bias is -0.0); ``recip_slots`` names the tape slot of
+    each reciprocal row.
     """
 
-    op: int
-    rows: slice
+    relu: slice
+    recip: slice
     src: np.ndarray
+    buckets: list[tuple[int, int, int, int, int]]
+    sum_cells: int
     coef: np.ndarray | None
     bias: np.ndarray | None
-    slots: np.ndarray
+    recip_slots: np.ndarray
 
 
 @dataclass
 class Schedule:
     """The tape laid out as rows of one (num_rows, batch) slot array.
 
-    Rows [0, num_nodes) hold the previous state, the next ``const_values``
-    rows the tape's constants, and the rest the groups in level order.
-    ``next_rows`` is the row each node's new value is read from (its own
-    row for input nodes, which the stream then overwrites).
+    Rows [0, num_nodes) hold the previous state, the next
+    ``const_values`` rows the tape's constants and the two pad rows
+    (-0.0, then 1.0), and the rest the levels in order.  ``next_rows``
+    is the row each node's new value is read from (its own row for input
+    nodes, which the stream then overwrites).  ``reductions`` counts the
+    buckets (numpy reductions per update); ``term_cells`` the terms and
+    factors on the tape and ``padded_cells`` the cells gathered per
+    column and update, pads included.
     """
 
     num_rows: int
     const_values: np.ndarray
-    groups: list[Group]
+    levels: list[Level]
     next_rows: np.ndarray
+    reductions: int
+    term_cells: int
+    padded_cells: int
 
 
 @dataclass
@@ -226,6 +262,13 @@ def compile_graph(graph: RnnGraph) -> Program:
 
 
 def _schedule(tape, graph, node_index, node_slot) -> Schedule:
+    """Lay the tape out in levels, and each level in padded buckets.
+
+    A child must come before its parent on the tape and a node read must
+    name a node, so every gathered row belongs to the state, a constant
+    or an earlier level; ``_evaluate`` gathers without a bounds check on
+    that guarantee.
+    """
     num_nodes = len(graph.nodes)
     row = [0] * len(tape)
     level = [0] * len(tape)
@@ -234,41 +277,72 @@ def _schedule(tape, graph, node_index, node_slot) -> Schedule:
     for slot, entry in enumerate(tape):
         op = entry[0]
         if op is _NODE:
+            if not 0 <= entry[1] < num_nodes:
+                raise ValidationError(f"tape slot {slot} reads node {entry[1]} of {num_nodes}")
             row[slot] = entry[1]
         elif op is _CONST:
             row[slot] = num_nodes + len(consts)
             consts.append(entry[1])
         else:
             children = entry[1] if op is _PROD else [s for _, s in entry[2]]
-            level[slot] = 1 + max((level[s] for s in children), default=0)
-            members.setdefault((level[slot], op, len(children)), []).append(slot)
+            if children and not 0 <= min(children) <= max(children) < slot:
+                raise ValidationError(f"tape slot {slot} reads a slot not before it")
+            level[slot] = 1 + max(map(level.__getitem__, children), default=0)
+            # a term-less slot takes one pad term, so its bucket is arity 1's
+            bucket = (op, max(len(children), 1).bit_length())
+            members.setdefault(level[slot], {}).setdefault(bucket, []).append(slot)
 
-    groups = []
+    pad_sum = num_nodes + len(consts)  # -0.0 with weight 1: the exact additive identity
+    pad_prod = pad_sum + 1
+    consts += [-0.0, 1.0]
+    levels = []
+    reductions = term_cells = padded_cells = 0
     top = num_nodes + len(consts)
-    for key in sorted(members):
-        _, op, arity = key
-        slots = members[key]
-        for j, slot in enumerate(slots):
-            row[slot] = top + j
-        rows = slice(top, top + len(slots))
-        top += len(slots)
-        coef = bias = None
-        if op is _PROD:
-            children = [tape[slot][1] for slot in slots]
-        else:
-            children = [[s for _, s in tape[slot][2]] for slot in slots]
-            weights = np.array([[c for c, _ in tape[slot][2]] for slot in slots])
-            bias = np.array([tape[slot][1] for slot in slots])[:, None]
-            if arity:  # a term-less sum is its bias, as it is
-                if not (weights == 1.0).all():
-                    coef = weights.T[:, :, None]
-                # a zero bias is not added: -0.0 is the additive identity
-                # that keeps the sign of a zero sum
-                zero = bias == 0.0
-                bias = None if zero.all() else np.where(zero, -0.0, bias)
-        src = np.array([[row[s] for s in ch] for ch in children], dtype=np.intp)
-        src = src.reshape(len(slots), arity).T
-        groups.append(Group(op, rows, src, coef, bias, np.array(slots)))
+    for depth in sorted(members):
+        buckets = members[depth]  # keys sort relu | recip | prod, then by arity
+        lo, src, coef, bias, spans, recip_slots = top, [], [], [], [], []
+        for (op, _), slots in sorted(buckets.items()):
+            if op is _PROD:
+                terms = [[(1.0, row[s]) for s in tape[slot][1]] for slot in slots]
+                pad = (1.0, pad_prod)
+            else:
+                terms = [[(c, row[s]) for c, s in tape[slot][2]] for slot in slots]
+                pad = (1.0, pad_sum)
+                # a zero bias is not added where there are terms
+                bias += [
+                    -0.0 if ts and tape[slot][1] == 0.0 else tape[slot][1]
+                    for slot, ts in zip(slots, terms)
+                ]
+                if op is _RECIP:
+                    recip_slots += slots
+            arity = max(1, *map(len, terms))
+            cells = [ts[j] if j < len(ts) else pad for j in range(arity) for ts in terms]
+            spans.append((op, len(src), arity, top, len(slots)))
+            src += [r for _, r in cells]
+            if op is not _PROD:
+                coef += [c for c, _ in cells]
+            for j, slot in enumerate(slots):
+                row[slot] = top + j
+            top += len(slots)
+            term_cells += sum(map(len, terms))
+        n_relu = sum(n for op, _, _, _, n in spans if op is _RELU)
+        n_sums = n_relu + len(recip_slots)
+        coef = np.array(coef)[:, None]
+        bias = np.array(bias)[:, None]
+        levels.append(
+            Level(
+                relu=slice(lo, lo + n_relu),
+                recip=slice(lo + n_relu, lo + n_sums),
+                src=np.array(src, dtype=np.intp),
+                buckets=spans,
+                sum_cells=len(coef),
+                coef=None if (coef == 1.0).all() else coef,
+                bias=None if ((bias == 0.0) & np.signbit(bias)).all() else bias,
+                recip_slots=np.array(recip_slots, dtype=np.intp),
+            )
+        )
+        reductions += len(spans)
+        padded_cells += len(src)
 
     next_rows = np.arange(num_nodes)
     for name, slot in node_slot.items():
@@ -276,49 +350,75 @@ def _schedule(tape, graph, node_index, node_slot) -> Schedule:
     return Schedule(
         num_rows=top,
         const_values=np.array(consts, dtype=np.float64),
-        groups=groups,
+        levels=levels,
         next_rows=next_rows,
+        reductions=reductions,
+        term_cells=term_cells,
+        padded_cells=padded_cells,
     )
 
 
-def _evaluate(sched: Schedule, S: np.ndarray) -> int | None:
-    """Fill the group rows of ``S`` from its state and constant rows.
+def _bind(sched: Schedule, S: np.ndarray, scratch: np.ndarray) -> list:
+    """The views of ``S`` and ``scratch`` each level uses at S's width."""
+    width = S.shape[1]
+    bound = []
+    for lv in sched.levels:
+        cells = scratch[: lv.src.size * width].reshape(lv.src.size, width)
+        buckets = [
+            (op is _PROD, cells[c : c + arity * n].reshape(arity, n, width), S[r : r + n])
+            for op, c, arity, r, n in lv.buckets
+        ]
+        relu, recip = S[lv.relu], S[lv.recip]
+        bound.append(
+            (
+                lv,
+                cells,
+                cells[: lv.sum_cells],
+                buckets,
+                S[lv.relu.start : lv.recip.stop],
+                relu if relu.size else None,
+                recip if recip.size else None,
+            )
+        )
+    return bound
 
-    Returns the lowest tape slot whose reciprocal denominator was zero,
-    or None.  Such a denominator is replaced by 1 so the step finishes
-    without warnings: a tape-order evaluation would have stopped at the
-    lowest such slot, and every slot below it depends on none above it.
+
+def _evaluate(bound: list, S: np.ndarray) -> int | None:
+    """Fill the level rows of ``S`` from its state and constant rows.
+
+    ``bound`` is ``_bind`` of ``S``.  Returns the lowest tape slot whose
+    reciprocal denominator was zero, or None.  Such a denominator is
+    replaced by 1 so the step finishes without warnings: a tape-order
+    evaluation would have stopped at the lowest such slot, and every
+    slot below it depends on none above it.
     """
     single = S.shape[1] == 1
     zero_slot = None
-    for g in sched.groups:
-        dst = S[g.rows]
-        if g.src.shape[0]:
-            terms = S.take(g.src, axis=0)
-            if g.op is _PROD:
+    for lv, cells, sum_cells, buckets, sums, relu, recip in bound:
+        # "clip" does not buffer the copy into ``out``; _schedule checked the rows
+        S.take(lv.src, axis=0, out=cells, mode="clip")
+        if lv.coef is not None:
+            np.multiply(sum_cells, lv.coef, out=sum_cells)
+        for is_prod, terms, dst in buckets:
+            if is_prod:
                 np.multiply.reduce(terms, axis=0, out=dst)
-                continue
-            if g.coef is not None:
-                terms *= g.coef
-            if single:
+            elif single:
                 # numpy would sum one value per term pairwise
                 np.add.accumulate(terms, axis=0, out=terms)
                 dst[...] = terms[-1]
             else:
-                np.add.reduce(terms, axis=0, out=dst)
-            if g.bias is not None:
-                dst += g.bias
-        else:
-            dst[...] = g.bias
-        if g.op is _RELU:
-            np.maximum(dst, 0.0, out=dst)
-            continue
-        hit = dst == 0.0
-        if hit.any():
-            first = int(g.slots[hit.any(axis=1)].min())
-            zero_slot = first if zero_slot is None else min(zero_slot, first)
-            dst[hit] = 1.0
-        np.divide(1.0, dst, out=dst)
+                np.add.reduce(terms, axis=0, out=dst, initial=-0.0)
+        if lv.bias is not None:
+            sums += lv.bias
+        if relu is not None:
+            np.maximum(relu, 0.0, out=relu)
+        if recip is not None:
+            if not recip.all():
+                hit = recip == 0.0
+                first = int(lv.recip_slots[hit.any(axis=1)].min())
+                zero_slot = first if zero_slot is None else min(zero_slot, first)
+                recip[hit] = 1.0
+            np.divide(1.0, recip, out=recip)
     return zero_slot
 
 
@@ -372,6 +472,9 @@ def _advance(
     period = prog.graph.rnn_time
     n_tokens = stream.shape[0]
     num_nodes, batch = state.shape
+    # one gather scratch for every width, sized for the widest level at
+    # the full batch (a scratch per width raised the peak memory of a run)
+    scratch = np.empty(max((lv.src.size for lv in sched.levels), default=0) * batch)
     out = np.empty((t1 - t0 + 1, num_nodes, batch))
     out[0] = state
     groups = _group(state) if batch > 1 else None
@@ -383,10 +486,12 @@ def _advance(
         prev = out[t - t0 - 1]
         width = batch if groups is None else len(groups[0])
         if S is None or S.shape[1] != width:
+            S = bound = None  # free the last width's arrays first (lower peak memory)
             S = np.empty((sched.num_rows, width))
             S[num_nodes : num_nodes + len(sched.const_values)] = sched.const_values[:, None]
+            bound = _bind(sched, S, scratch)
         S[:num_nodes] = prev if groups is None else prev[:, groups[0]]
-        zero_slot = _evaluate(sched, S)
+        zero_slot = _evaluate(bound, S)
         evaluated += width
         if zero_slot is not None:
             raise ReciprocalZeroError(_slot_owner(prog, zero_slot), t)

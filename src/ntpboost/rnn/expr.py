@@ -216,12 +216,21 @@ def add(*terms: tuple[float, Expr], bias: float = 0.0) -> Relu:
     return relu(bias, *terms)
 
 
-def ind_eq(x, c: float) -> Expr:
-    """1 if x == c else 0; exact for integer-valued x."""
+def ind_eq(x, c) -> Expr:
+    """1 if x == c else 0; exact for integer-valued x and c.
+
+    ``c`` is a constant, or a node (a name or an expression) to compare
+    x with.
+    """
     x = node(x)
     inv = 1.0 / MACHINE_EPS
-    above = relu(-c, (1.0, x))
-    below = relu(c, (-1.0, x))
+    if isinstance(c, (str, Expr)):
+        c = node(c)
+        above = relu(0.0, (1.0, x), (-1.0, c))
+        below = relu(0.0, (1.0, c), (-1.0, x))
+    else:
+        above = relu(-c, (1.0, x))
+        below = relu(c, (-1.0, x))
     return relu(1.0, (-inv, above), (-inv, below))
 
 

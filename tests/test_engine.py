@@ -28,6 +28,7 @@ from ntpboost.rnn.engine import (
     _RECIP,
     _RELU,
     _advance,
+    _schedule,
     compile_graph,
     quantize_array,
     run,
@@ -822,3 +823,241 @@ class TestPrefixSharing:
         streams = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
         tr = run(counter_graph(3), streams)
         assert tr.evaluated_columns == (tr.total_steps - 1) * 3
+
+
+# -- the level kernel against a slot-by-slot evaluation in Python floats -----
+
+
+def tape_update(prog, prev):
+    """One update of one column, slot by slot in tape order, in Python floats.
+
+    Sums add their terms left to right and then the bias, unless it is
+    zero; relu is ``np.maximum(v, 0.0)``'s rule (NaN stays, both zeros
+    give +0.0).  The input nodes read token 0.  Returns the new state, or
+    raises ``ZeroDivisionError`` with the first tape slot whose
+    reciprocal denominator is zero.
+    """
+    vals = []
+    for slot, entry in enumerate(prog.tape):
+        op = entry[0]
+        if op == _CONST:
+            v = entry[1]
+        elif op == _NODE:
+            v = float(prev[entry[1]])
+        elif op == _PROD:
+            v = vals[entry[1][0]]
+            for f in entry[1][1:]:
+                v *= vals[f]
+        else:
+            bias, terms = entry[1], entry[2]
+            if terms:
+                v = terms[0][0] * vals[terms[0][1]]
+                for c, s in terms[1:]:
+                    v += c * vals[s]
+                if bias != 0.0:
+                    v += bias
+            else:
+                v = bias
+            if op == _RELU:
+                v = v if v > 0.0 or v != v else 0.0
+            elif v == 0.0:
+                raise ZeroDivisionError(slot)
+            else:
+                v = 1.0 / v
+        vals.append(v)
+    new = [float(x) for x in prev]
+    for j, spec in enumerate(prog.graph.nodes):
+        if spec.expr is None:
+            new[j] = 0.0
+        else:
+            new[j] = vals[prog.node_slot[spec.name]]
+    return np.array(new)
+
+
+def one_update(graph, states):
+    """The engine's update from each start state (columns of ``states``),
+    reading token 0."""
+    batch = states.shape[1]
+    out, _, evaluated = _advance(compile_graph(graph), states, np.zeros((1, batch)), 1, 2)
+    assert evaluated == batch  # the columns are distinct, so none is shared
+    return out[1]
+
+
+def assert_update_matches_tape(graph, states):
+    """Batch 1 and batch 2 (and the whole batch) against ``tape_update``."""
+    prog = compile_graph(graph)
+    want = np.stack([tape_update(prog, states[:, b]) for b in range(states.shape[1])], 1)
+    for cols in ([0], [0, 1], list(range(states.shape[1]))):
+        got = one_update(graph, states[:, cols])
+        assert got.tobytes() == want[:, cols].tobytes()
+
+
+def node_graph(names, exprs):
+    """Input "in", one node per name, then one output node per expression."""
+    nodes = [NodeSpec("in", 0.0, None)] + [NodeSpec(n, 0.0, node(n)) for n in names]
+    nodes += [NodeSpec(f"o{j}", 0.0, e) for j, e in enumerate(exprs)]
+    return RnnGraph(nodes=nodes, input_ids=("in",), output_id="o0", hidden_ids=(), rnn_time=1)
+
+
+def start_states(graph, values, batch, seed):
+    """Distinct start states whose input and named nodes draw from ``values``."""
+    rng = np.random.default_rng(seed)
+    states = rng.choice(np.array(values), size=(len(graph.nodes), batch))
+    states[0] = np.arange(batch)  # the input row keeps the columns apart
+    return states
+
+
+class TestLevelKernel:
+    NAMES = [f"x{j}" for j in range(9)]
+
+    def mixed_arity_graph(self, seed):
+        """Relu, reciprocal and product slots of arity 1-9 on one level."""
+        rng = np.random.default_rng(seed)
+        exprs = []
+        for arity in range(1, 10):
+            picks = [self.NAMES[j] for j in rng.permutation(9)[:arity]]
+            coefs = rng.choice([1.0, -1.0, 0.5, -3.0, 2.0**-30], size=arity)
+            terms = [(float(c), n) for c, n in zip(coefs, picks)]
+            exprs.append(relu(float(rng.choice([0.0, -0.0, 0.25])), *terms))
+            # no sum of these terms is -pi, so no denominator is zero
+            exprs.append(recip(np.pi, *terms))
+            if arity > 1:
+                exprs.append(prod(*picks))
+        return node_graph(self.NAMES, exprs)
+
+    def test_mixed_arities_with_signed_zero_sums(self):
+        # huge and tiny values make the order of addition visible, and the
+        # zeros of both signs give sums that are -0.0 or +0.0
+        values = [0.0, -0.0, 1.0, -1.0, 2.0**60, -(2.0**60), 3.0, 0.1, 7.0]
+        for seed in range(6):
+            graph = self.mixed_arity_graph(seed)
+            sched = compile_graph(graph).schedule
+            assert len(sched.levels) == 1 and sched.padded_cells > sched.term_cells
+            assert_update_matches_tape(graph, start_states(graph, values, 5, seed))
+
+    def test_negative_zero_factor_in_a_padded_product(self):
+        # the 2-factor products share a bucket with a 3-factor one, so they
+        # are padded with 1.0; -0.0 * 5 * 1.0 keeps its sign
+        graph = node_graph(
+            ["a", "b", "c"], [prod("a", "b"), prod("a", "b", "c"), prod("b", "a")]
+        )
+        states = np.array([[0.0, 1.0], [-0.0, -0.0], [5.0, -5.0], [2.0, 2.0]])
+        states = np.concatenate([states, np.zeros((3, 2))])
+        got = one_update(graph, states)
+        assert np.signbit(got[4:7]).tolist() == [[True, False], [True, False], [True, False]]
+        assert_update_matches_tape(graph, states)
+
+    def test_inf_and_nan_terms(self):
+        # IEEE 754 leaves open which NaN an operation on two NaNs returns,
+        # so the NaN fed in is the one the hardware makes (inf - inf):
+        # every NaN then has the same bits, whichever operand numpy's loop
+        # puts first
+        nan = float("inf") - float("inf")
+        values = [np.inf, -np.inf, nan, 0.0, -0.0, 1.0, -2.0]
+        for seed in range(4):
+            graph = self.mixed_arity_graph(seed)
+            with np.errstate(invalid="ignore"):
+                assert_update_matches_tape(graph, start_states(graph, values, 6, seed))
+
+    def test_termless_sums_keep_their_bias(self):
+        graph = node_graph(
+            ["a"],
+            [
+                Relu(0.0, ()),
+                Relu(-0.0, ()),
+                Relu(-2.0, ()),
+                Recip(-2.0, ()),
+                relu(-0.0, (1.0, "a")),
+            ],
+        )
+        states = np.array([[0.0, 1.0], [-0.0, 3.0]] + [[0.0, 0.0]] * 5)
+        got = one_update(graph, states)
+        assert got[2:6, 0].tolist() == [0.0, 0.0, 0.0, -0.5]
+        assert_update_matches_tape(graph, states)
+        for zero in (0.0, -0.0):
+            g = node_graph(["a"], [Recip(zero, ())])
+            with pytest.raises(ReciprocalZeroError) as err:
+                run(g, [0.0, 0.0])
+            assert (err.value.node, err.value.time_step) == ("o0", 2)
+
+    @pytest.mark.parametrize("late_arity", [2, 1], ids=["same-bucket", "bucket-before"])
+    def test_two_zero_reciprocals_name_the_lower_slot(self, late_arity):
+        # "o0" lowers the 3-term reciprocal first, so its tape slot is the
+        # lower one; the later reciprocal shares its bucket (2 terms) or
+        # sits in the bucket before it, whose rows come first (1 term)
+        early = recip(0.0, (1.0, "a"), (1.0, "b"), (1.0, "c"))
+        late = recip(0.0, *[(1.0, n) for n in "ab"[:late_arity]])
+        graph = node_graph(["a", "b", "c"], [relu(0.0, (1.0, early)), late])
+        prog = compile_graph(graph)
+        states = np.zeros((len(graph.nodes), 2))
+        states[0] = [0.0, 1.0]
+        with pytest.raises(ZeroDivisionError) as first:
+            tape_update(prog, states[:, 0])
+        assert first.value.args[0] < prog.node_slot["o1"]
+        for cols in ([0], [0, 1]):
+            with pytest.raises(ReciprocalZeroError) as err:
+                _advance(prog, states[:, cols], np.zeros((1, len(cols))), 1, 2)
+            assert (err.value.node, err.value.time_step) == ("o0", 2)
+
+    def test_batch_one_against_batch_two(self):
+        graph = self.mixed_arity_graph(11)
+        values = [0.0, -0.0, 2.0**60, 1.5, -0.75, 1e-3]
+        states = start_states(graph, values, 2, 11)
+        single = one_update(graph, states[:, :1])
+        both = one_update(graph, states)
+        assert single.tobytes() == both[:, :1].tobytes()
+
+    def test_pads_are_exact_identities(self):
+        # every term reads a node row, so a cell reading any other row is
+        # a pad: -0.0 with weight 1 in sums, 1.0 in products
+        graph = self.mixed_arity_graph(3)
+        prog = compile_graph(graph)
+        sched = prog.schedule
+        num_nodes = len(graph.nodes)
+        pads = 0
+        for lv in sched.levels:
+            coef = np.ones(lv.src.size) if lv.coef is None else lv.coef[:, 0]
+            for op, first, arity, _, n in lv.buckets:
+                for cell in range(first, first + arity * n):
+                    r = lv.src[cell]
+                    if r < num_nodes:
+                        continue
+                    pads += 1
+                    pad = sched.const_values[r - num_nodes]
+                    if op == _PROD:
+                        assert pad == 1.0
+                    else:
+                        assert (pad, np.signbit(pad), coef[cell]) == (0.0, True, 1.0)
+        assert pads == sched.padded_cells - sched.term_cells > 0
+
+    def test_fixture_schedule_counts(self):
+        fixtures = os.path.join(os.path.dirname(nio.__file__), "fixtures")
+        with open(os.path.join(fixtures, "model_circuit_n4.json")) as fh:
+            prog = compile_graph(nio.graph_from_json(json.load(fh)))
+        sched = prog.schedule
+        assert len(prog.tape) == 144
+        assert (len(sched.levels), sched.reductions) == (6, 11)
+        assert (sched.term_cells, sched.padded_cells) == (299, 321)
+        assert sched.term_cells == sum(
+            len(e[1]) if e[0] == _PROD else len(e[2])
+            for e in prog.tape
+            if e[0] in (_RELU, _RECIP, _PROD)
+        )
+
+    @pytest.mark.parametrize(
+        "tape",
+        [
+            [(_NODE, 0), (_RELU, 0.0, ((1.0, 2),)), (_RELU, 0.0, ((1.0, 0),))],
+            [(_NODE, 0), (_RECIP, 1.0, ((1.0, 1),))],
+            [(_NODE, 0), (_PROD, (0, 9))],
+            [(_NODE, 0), (_RELU, 0.0, ((1.0, -1),))],
+            [(_NODE, 2)],
+            [(_NODE, -1)],
+        ],
+        ids=["later-slot", "itself", "past-tape", "negative-slot", "node-2-of-2", "node-minus-1"],
+    )
+    def test_schedule_rejects_rows_not_before_their_level(self, tape):
+        graph = identity_echo_graph()
+        node_index = {"in": 0, "out": 1}
+        with pytest.raises(ValidationError, match="tape slot"):
+            _schedule(tape, graph, node_index, {"out": len(tape) - 1})

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntpboost.errors import ValidationError
-from ntpboost.rnn.expr import Node, depth, evaluate, free_nodes, from_sexpr, to_sexpr
+from ntpboost.rnn.expr import (
+    Node,
+    depth,
+    evaluate,
+    free_nodes,
+    from_sexpr,
+    ind_eq,
+    to_sexpr,
+)
 from ntpboost.rnn.transitions import build_transition
 
 
@@ -42,6 +50,17 @@ class TestIndicators:
         e = build_transition("indicator_eq", x="x", c=1048575.0)
         assert ev(e, x=1048575.0) == 1.0
         assert ev(e, x=1048574.0) == 0.0
+
+    def test_eq_between_two_nodes(self):
+        e = ind_eq("x", "y")
+        assert e is ind_eq(Node("x"), Node("y"))
+        # the g module's per-slot agreement compiles to exactly this
+        assert to_sexpr(e) == (
+            "(relu 1.0 (-4294967296.0 (relu 0.0 (1.0 (node x)) (-1.0 (node y)))) "
+            "(-4294967296.0 (relu 0.0 (1.0 (node y)) (-1.0 (node x)))))"
+        )
+        for x, y in product(range(-4, 9), repeat=2):
+            assert ev(e, x=float(x), y=float(y)) == float(x == y)
 
     @settings(max_examples=300)
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
