@@ -31,10 +31,22 @@ from .selfboost import run_algorithm
 from .verify import run_all
 
 ROUND_CSV_COLUMNS = ["round", "N_i", "H_i", "T_i", "L_i", "KL", "alpha"]
+# the trace fields each rounds.csv row is written from
+ROUND_FIELDS = [
+    "index", "budget_size", "budget_hidden", "budget_time", "loss", "kl",
+    "best_advantage", "certified",
+]
 
 
 def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
+
+
+def _object(value, location: str) -> dict:
+    """``value`` if it is a JSON object, else a ``FormatError`` at ``location``."""
+    if not isinstance(value, dict):
+        raise FormatError(f"expected a JSON object, got {value!r:.40}", location)
+    return value
 
 
 def cmd_boost(args) -> int:
@@ -113,7 +125,12 @@ def cmd_simulate(args) -> int:
             raise NtpboostError(
                 "--quantized requires a graph with a bits block in meta"
             )
-        fmt = FixedPointFormat(int(bits["integer"]), int(bits["fraction"]))
+        where = f"{args.graph}/meta/bits"
+        _object(bits, where)
+        fmt = FixedPointFormat(
+            nio._number(bits, "integer", where, integer=True),
+            nio._number(bits, "fraction", where, integer=True),
+        )
         trace = quantized_run(graph, fmt, stream)
     else:
         trace = engine_run(graph, stream)
@@ -133,11 +150,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _family_from_config(cfg, alphabet, n):
-    spec = cfg.get("family", {"kind": "one_prefix_table"})
+def _family_from_config(cfg, alphabet, n, k: int, location: str):
+    spec = _object(cfg.get("family", {}), location + "/family")
     kind = spec.get("kind", "one_prefix_table")
     if kind == "one_prefix_table":
-        return one_prefix_table_family(alphabet, n, int(cfg["k"]))
+        return one_prefix_table_family(alphabet, n, k)
     raise NtpboostError(f"unknown family kind {kind!r}")
 
 
@@ -218,25 +235,42 @@ def _trace_payload(trace) -> dict:
 
 
 def cmd_selfboost(args) -> int:
-    cfg = nio.read_json(args.config)
-    dist_path = cfg["distribution_file"]
+    where = args.config
+    cfg = _object(nio.read_json(where), where)
+
+    def integer(key, default):
+        return nio._number(cfg, key, where, integer=True) if key in cfg else default
+
+    dist_path = nio._require(cfg, "distribution_file", where + "/distribution_file")
+    if not isinstance(dist_path, str):
+        raise FormatError(
+            f"distribution_file must be a path, got {dist_path!r}",
+            where + "/distribution_file",
+        )
+    epsilon = nio._number(cfg, "epsilon", where)
+    k = nio._number(cfg, "k", where, integer=True)
+    seed, tau = integer("seed", args.seed), integer("tau", 3)
+    d_bound, b_d = integer("d_bound", 7), integer("b_d", 0)
+    want_compile = cfg.get("compile", False)
+    if type(want_compile) is not bool:
+        raise FormatError(
+            f"compile must be true or false, got {want_compile!r}", where + "/compile"
+        )
     if not os.path.isabs(dist_path):
-        dist_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), dist_path)
+        dist_path = os.path.join(os.path.dirname(os.path.abspath(where)), dist_path)
     p = nio.load_and_validate(dist_path, "distribution")
-    fam = _family_from_config(cfg, p.alphabet, p.n)
-    seed = int(cfg.get("seed", args.seed))
-    want_compile = bool(cfg.get("compile")) or args.compile
-    compile_hook = make_compile_hook(p, fam) if want_compile else None
+    fam = _family_from_config(cfg, p.alphabet, p.n, k, where)
+    compile_hook = make_compile_hook(p, fam) if want_compile or args.compile else None
     model, trace = run_algorithm(
         cfg.get("variant", "plain"),
         p,
         fam,
-        float(cfg["epsilon"]),
-        int(cfg["k"]),
-        int(cfg.get("tau", 3)),
-        int(cfg.get("d_bound", 7)),
+        epsilon,
+        k,
+        tau,
+        d_bound,
         random.Random(seed),
-        b_d=int(cfg.get("b_d", 0)),
+        b_d=b_d,
         compile_hook=compile_hook,
     )
     payload = _trace_payload(trace)
@@ -317,11 +351,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = nio.read_json(args.trace)
-    nio.write_text_atomic(
-        _out_path(args, "rounds.csv"), _rounds_csv(payload["rounds"])
-    )
-    print(f"report: wrote {len(payload['rounds'])} rounds")
+    payload = _object(nio.read_json(args.trace), args.trace)
+    where = f"{args.trace}/rounds"
+    rounds = nio._require(payload, "rounds", where)
+    if not isinstance(rounds, list):
+        raise FormatError("rounds must be a list", where)
+    for j, r in enumerate(rounds):
+        loc = f"{where}/{j}"
+        for key in ROUND_FIELDS:
+            value = nio._require(_object(r, loc), key, f"{loc}/{key}")
+            if key in ("loss", "kl", "best_advantage") and type(value) not in (int, float):
+                raise FormatError(f"{key} must be a number, got {value!r}", f"{loc}/{key}")
+    nio.write_text_atomic(_out_path(args, "rounds.csv"), _rounds_csv(rounds))
+    print(f"report: wrote {len(rounds)} rounds")
     return 0
 
 

@@ -39,7 +39,7 @@ from ..rnn.expr import (
 from ..rnn.graph import NodeSpec, RnnGraph
 from ..rnn.transitions import exp_binary
 from .components import build_f1, build_f2, build_g
-from .enumerator import EnumScaffold, build_scaffold, scaffold_hidden
+from .enumerator import EnumScaffold, build_scaffold
 
 
 @dataclass(frozen=True)
@@ -95,45 +95,25 @@ def _combiner_nodes(
         ind_eq(nm("u"), float(sc.k)),
         sc.in_enum_phase(),
     )
-    at_loop_end = ind_eq(nm("w0"), float(sc.period))
-    term1 = prod(node(f1_out), node(f2_out), node(g_v1))
-    term2 = prod(node(f1_out), node(f2_out), node(g_v2))
-    w1 = NodeSpec(
-        "w1",
-        0.0,
-        case_select(
-            [(at_loop_end, const(0.0)), (accumulate, relu(0.0, (1.0, "w1"), (1.0, term1)))],
-            node("w1"),
-        ),
-    )
-    w2 = NodeSpec(
-        "w2",
-        0.0,
-        case_select(
-            [(at_loop_end, const(0.0)), (accumulate, relu(0.0, (1.0, "w2"), (1.0, term2)))],
-            node("w2"),
-        ),
-    )
+    nodes = []
+    for acc, g_v in (("w1", g_v1), ("w2", g_v2)):
+        term = prod(node(f1_out), node(f2_out), node(g_v))
+        cases = [
+            (sc.at_loop_end(), const(0.0)),
+            (accumulate, relu(0.0, (1.0, acc), (1.0, term))),
+        ]
+        nodes.append(NodeSpec(acc, 0.0, case_select(cases, node(acc))))
     # the ratio is computed once per loop; off the consuming instant the
     # denominator gets +1 so the reciprocal can never hit zero while the
     # selector discards the branch
-    consuming = prod(
-        ind_eq(nm("w0"), float(sc.period - 1)),
-        ind_ge(nm("vc"), float(i0_star + 1)),
-    )
+    before_end = ind_eq(nm("w0"), float(sc.period - 1))
+    consuming = prod(before_end, ind_ge(nm("vc"), float(i0_star + 1)))
     guarded = recip(1.0, (1.0, node("w2")), (-1.0, consuming))
-    out = NodeSpec(
-        "out",
-        0.0,
-        case_select(
-            [
-                (sc.in_initial_phase(), node(f1_out)),
-                (ind_eq(nm("w0"), float(sc.period - 1)), prod(node("w1"), guarded)),
-            ],
-            node("out"),
-        ),
-    )
-    return [w1, w2, out]
+    cases = [
+        (sc.in_initial_phase(), node(f1_out)),
+        (before_end, prod(node("w1"), guarded)),
+    ]
+    return nodes + [NodeSpec("out", 0.0, case_select(cases, node("out")))]
 
 
 def build_boosted_rnn(
@@ -148,8 +128,6 @@ def build_boosted_rnn(
 
     tau is pinned at max(T_Q, T_D) + 4 so the accounting is exact.
     """
-    if not 0 <= i0_star <= k - 1:
-        raise PreconditionError(f"offset {i0_star} outside [0, {k - 1}]")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
     f1, sc1 = build_f1(q_graph, k, i0_star, tau, base, prefix="f1.")
     f2, _ = build_f2(d_graph, k, i0_star, alpha, tau, base, prefix="f2.")
@@ -164,17 +142,7 @@ def build_boosted_rnn(
         output_id="out",
         hidden_ids=f1.hidden_ids + f2.hidden_ids + g.hidden_ids,
         rnn_time=sc1.period,
-        meta={
-            "kind": "boosted",
-            "schedule": "multiples",
-            "k": k,
-            "tau": tau,
-            "base": base,
-            "alphabet_size": base,
-            "i0_star": i0_star,
-            "alpha": alpha,
-            "depth_bound": 20,
-        },
+        meta=sc1.meta("boosted", alphabet_size=base, alpha=alpha),
     )
     report = ConstructionReport(
         built_size=graph.size,
@@ -287,20 +255,18 @@ def build_boosted_rnn_simple(
     Size 2|Q| + 2|D| + 5k + 16; outputs must match build_boosted_rnn at
     every scheduled instant.
     """
-    if not 0 <= i0_star <= k - 1:
-        raise PreconditionError(f"offset {i0_star} outside [0, {k - 1}]")
     for g_src, label in ((q_graph, "model"), (d_graph, "distinguisher")):
         if len(g_src.input_ids) != 1:
             raise PreconditionError(f"{label} circuit must have one input node")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
     nodes, sc = build_scaffold("c.", base, k, tau, i0_star, "c.in")
-    nodes.insert(0, NodeSpec("c.in", 0.0, None))
     nm = sc.name
-
-    nodes += _full_copy_main(q_graph, sc, "qm.", "c.in")
-    nodes += _full_copy_scratch(q_graph, sc, "qs.", "qm.")
-    nodes += _full_copy_main(d_graph, sc, "dm.", "c.in")
-    nodes += _full_copy_scratch(d_graph, sc, "ds.", "dm.")
+    q_main = _full_copy_main(q_graph, sc, "qm.", "c.in")
+    d_main = _full_copy_main(d_graph, sc, "dm.", "c.in")
+    # the scaffold's counters and both anchor copies are hidden
+    hidden = [spec.name for spec in nodes[1:] + q_main + d_main]
+    nodes += q_main + _full_copy_scratch(q_graph, sc, "qs.", "qm.")
+    nodes += d_main + _full_copy_scratch(d_graph, sc, "ds.", "dm.")
 
     q_out_main = "qm." + q_graph.output_id
     q_out_scr = "qs." + q_graph.output_id
@@ -329,29 +295,13 @@ def build_boosted_rnn_simple(
     v1, v2 = g.meta["pair"]
     nodes += _combiner_nodes(sc, "u1", "u2", v1, v2, i0_star)
 
-    hidden = (
-        scaffold_hidden(sc)
-        + ["qm." + n.name for n in q_graph.nodes if n.name != q_graph.input_ids[0]]
-        + ["dm." + n.name for n in d_graph.nodes if n.name != d_graph.input_ids[0]]
-        + list(g.hidden_ids)
-    )
     graph = RnnGraph(
         nodes=nodes,
         input_ids=("c.in",) + g.input_ids,
         output_id="out",
-        hidden_ids=tuple(hidden),
+        hidden_ids=tuple(hidden) + g.hidden_ids,
         rnn_time=sc.period,
-        meta={
-            "kind": "boosted_simple",
-            "schedule": "multiples",
-            "k": k,
-            "tau": tau,
-            "base": base,
-            "alphabet_size": base,
-            "i0_star": i0_star,
-            "alpha": alpha,
-            "depth_bound": 20,
-        },
+        meta=sc.meta("boosted_simple", alphabet_size=base, alpha=alpha),
     )
     expect = 2 * q_graph.size + 2 * d_graph.size + 5 * k + 16
     if graph.size != expect:

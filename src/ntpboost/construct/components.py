@@ -23,12 +23,28 @@ from ..rnn.expr import (
 )
 from ..rnn.graph import NodeSpec, RnnGraph
 from ..rnn.transitions import exp_binary
-from .enumerator import (
-    EnumScaffold,
-    build_scaffold,
-    build_sync_enumerator,
-    scaffold_hidden,
-)
+from .enumerator import EnumScaffold, build_scaffold, build_sync_enumerator
+
+
+def _enumerated(
+    src: RnnGraph, inner: RnnGraph, sc: EnumScaffold, out: NodeSpec, **meta
+) -> RnnGraph:
+    """The enumerator ``inner`` around ``src`` with ``out`` appended as
+    output; the size is checked against |src| + |H_src| + 2k + 7."""
+    graph = RnnGraph(
+        nodes=[*inner.nodes, out],
+        input_ids=inner.input_ids,
+        output_id=out.name,
+        hidden_ids=inner.hidden_ids,
+        rnn_time=inner.rnn_time,
+        meta={**inner.meta, **meta},
+    )
+    expect = src.size + src.hidden_size + 2 * sc.k + 7
+    if graph.size != expect:
+        raise ValidationError(
+            f"{meta['kind']} accounting broken: {graph.size} != {expect}"
+        )
+    return graph
 
 
 def build_f1(
@@ -65,20 +81,8 @@ def build_f1(
             prod(node(acc), node(vq)),
         ),
     ]
-    nodes = list(inner.nodes)
-    nodes.append(NodeSpec(acc, 1.0, case_select(cases, node(acc))))
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=inner.input_ids,
-        output_id=acc,
-        hidden_ids=inner.hidden_ids,
-        rnn_time=inner.rnn_time,
-        meta={**inner.meta, "kind": "f1_window_probability"},
-    )
-    expect = q_graph.size + q_graph.hidden_size + 2 * k + 7
-    if graph.size != expect:
-        raise ValidationError(f"f1 accounting broken: {graph.size} != {expect}")
-    return graph, sc
+    out = NodeSpec(acc, 1.0, case_select(cases, node(acc)))
+    return _enumerated(q_graph, inner, sc, out, kind="f1_window_probability"), sc
 
 
 def build_f2(
@@ -94,26 +98,11 @@ def build_f2(
 
     Output instants: (i-1)*T_U + j*k*tau - 1.  Size |D| + |H_D| + 2k + 7.
     """
-    if tau < d_graph.rnn_time + 2:
-        raise PreconditionError(
-            f"need tau >= T_D + 2 = {d_graph.rnn_time + 2}, got {tau}"
-        )
     inner, sc = build_sync_enumerator(d_graph, k, i0_star, tau, base, prefix)
-    nm = sc.name
-    out = nm("out")
-    nodes = list(inner.nodes)
-    nodes.append(NodeSpec(out, 1.0, exp_binary(-alpha, inner.output_id)))
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=inner.input_ids,
-        output_id=out,
-        hidden_ids=inner.hidden_ids,
-        rnn_time=inner.rnn_time,
-        meta={**inner.meta, "kind": "f2_exp_distinguisher", "alpha": alpha},
+    out = NodeSpec(sc.name("out"), 1.0, exp_binary(-alpha, inner.output_id))
+    graph = _enumerated(
+        d_graph, inner, sc, out, kind="f2_exp_distinguisher", alpha=alpha
     )
-    expect = d_graph.size + d_graph.hidden_size + 2 * k + 7
-    if graph.size != expect:
-        raise ValidationError(f"f2 accounting broken: {graph.size} != {expect}")
     return graph, sc
 
 
@@ -132,74 +121,43 @@ def build_g(
     """
     if tau < 4:
         raise PreconditionError(f"need tau >= 4, got {tau}")
-    nm = lambda raw: prefix + raw
-    in_name = nm("in")
     nodes, sc = build_scaffold(
-        prefix, base, k, tau, i0_star, in_name, include_vc=False
+        prefix, base, k, tau, i0_star, prefix + "in", include_vc=False
     )
-    nodes.insert(0, NodeSpec(in_name, 0.0, None))
+    nm = sc.name
+    hidden = tuple(spec.name for spec in nodes[1:])
 
     # per-slot agreement between stored tokens and the window counter;
     # string character l is counter digit k+1-l
     for l in range(1, k + 1):
-        nodes.append(
-            NodeSpec(
-                nm(f"m{l}"),
-                0.0,
-                ind_eq(nm(f"y{l}"), nm(f"e{k + 1 - l}")),
-            )
-        )
-
-    def match_product(limit_minus: int):
-        # prod_l [m_l if l <= u0 - limit_minus else 1]
-        factors = []
-        for l in range(1, k + 1):
-            active = ind_ge(nm("u0"), float(l + limit_minus))
-            factors.append(
-                relu(
-                    0.0,
-                    (1.0, prod(node(nm(f"m{l}")), active)),
-                    (1.0, ind_le(nm("u0"), float(l + limit_minus - 1))),
-                )
-            )
-        return prod(*factors)
+        agree = ind_eq(nm(f"y{l}"), nm(f"e{k + 1 - l}"))
+        nodes.append(NodeSpec(nm(f"m{l}"), 0.0, agree))
 
     update_gate = prod(
         ind_eq(nm("w"), 3.0),
         ind_eq(nm("u"), 1.0),
         sc.in_enum_phase(),
     )
-    nodes.append(
-        NodeSpec(
-            nm("v1"),
-            0.0,
-            case_select([(update_gate, match_product(0))], node(nm("v1"))),
-        )
-    )
-    nodes.append(
-        NodeSpec(
-            nm("v2"),
-            0.0,
-            case_select([(update_gate, match_product(1))], node(nm("v2"))),
-        )
-    )
+    # v1 holds prod_l [m_l if l <= u0 else 1], v2 the same with u0 - 1
+    for v, lag in (("v1", 0), ("v2", 1)):
+        factors = [
+            relu(
+                0.0,
+                (1.0, prod(node(nm(f"m{l}")), ind_ge(nm("u0"), float(l + lag)))),
+                (1.0, ind_le(nm("u0"), float(l + lag - 1))),
+            )
+            for l in range(1, k + 1)
+        ]
+        cases = [(update_gate, prod(*factors))]
+        nodes.append(NodeSpec(nm(v), 0.0, case_select(cases, node(nm(v)))))
 
     graph = RnnGraph(
         nodes=nodes,
-        input_ids=(in_name,),
+        input_ids=(nodes[0].name,),
         output_id=nm("v1"),
-        hidden_ids=tuple(scaffold_hidden(sc, include_vc=False)),
+        hidden_ids=hidden,
         rnn_time=sc.period,
-        meta={
-            "kind": "g_indicators",
-            "schedule": "multiples",
-            "k": k,
-            "tau": tau,
-            "base": base,
-            "i0_star": i0_star,
-            "pair": (nm("v1"), nm("v2")),
-            "depth_bound": 20,
-        },
+        meta=sc.meta("g_indicators", pair=(nm("v1"), nm("v2"))),
     )
     if graph.size != 3 * k + 8:
         raise ValidationError(f"g accounting broken: {graph.size} != {3 * k + 8}")

@@ -81,6 +81,24 @@ class EnumScaffold:
     def in_initial_phase(self):
         return ind_le(self.name("vc"), float(self.i0_star))
 
+    def meta(self, kind: str, **extra) -> dict:
+        """Meta of a graph clocked by this scaffold.
+
+        ``extra`` comes before ``depth_bound``, except ``alphabet_size``
+        (the boosted graphs), which follows ``base``: the key order is
+        part of the graph's JSON form.
+        """
+        meta = {
+            "kind": kind,
+            "schedule": "multiples",
+            "k": self.k,
+            "tau": self.tau,
+            "base": self.base,
+        }
+        if "alphabet_size" in extra:
+            meta["alphabet_size"] = extra.pop("alphabet_size")
+        return {**meta, "i0_star": self.i0_star, **extra, "depth_bound": 20}
+
 
 def timing_constants(base: int, k: int, tau: int) -> int:
     strings = base**k
@@ -101,7 +119,11 @@ def build_scaffold(
     input_name: str,
     include_vc: bool = True,
 ) -> tuple[list[NodeSpec], EnumScaffold]:
-    """Counter, storage, and enumerator nodes shared by all constructions."""
+    """Input, counter, storage and enumerator nodes shared by all constructions.
+
+    The first node is the input ``input_name``; every later one is
+    hidden.
+    """
     if not 0 <= i0_star <= k - 1:
         raise PreconditionError(f"offset {i0_star} outside [0, {k - 1}]")
     period = timing_constants(base, k, tau)
@@ -109,7 +131,7 @@ def build_scaffold(
     nm = sc.name
     B = sc.strings
 
-    nodes = []
+    nodes = [NodeSpec(input_name, 0.0, None)]
     # w0: cycles 1..T_U
     nodes.append(
         NodeSpec(
@@ -245,17 +267,6 @@ def build_scaffold(
     return nodes, sc
 
 
-def scaffold_hidden(sc: EnumScaffold, include_vc: bool = True) -> list[str]:
-    nm = sc.name
-    names = [nm("w0"), nm("u0"), nm("w"), nm("u")]
-    if include_vc:
-        names.append(nm("vc"))
-    names += [nm(f"y{j}") for j in range(1, sc.k + 1)]
-    names += [nm(f"e{r}") for r in range(1, sc.k + 1)]
-    names.append(nm("ve"))
-    return names
-
-
 def build_sync_enumerator(
     q_graph: RnnGraph,
     k: int,
@@ -272,7 +283,7 @@ def build_sync_enumerator(
     """
     t_q = q_graph.rnn_time
     if tau < t_q + 2:
-        raise PreconditionError(f"need tau >= T_Q + 2 = {t_q + 2}, got {tau}")
+        raise PreconditionError(f"need tau >= T_inner + 2 = {t_q + 2}, got {tau}")
     if len(q_graph.input_ids) != 1:
         raise PreconditionError("enumerated circuit must have one input node")
     if q_graph.output_id in q_graph.hidden_ids:
@@ -289,7 +300,7 @@ def build_sync_enumerator(
     in_name = nm("in")
 
     nodes, sc = build_scaffold(prefix, base, k, tau, i0_star, in_name)
-    nodes.insert(0, NodeSpec(in_name, 0.0, None))
+    hidden_ids = [spec.name for spec in nodes[1:]]
     B, period = sc.strings, sc.period
     spec_of = q_graph.node_map()
 
@@ -362,23 +373,13 @@ def build_sync_enumerator(
         ]
         nodes.append(NodeSpec(mirror_r[r], 0.0, case_select(cases, node(mirror_r[r]))))
 
-    hidden_ids = scaffold_hidden(sc) + [mirror_h[h] for h in hidden_q]
     graph = RnnGraph(
         nodes=nodes,
         input_ids=(in_name,),
         output_id=mirror_r[q_graph.output_id],
-        hidden_ids=tuple(hidden_ids),
+        hidden_ids=tuple(hidden_ids + list(mirror_h.values())),
         rnn_time=period,
-        meta={
-            "kind": "sync_enumerator",
-            "schedule": "multiples",
-            "k": k,
-            "tau": tau,
-            "base": base,
-            "i0_star": i0_star,
-            "T_inner": t_q,
-            "depth_bound": 20,
-        },
+        meta=sc.meta("sync_enumerator", T_inner=t_q),
     )
     expect_size = q_graph.size + q_graph.hidden_size + 2 * k + 6
     expect_hidden = q_graph.hidden_size + 2 * k + 6

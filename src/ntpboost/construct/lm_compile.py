@@ -58,22 +58,35 @@ def _prefix_match(s) -> list:
     return [ind_eq(f"p{j + 1}", float(tok + 1)) for j, tok in enumerate(s)]
 
 
+def _table_circuit(n: int, cap: int, rnn_time: int, out, meta: dict) -> RnnGraph:
+    """Latch skeleton plus ``out``: input, step counter, position counter
+    capped at ``cap`` and latches p1..pn, all hidden but the input."""
+    if rnn_time < MIN_RNN_TIME:
+        raise PreconditionError(f"model circuits need rnn_time >= {MIN_RNN_TIME}")
+    nodes = [
+        NodeSpec("in", 0.0, None),
+        NodeSpec("w", 1.0, _step_counter(rnn_time)),
+        NodeSpec("c", 1.0, _position_counter(rnn_time, cap)),
+    ]
+    nodes += [NodeSpec(f"p{i}", 0.0, _latch(i)) for i in range(1, n + 1)]
+    hidden = tuple(spec.name for spec in nodes[1:])
+    nodes.append(NodeSpec("out", 0.0, out))
+    return RnnGraph(
+        nodes=nodes,
+        input_ids=("in",),
+        output_id="out",
+        hidden_ids=hidden,
+        rnn_time=rnn_time,
+        meta={**meta, "depth_bound": 16},
+    )
+
+
 def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
     """Token-per-T circuit whose output at time i*T is q(x_i | x_{:i}).
 
     Size n + 4 with hidden set {step counter, position counter, latches}.
     """
-    if rnn_time < MIN_RNN_TIME:
-        raise PreconditionError(f"model circuits need rnn_time >= {MIN_RNN_TIME}")
     n, size = lm.n, lm.alphabet.size
-    nodes = [
-        NodeSpec("in", 0.0, None),
-        NodeSpec("w", 1.0, _step_counter(rnn_time)),
-        NodeSpec("c", 1.0, _position_counter(rnn_time, n + 1)),
-    ]
-    for i in range(1, n + 1):
-        nodes.append(NodeSpec(f"p{i}", 0.0, _latch(i)))
-
     terms = []
     for m in range(1, n + 1):
         gate_m = ind_eq("c", float(m))
@@ -87,22 +100,8 @@ def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
                     (1.0, prod(const(qv), gate_m, ind_eq("in", float(a)), *matches))
                 )
     terms.append((1.0 / size, ind_ge("c", float(n + 1))))
-    nodes.append(NodeSpec("out", 0.0, relu(0.0, *terms)))
-
-    return RnnGraph(
-        nodes=nodes,
-        input_ids=("in",),
-        output_id="out",
-        hidden_ids=tuple(["w", "c"] + [f"p{i}" for i in range(1, n + 1)]),
-        rnn_time=rnn_time,
-        meta={
-            "kind": "table_lm",
-            "schedule": "multiples",
-            "n": n,
-            "alphabet_size": size,
-            "depth_bound": 16,
-        },
-    )
+    meta = {"kind": "table_lm", "schedule": "multiples", "n": n, "alphabet_size": size}
+    return _table_circuit(n, n + 1, rnn_time, relu(0.0, *terms), meta)
 
 
 def distinguisher_to_rnn(
@@ -114,18 +113,7 @@ def distinguisher_to_rnn(
     the enumerator feeds candidate windows past the document end; window
     tokens beyond position n are ignored (the clipping convention).
     """
-    if rnn_time < MIN_RNN_TIME:
-        raise PreconditionError(f"model circuits need rnn_time >= {MIN_RNN_TIME}")
     n, k, size = d.n, d.k, alphabet.size
-    cap = n + k
-    nodes = [
-        NodeSpec("in", 0.0, None),
-        NodeSpec("w", 1.0, _step_counter(rnn_time)),
-        NodeSpec("c", 1.0, _position_counter(rnn_time, cap)),
-    ]
-    for i in range(1, n + 1):
-        nodes.append(NodeSpec(f"p{i}", 0.0, _latch(i)))
-
     # d(i, .) is read once its window is consumed, at counter value
     # m = i - 1 + k; a window clipped at the document end ends before m,
     # so those terms match on the latches alone
@@ -137,21 +125,12 @@ def distinguisher_to_rnn(
             terms.append((1.0, prod(gate_m, ind_eq("in", float(a)), *_prefix_match(s))))
         else:
             terms.append((1.0, prod(gate_m, *_prefix_match(joint))))
-    expr = relu(0.0, *terms) if terms else const(0.0)
-    nodes.append(NodeSpec("out", 0.0, expr))
-
-    return RnnGraph(
-        nodes=nodes,
-        input_ids=("in",),
-        output_id="out",
-        hidden_ids=tuple(["w", "c"] + [f"p{i}" for i in range(1, n + 1)]),
-        rnn_time=rnn_time,
-        meta={
-            "kind": "table_distinguisher",
-            "schedule": "window",
-            "n": n,
-            "k": k,
-            "alphabet_size": size,
-            "depth_bound": 16,
-        },
-    )
+    out = relu(0.0, *terms) if terms else const(0.0)
+    meta = {
+        "kind": "table_distinguisher",
+        "schedule": "window",
+        "n": n,
+        "k": k,
+        "alphabet_size": size,
+    }
+    return _table_circuit(n, n + k, rnn_time, out, meta)

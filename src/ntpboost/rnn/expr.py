@@ -211,11 +211,6 @@ def prod(*factors) -> Expr:
     return Prod(fs)
 
 
-def add(*terms: tuple[float, Expr], bias: float = 0.0) -> Relu:
-    """Weighted sum of nonnegative quantities, realized as an exact relu."""
-    return relu(bias, *terms)
-
-
 def ind_eq(x, c) -> Expr:
     """1 if x == c else 0; exact for integer-valued x and c.
 
@@ -252,10 +247,6 @@ def lnot(b: Expr) -> Expr:
     return relu(1.0, (-1.0, b))
 
 
-def land(*bs) -> Expr:
-    return prod(*bs)
-
-
 def case_select(cases: list[tuple[Expr, Expr]], default: Expr) -> Expr:
     """First-match if/elif/else chain over {0,1} conditions.
 
@@ -269,10 +260,6 @@ def case_select(cases: list[tuple[Expr, Expr]], default: Expr) -> Expr:
         blockers.append(lnot(cond))
     terms.append((1.0, prod(default, *blockers)))
     return relu(0.0, *terms)
-
-
-def hold(name: str) -> Expr:
-    return Node(name)
 
 
 # -- inspection -------------------------------------------------------------
@@ -315,20 +302,24 @@ def substitute(expr: Expr, mapping: dict[str, str]) -> Expr:
 
 
 def evaluate(expr: Expr, values: dict[str, float]) -> float:
-    """Reference tree-walk evaluation (the engine compiles instead)."""
+    """Reference tree-walk evaluation (the engine compiles instead).
+
+    It gives the engine's bytes: terms are summed left to right from
+    -0.0 and the bias is added last unless it is zero, relu keeps a NaN
+    and maps both zeros to +0.0, and products multiply left to right.
+    """
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Node):
         return values[expr.name]
-    if isinstance(expr, Relu):
-        acc = expr.bias
+    if isinstance(expr, (Relu, Recip)):
+        acc = -0.0
         for c, child in expr.terms:
             acc += c * evaluate(child, values)
-        return acc if acc > 0.0 else 0.0
-    if isinstance(expr, Recip):
-        acc = expr.bias
-        for c, child in expr.terms:
-            acc += c * evaluate(child, values)
+        if expr.bias != 0.0:
+            acc += expr.bias
+        if isinstance(expr, Relu):
+            return 0.0 if acc <= 0.0 else acc
         if acc == 0.0:
             raise ZeroDivisionError("reciprocal of zero")
         return 1.0 / acc

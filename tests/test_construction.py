@@ -26,6 +26,7 @@ from ntpboost.construct import (
     lm_to_rnn,
     window_sample_time,
 )
+from ntpboost.construct.enumerator import build_scaffold
 from ntpboost.dist import (
     Alphabet,
     extended_block_distribution,
@@ -314,6 +315,26 @@ class TestSizeFormulas:
             g, _ = build_g(k, 0, 6, 2)
             assert g.size == 3 * k + 8
             assert g.hidden_size == 2 * k + 5
+
+
+class TestScaffoldHidden:
+    def test_scaffold_nodes_after_the_input_are_hidden(self):
+        # every node build_scaffold returns after the input is hidden in
+        # each graph built on it
+        p, qt, res, q, D = build_instance(631, 4, 2)
+        tau = q.rnn_time + 4
+        builds = [
+            ("u.", True, build_sync_enumerator(q, 2, 1, tau, 2, prefix="u.")[0]),
+            ("g.", False, build_g(2, 1, tau, 2, prefix="g.")[0]),
+            ("c.", True, build_boosted_rnn_simple(q, D, 2, res.alpha, 1, 2)),
+        ]
+        for prefix, include_vc, graph in builds:
+            nodes, _ = build_scaffold(prefix, 2, 2, tau, 1, prefix + "in", include_vc)
+            assert nodes[0].expr is None and nodes[0].name in graph.input_ids
+            assert len(nodes) == 2 * 2 + 6 + include_vc
+            specs = graph.node_map()
+            for spec in nodes[1:]:
+                assert specs[spec.name] == spec and spec.name in graph.hidden_ids
 
 
 def build_instance(seed, n, k):

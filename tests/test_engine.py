@@ -525,7 +525,31 @@ def small_graphs(draw):
     return graph, streams.reshape(4, 2)
 
 
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestKernelDifferential:
+    def test_nan_matches_tree_evaluation(self):
+        # relu keeps a NaN, as np.maximum does; the NaN fed in is the
+        # hardware's inf - inf, so every NaN here has the same bits
+        nan = float("inf") - float("inf")
+        exprs = [
+            relu(0.0, (1.0, "x")),
+            relu(-1.0, (2.0, "x"), (1.0, "y")),
+            relu(0.0, (0.0, "z")),
+            recip(1.0, (1.0, "x")),
+            prod("y", "x"),
+        ]
+        graph = node_graph(["x", "y", "z"], exprs)
+        prev = {"in": 0.0, "x": nan, "y": 1.0, "z": float("inf")}
+        state = np.array([[prev.get(spec.name, 0.0)] for spec in graph.nodes])
+        with np.errstate(invalid="ignore"):
+            got = one_update(graph, state)[:, 0]
+        for j, spec in enumerate(graph.nodes[4:], start=4):
+            want = evaluate(spec.expr, prev)
+            assert want != want and same_bits(got[j], want)
+
     @given(small_graphs())
     def test_each_step_matches_tree_evaluation(self, case):
         graph, streams = case
@@ -543,7 +567,7 @@ class TestKernelDifferential:
                     if spec.expr is None:
                         assert got == streams[t - 1, b]
                     else:
-                        assert abs(got - evaluate(spec.expr, prev)) <= 1e-12
+                        assert same_bits(got, evaluate(spec.expr, prev))
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_long_weighted_sum_adds_left_to_right(self, batch):
@@ -718,7 +742,7 @@ class TestPrefixSharing:
             for j, spec in enumerate(graph.nodes):
                 if spec.expr is not None:
                     got = tr.values[t - 1, j, 0]
-                    assert abs(got - evaluate(spec.expr, prev)) <= 1e-12
+                    assert same_bits(got, evaluate(spec.expr, prev))
 
     def test_signed_zero_tokens_are_not_merged(self):
         # no alphabet_size, so -0.0 is a valid token; "a" copies its sign

@@ -443,6 +443,42 @@ class TestCli:
         assert payload["error"] == "FormatError"
         assert f"(at {path}{where})" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "command, edit, where",
+        [
+            ("selfboost", lambda c: {k: v for k, v in c.items() if k != "epsilon"},
+             "/epsilon"),
+            ("selfboost", lambda c: {**c, "k": "x"}, "/k"),
+            ("selfboost", lambda c: [c], ""),
+            ("selfboost", lambda c: {**c, "family": "x"}, "/family"),
+            ("selfboost", lambda c: {**c, "compile": "false"}, "/compile"),
+            ("report", lambda c: {"variant": "plain"}, "/rounds"),
+            ("simulate", lambda g: {**g, "meta": {**g["meta"], "bits": {"integer": "a"}}},
+             "/meta/bits/integer"),
+        ],
+        ids=["epsilon-missing", "k-string", "config-list", "family-string",
+             "compile-string", "trace-no-rounds", "bits-string"],
+    )
+    def test_bad_input_fails_at_the_boundary(self, tmp_path, capsys, command, edit, where):
+        source, flag = {
+            "selfboost": ("selfboost_config.json", "--config"),
+            "report": ("selfboost_config.json", "--trace"),
+            "simulate": ("model_circuit_n4.json", "--graph"),
+        }[command]
+        obj = json.load(open(fixture(source)))
+        if command == "selfboost":
+            obj["distribution_file"] = fixture("train_n4.json")
+        path = str(tmp_path / "in.json")
+        nio.write_json_atomic(path, edit(obj))
+        argv = [command, "--out", str(tmp_path / "o"), flag, path]
+        if command == "simulate":
+            argv += ["--input", "0,1,1", "--quantized"]
+        assert run_cli(*argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert f"(at {path}{where})" in payload["message"]
+        assert not os.path.exists(str(tmp_path / "o"))
+
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
         assert rc == 0

@@ -17,3 +17,27 @@ def test_oracles_import_no_ntpboost_module():
         m for m in imported if m.startswith(".") or m.split(".")[0] == "ntpboost"
     ]
     assert offending == []
+
+
+def test_doubling_construction_builds_no_enumerated_component():
+    # the doubling construction checks build_boosted_rnn, so it may share
+    # the scaffold, g and the combiner, but never the enumerator or the f1
+    # and f2 wrappers, directly or through a helper of its module
+    import inspect
+
+    from ntpboost.construct import boosted
+
+    tree = ast.parse(inspect.getsource(boosted))
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    roots = ["build_boosted_rnn_simple", "_full_copy_main", "_full_copy_scratch"]
+    names, todo = set(), roots
+    while todo:
+        fn = defs[todo.pop()]
+        for node in ast.walk(fn):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in defs and name not in names and name != fn.name:
+                todo.append(name)
+            if name is not None:
+                names.add(name)
+    assert "_combiner_nodes" in names  # the walk follows module helpers
+    assert names.isdisjoint({"build_sync_enumerator", "build_f1", "build_f2"})
