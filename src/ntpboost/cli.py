@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import io as _io
 import json
+import math
 import os
 import random
 import sys
@@ -23,7 +25,7 @@ from . import io as nio
 from .boosting import boost_text
 from .construct import build_boosted_rnn, distinguisher_to_rnn, lm_to_rnn
 from .dist import text_to_lm, token_strings, uniform_text
-from .errors import FormatError, NtpboostError, ValidationError
+from .errors import NtpboostError, ValidationError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
 from .rnn.engine import run as engine_run
@@ -31,22 +33,15 @@ from .selfboost import run_algorithm
 from .verify import run_all
 
 ROUND_CSV_COLUMNS = ["round", "N_i", "H_i", "T_i", "L_i", "KL", "alpha"]
-# the trace fields each rounds.csv row is written from
-ROUND_FIELDS = [
-    "index", "budget_size", "budget_hidden", "budget_time", "loss", "kl",
-    "best_advantage", "certified",
-]
+# the trace fields each rounds.csv row is written from, with their JSON types
+ROUND_FIELDS = {
+    "index": int, "budget_size": int, "budget_hidden": int, "budget_time": str,
+    "loss": float, "kl": float, "best_advantage": float, "certified": bool,
+}
 
 
 def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
-
-
-def _object(value, location: str) -> dict:
-    """``value`` if it is a JSON object, else a ``FormatError`` at ``location``."""
-    if not isinstance(value, dict):
-        raise FormatError(f"expected a JSON object, got {value!r:.40}", location)
-    return value
 
 
 def cmd_boost(args) -> int:
@@ -78,11 +73,7 @@ def cmd_boost(args) -> int:
 def cmd_construct(args) -> int:
     q = nio.load_and_validate(args.model, "graph")
     d = nio.load_and_validate(args.distinguisher, "graph")
-    if "alphabet_size" not in q.meta:
-        raise FormatError(
-            "missing field 'alphabet_size'", location=f"{args.model}/meta"
-        )
-    base = int(q.meta["alphabet_size"])
+    base = nio.field(q.meta, "alphabet_size", int, f"{args.model}/meta")
     graph, report = build_boosted_rnn(q, d, args.k, args.alpha, args.offset, base)
     nio.write_json_atomic(_out_path(args, "boosted_graph.json"), nio.graph_to_json(graph))
     nio.write_json_atomic(
@@ -108,11 +99,12 @@ def _parse_tokens(text: str) -> list[float]:
     tokens = []
     for pos, tok in enumerate(text.split(","), start=1):
         try:
-            tokens.append(float(tok))
+            value = float(tok)
         except ValueError:
-            raise ValidationError(
-                f"--input token {pos} is not a number: {tok!r}"
-            ) from None
+            value = math.nan  # rejected below, with the infinities
+        if not math.isfinite(value):
+            raise ValidationError(f"--input token {pos} is not a number: {tok!r}")
+        tokens.append(value)
     return tokens
 
 
@@ -120,16 +112,11 @@ def cmd_simulate(args) -> int:
     graph = nio.load_and_validate(args.graph, "graph")
     stream = np.array(_parse_tokens(args.input))
     if args.quantized:
-        bits = graph.meta.get("bits")
-        if bits is None:
-            raise NtpboostError(
-                "--quantized requires a graph with a bits block in meta"
-            )
-        where = f"{args.graph}/meta/bits"
-        _object(bits, where)
+        where = f"{args.graph}/meta"
+        bits = nio.field(graph.meta, "bits", dict, where)
         fmt = FixedPointFormat(
-            nio._number(bits, "integer", where, integer=True),
-            nio._number(bits, "fraction", where, integer=True),
+            nio.field(bits, "integer", int, where + "/bits"),
+            nio.field(bits, "fraction", int, where + "/bits"),
         )
         trace = quantized_run(graph, fmt, stream)
     else:
@@ -151,8 +138,8 @@ def cmd_simulate(args) -> int:
 
 
 def _family_from_config(cfg, alphabet, n, k: int, location: str):
-    spec = _object(cfg.get("family", {}), location + "/family")
-    kind = spec.get("kind", "one_prefix_table")
+    spec = nio.field(cfg, "family", dict, location, default={})
+    kind = nio.field(spec, "kind", str, location + "/family", default="one_prefix_table")
     if kind == "one_prefix_table":
         return one_prefix_table_family(alphabet, n, k)
     raise NtpboostError(f"unknown family kind {kind!r}")
@@ -206,63 +193,31 @@ def _exact_decimal(value: int) -> str:
 
 
 def _trace_payload(trace) -> dict:
-    return {
-        "variant": trace.variant,
-        "j0": trace.j0,
-        "epsilon": trace.epsilon,
-        "k": trace.k,
-        "termination": trace.termination,
-        "final_round_index": trace.final_round_index,
-        "final_advantage": trace.final_advantage,
-        "minimizer": "constructive best-distinguisher boosting over the family",
-        "rounds": [
-            {
-                "index": r.index,
-                "budget_size": r.budget_size,
-                "budget_hidden": r.budget_hidden,
-                "budget_time": _exact_decimal(r.budget_time),
-                "loss": r.loss,
-                "kl": r.kl,
-                "boosts": r.boosts,
-                "best_advantage": r.best_advantage,
-                "certified": r.certified,
-                "exhausted": r.exhausted,
-                "compiled": r.compiled,
-            }
-            for r in trace.rounds
-        ],
-    }
+    payload = dataclasses.asdict(trace)
+    for r in payload["rounds"]:
+        r["budget_time"] = _exact_decimal(r["budget_time"])
+    payload["minimizer"] = "constructive best-distinguisher boosting over the family"
+    return payload
 
 
 def cmd_selfboost(args) -> int:
     where = args.config
-    cfg = _object(nio.read_json(where), where)
+    cfg = nio.read_json(where)
 
-    def integer(key, default):
-        return nio._number(cfg, key, where, integer=True) if key in cfg else default
+    def get(key, kind, *default):
+        return nio.field(cfg, key, kind, where, *default)
 
-    dist_path = nio._require(cfg, "distribution_file", where + "/distribution_file")
-    if not isinstance(dist_path, str):
-        raise FormatError(
-            f"distribution_file must be a path, got {dist_path!r}",
-            where + "/distribution_file",
-        )
-    epsilon = nio._number(cfg, "epsilon", where)
-    k = nio._number(cfg, "k", where, integer=True)
-    seed, tau = integer("seed", args.seed), integer("tau", 3)
-    d_bound, b_d = integer("d_bound", 7), integer("b_d", 0)
-    want_compile = cfg.get("compile", False)
-    if type(want_compile) is not bool:
-        raise FormatError(
-            f"compile must be true or false, got {want_compile!r}", where + "/compile"
-        )
+    dist_path, epsilon = get("distribution_file", str), get("epsilon", float)
+    k, seed, tau = get("k", int), get("seed", int, args.seed), get("tau", int, 3)
+    d_bound, b_d = get("d_bound", int, 7), get("b_d", int, 0)
+    want_compile, variant = get("compile", bool, False), get("variant", str, "plain")
     if not os.path.isabs(dist_path):
         dist_path = os.path.join(os.path.dirname(os.path.abspath(where)), dist_path)
     p = nio.load_and_validate(dist_path, "distribution")
     fam = _family_from_config(cfg, p.alphabet, p.n, k, where)
     compile_hook = make_compile_hook(p, fam) if want_compile or args.compile else None
     model, trace = run_algorithm(
-        cfg.get("variant", "plain"),
+        variant,
         p,
         fam,
         epsilon,
@@ -351,17 +306,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = _object(nio.read_json(args.trace), args.trace)
-    where = f"{args.trace}/rounds"
-    rounds = nio._require(payload, "rounds", where)
-    if not isinstance(rounds, list):
-        raise FormatError("rounds must be a list", where)
+    rounds = nio.field(nio.read_json(args.trace), "rounds", list, args.trace)
     for j, r in enumerate(rounds):
-        loc = f"{where}/{j}"
-        for key in ROUND_FIELDS:
-            value = nio._require(_object(r, loc), key, f"{loc}/{key}")
-            if key in ("loss", "kl", "best_advantage") and type(value) not in (int, float):
-                raise FormatError(f"{key} must be a number, got {value!r}", f"{loc}/{key}")
+        for key, kind in ROUND_FIELDS.items():
+            nio.field(r, key, kind, f"{args.trace}/rounds/{j}")
     nio.write_text_atomic(_out_path(args, "rounds.csv"), _rounds_csv(rounds))
     print(f"report: wrote {len(rounds)} rounds")
     return 0

@@ -11,17 +11,17 @@ JSON schemas (frozen in docs/formats.md):
   graph          {"nodes": [{"id", "init", "expr"}, ...], "input_ids",
                   "output_id", "hidden_ids", "rnn_time", "meta"}
                  expressions are s-expression strings; edges are implicit
-  config         {"command": ..., "seed": int, ...} per subcommand
 
-Loaders re-validate every module invariant and report failures with a
-JSON-pointer-like location.
+Every JSON value read, CLI configs and traces included, goes through
+``checked`` and ``field``; a wrong type is a ``FormatError`` naming its
+JSON-pointer-like location.  Loaders re-validate every module invariant.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 import sys
 import tempfile
 from typing import Any
@@ -35,7 +35,7 @@ from .distinguishers import (
     table_distinguisher,
     table_shapes,
 )
-from .errors import FormatError, NtpboostError
+from .errors import FormatError, NtpboostError, ValidationError
 from .rnn.expr import from_sexpr, to_sexpr
 from .rnn.graph import NodeSpec, RnnGraph
 
@@ -57,8 +57,15 @@ def read_json(path: str) -> Any:
 
 
 def write_json_atomic(path: str, payload: Any) -> None:
-    """Serialize deterministically and replace the target atomically."""
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Serialize deterministically and replace the target atomically.
+
+    NaN and infinities are not JSON, so a payload holding one is refused.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
+    write_text_atomic(path, text + "\n")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -76,22 +83,36 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _require(obj: dict, key: str, location: str):
-    if key not in obj:
-        raise FormatError(f"missing field {key!r}", location=location)
-    return obj[key]
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", list: "a list", dict: "an object"}
+_REQUIRED = object()
 
 
-def _number(obj: dict, key: str, location: str, integer: bool = False):
-    """The JSON number under ``key``: a finite float, or an int when ``integer``."""
-    where = f"{location}/{key}"
-    value = _require(obj, key, where)
-    if integer and type(value) is int:
+def checked(value, kind: type, location: str):
+    """``value`` if it is a JSON value of ``kind``, else a ``FormatError``.
+
+    ``kind`` is one of int (never a bool), float (any finite JSON number,
+    returned as a float), str, bool, list or dict.
+    """
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
         return value
-    if not integer and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    kind = "an integer" if integer else "a finite number"
-    raise FormatError(f"{key} must be {kind}, got {value!r}", where)
+    raise FormatError(f"expected {_KIND_NAMES[kind]}, got {value!r:.40}", location)
+
+
+def field(obj, key: str, kind: type, location: str, default=_REQUIRED):
+    """``obj[key]`` checked as ``kind``, where ``obj`` is the object at ``location``.
+
+    A missing key gives ``default``; without one it is a ``FormatError``.
+    """
+    where = f"{location}/{key}"
+    if key in checked(obj, dict, location):
+        return checked(obj[key], kind, where)
+    if default is _REQUIRED:
+        raise FormatError(f"missing field {key!r}", where)
+    return default
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +127,17 @@ def distribution_to_json(text: TextDistribution) -> dict:
     }
 
 
-def distribution_from_json(obj: dict, location: str = "") -> TextDistribution:
-    size = _require(obj, "alphabet_size", location + "/alphabet_size")
-    n = _require(obj, "n", location + "/n")
-    raw = _require(obj, "probs", location + "/probs")
-    if not isinstance(size, int) or size < 1:
-        raise FormatError("alphabet_size must be a positive integer",
-                          location + "/alphabet_size")
-    if not isinstance(n, int) or n < 1:
-        raise FormatError("n must be a positive integer", location + "/n")
-    arr = np.asarray(raw, dtype=np.float64)
-    for j, v in enumerate(arr):
-        if not math.isfinite(v):
-            raise FormatError("non-finite probability", f"{location}/probs/{j}")
-        if v < 0:
+def distribution_from_json(obj, location: str = "") -> TextDistribution:
+    size, n = field(obj, "alphabet_size", int, location), field(obj, "n", int, location)
+    for key, value in (("alphabet_size", size), ("n", n)):
+        if value < 1:
+            raise FormatError(f"{key} must be positive", f"{location}/{key}")
+    probs = []
+    for j, v in enumerate(field(obj, "probs", list, location)):
+        probs.append(checked(v, float, f"{location}/probs/{j}"))
+        if probs[-1] < 0:
             raise FormatError(f"negative probability {v}", f"{location}/probs/{j}")
+    arr = np.array(probs, dtype=np.float64)
     total = float(arr.sum())
     if abs(total - 1.0) > DIST_NORM_ATOL:
         raise FormatError(
@@ -162,30 +179,34 @@ def graph_to_json(graph: RnnGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict, location: str = "") -> RnnGraph:
+def graph_from_json(obj, location: str = "") -> RnnGraph:
     nodes = []
-    for j, spec in enumerate(_require(obj, "nodes", location + "/nodes")):
+    for j, spec in enumerate(field(obj, "nodes", list, location)):
         loc = f"{location}/nodes/{j}"
-        name = _require(spec, "id", loc)
-        init = _number(spec, "init", loc)
+        name = field(spec, "id", str, loc)
+        init = field(spec, "init", float, loc)
         raw = spec.get("expr")
         try:
             expr = None if raw is None else from_sexpr(raw)
         except NtpboostError as e:
             raise FormatError(f"bad expression for {name!r}: {e}", loc + "/expr")
         nodes.append(NodeSpec(name, init, expr))
-    try:
-        graph = RnnGraph(
+
+    def names(key: str) -> tuple[str, ...]:
+        ids = field(obj, key, list, location)
+        return tuple(checked(v, str, f"{location}/{key}/{j}") for j, v in enumerate(ids))
+
+    try:  # a FormatError from a field is already located: it passes through
+        return RnnGraph(
             nodes=nodes,
-            input_ids=tuple(_require(obj, "input_ids", location + "/input_ids")),
-            output_id=_require(obj, "output_id", location + "/output_id"),
-            hidden_ids=tuple(_require(obj, "hidden_ids", location + "/hidden_ids")),
-            rnn_time=_number(obj, "rnn_time", location, integer=True),
-            meta=dict(obj.get("meta", {})),
+            input_ids=names("input_ids"),
+            output_id=field(obj, "output_id", str, location),
+            hidden_ids=names("hidden_ids"),
+            rnn_time=field(obj, "rnn_time", int, location),
+            meta=dict(field(obj, "meta", dict, location, default={})),
         )
-    except NtpboostError as e:
+    except ValidationError as e:
         raise FormatError(str(e), location) from e
-    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +218,11 @@ def _entry_key(i: int, tokens) -> str:
 
 
 def _parse_entry_key(key: str, location: str) -> tuple[int, tuple[int, ...]]:
-    try:
-        pos, toks = key.split(":", 1)
-        return int(pos), tuple(int(c) for c in toks)
-    except ValueError:
+    """``<position>:<tokens>`` in ASCII digits; ``int`` alone takes " 1" or "0_1"."""
+    if not re.fullmatch("[0-9]+:[0-9]*", key):
         raise FormatError(f"bad entry key {key!r}", location)
+    pos, toks = key.split(":")
+    return int(pos), tuple(int(c) for c in toks)
 
 
 def distinguisher_to_json(d: Distinguisher, alphabet: Alphabet) -> dict:
@@ -210,20 +231,18 @@ def distinguisher_to_json(d: Distinguisher, alphabet: Alphabet) -> dict:
     return {"kind": "table", "k": d.k, "n": d.n, "default": 0, "entries": entries}
 
 
-def distinguisher_from_json(
-    obj: dict, alphabet: Alphabet, location: str = ""
-) -> Distinguisher:
-    kind = _require(obj, "kind", location + "/kind")
-    k = int(_require(obj, "k", location + "/k"))
-    n = int(_require(obj, "n", location + "/n"))
+def distinguisher_from_json(obj, alphabet: Alphabet, location: str = "") -> Distinguisher:
+    kind = field(obj, "kind", str, location)
+    k = field(obj, "k", int, location)
+    n = field(obj, "n", int, location)
     if kind == "table":
-        default = int(obj.get("default", 0))
+        default = field(obj, "default", int, location, default=0)
         if default not in (0, 1):
             raise FormatError("default must be a bit", location + "/default")
         entries = {}
-        for key, bit in _require(obj, "entries", location + "/entries").items():
+        for key, bit in field(obj, "entries", dict, location).items():
             loc = f"{location}/entries/{key}"
-            if bit not in (0, 1):
+            if checked(bit, int, loc) not in (0, 1):
                 raise FormatError(f"entry value {bit!r} is not a bit", loc)
             i, tokens = _parse_entry_key(key, loc)
             if not 1 <= i <= n:
@@ -238,9 +257,7 @@ def distinguisher_from_json(
             entries[(i, tokens)] = bit
         return table_distinguisher(k, n, entries, default=default, keyed_on="full")
     if kind == "rnn":
-        graph = graph_from_json(
-            _require(obj, "graph", location + "/graph"), location + "/graph"
-        )
+        graph = graph_from_json(field(obj, "graph", dict, location), location + "/graph")
         return distinguisher_from_graph(graph, k, n)
     raise FormatError(f"unknown distinguisher kind {kind!r}", location + "/kind")
 
@@ -288,24 +305,16 @@ def distinguisher_from_graph(graph: RnnGraph, k: int, n: int) -> Distinguisher:
 # ---------------------------------------------------------------------------
 # load-and-validate front end
 
-_KINDS = {"distribution", "distinguisher", "graph", "config"}
-
-
 def load_and_validate(path: str, kind: str, alphabet: Alphabet | None = None):
     """Typed loader used by the CLI; every invariant checked at load."""
-    if kind not in _KINDS:
+    if kind not in ("distribution", "distinguisher", "graph"):
         raise FormatError(f"unknown artifact kind {kind!r}")
+    if kind == "distinguisher" and alphabet is None:
+        raise FormatError("a distinguisher file does not store its alphabet: "
+                          "loading one needs the alphabet argument", path)
     obj = read_json(path)
     if kind == "distribution":
         return distribution_from_json(obj, location=path)
     if kind == "graph":
         return graph_from_json(obj, location=path)
-    if kind == "distinguisher":
-        if alphabet is None:
-            raise FormatError(
-                "loading a distinguisher needs the alphabet argument; the "
-                "format does not store the alphabet size",
-                location=path,
-            )
-        return distinguisher_from_json(obj, alphabet, location=path)
-    return obj
+    return distinguisher_from_json(obj, alphabet, location=path)

@@ -31,7 +31,9 @@ class RnnGraph:
     recognized keys include ``schedule`` ("multiples" means the output is
     read at integer multiples of ``rnn_time``), ``reset_on_advance``
     (node names zeroed whenever the input pointer advances), and
-    ``domain_checks`` (runtime value-set assertions).
+    ``domain_checks`` (runtime value-set assertions, (node, values)
+    pairs).  ``validate`` checks every key the engine reads: those two,
+    and ``depth_bound`` and ``alphabet_size`` (positive integers).
     """
 
     nodes: list[NodeSpec]
@@ -75,6 +77,7 @@ class RnnGraph:
             raise ValidationError("input nodes cannot be hidden nodes")
         if self.rnn_time < 1:
             raise ValidationError(f"rnn_time must be >= 1, got {self.rnn_time}")
+        self._validate_meta(name_set)
         bound = self.meta.get("depth_bound", DEFAULT_DEPTH_BOUND)
         for n in self.nodes:
             if n.name in inputs:
@@ -101,6 +104,27 @@ class RnnGraph:
                         f"hidden node {n.name!r} reads non-hidden, non-input "
                         f"nodes {sorted(illegal)}"
                     )
+
+    def _validate_meta(self, names: set[str]) -> None:
+        for key in ("depth_bound", "alphabet_size"):
+            value = self.meta.get(key, 1)
+            if type(value) is not int or value < 1:
+                raise ValidationError(
+                    f"meta.{key} must be a positive integer, got {value!r:.40}"
+                )
+        reset = self.meta.get("reset_on_advance", [])
+        pairs = self.meta.get("domain_checks", [])
+        seq = (list, tuple)
+        if not (isinstance(reset, seq) and isinstance(pairs, seq) and all(
+            isinstance(p, seq) and len(p) == 2 and isinstance(p[1], seq)
+            and all(type(v) in (int, float) for v in p[1]) for p in pairs
+        )):
+            raise ValidationError("meta.reset_on_advance must list node names and "
+                                  "meta.domain_checks (node, numbers) pairs")
+        named = [*reset, *(p[0] for p in pairs)]
+        unknown = [x for x in named if not (isinstance(x, str) and x in names)]
+        if unknown:
+            raise ValidationError(f"meta names nodes the graph lacks: {unknown!r:.80}")
 
     def with_meta(self, **extra) -> "RnnGraph":
         meta = dict(self.meta)

@@ -14,7 +14,7 @@ from ntpboost.cli import main
 from ntpboost.construct import lm_to_rnn
 from ntpboost.dist import Alphabet, text_to_lm
 from ntpboost.distinguishers import advantage
-from ntpboost.errors import FormatError, NtpboostError
+from ntpboost.errors import FormatError, NtpboostError, ValidationError
 from ntpboost.families import one_prefix_table_family
 from ntpboost.instances import (
     random_prefix_window_distinguisher,
@@ -426,9 +426,23 @@ class TestCli:
             (lambda g: g.update(rnn_time="two"), "/rnn_time"),
             (lambda g: g.update(rnn_time=2.5), "/rnn_time"),
             (lambda g: g["nodes"][1].update(expr="(const abc)"), "/nodes/1/expr"),
+            (lambda g: g.update(nodes=5), "/nodes"),
+            (lambda g: g.update(nodes=[5]), "/nodes/0"),
+            (lambda g: g["nodes"][0].update(id=7), "/nodes/0/id"),
+            (lambda g: g.update(input_ids="in"), "/input_ids"),
+            (lambda g: g.update(output_id=["in"]), "/output_id"),
+            (lambda g: g.update(meta=5), "/meta"),
+            # the meta keys the engine reads are checked by RnnGraph.validate,
+            # so the error names the key and is located at the graph
+            (lambda g: g["meta"].update(reset_on_advance=["zz"]), ""),
+            (lambda g: g["meta"].update(alphabet_size="2"), ""),
+            (lambda g: g["meta"].update(depth_bound="3"), ""),
+            (lambda g: g["meta"].update(domain_checks=[["in", 5]]), ""),
         ],
         ids=["init-string", "init-null", "rnn_time-string", "rnn_time-fraction",
-             "const-abc"],
+             "const-abc", "nodes-number", "node-number", "id-number",
+             "input_ids-string", "output_id-list", "meta-number", "reset-unknown-node",
+             "alphabet_size-string", "depth_bound-string", "domain_checks-values"],
     )
     def test_simulate_rejects_non_numbers(self, tmp_path, capsys, edit, where):
         graph = json.load(open(fixture("model_circuit_n4.json")))
@@ -441,10 +455,34 @@ class TestCli:
         assert rc == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "FormatError"
-        assert f"(at {path}{where})" in payload["message"]
+        assert payload["message"].count(f"(at {path}{where})") == 1
+        assert not os.path.exists(str(tmp_path / "s"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_simulate_rejects_non_finite_token(self, tmp_path, capsys, token):
+        # without meta.alphabet_size the engine takes any float, so the
+        # token must be refused before the run: NaN is not JSON
+        graph = json.load(open(fixture("model_circuit_n4.json")))
+        del graph["meta"]["alphabet_size"]
+        path = str(tmp_path / "g.json")
+        nio.write_json_atomic(path, graph)
+        out = str(tmp_path / "s")
+        rc = run_cli("simulate", "--out", out, "--graph", path, "--input", f"0,{token},1")
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == f"--input token 2 is not a number: {token!r}"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_artifacts_never_hold_non_finite_numbers(self, tmp_path, value):
+        path = str(tmp_path / "a.json")
+        with pytest.raises(ValidationError, match="a.json"):
+            nio.write_json_atomic(path, {"outputs": {"1": value}})
+        assert not os.listdir(str(tmp_path))
 
     @pytest.mark.parametrize(
-        "command, edit, where",
+        "target, edit, where",
         [
             ("selfboost", lambda c: {k: v for k, v in c.items() if k != "epsilon"},
              "/epsilon"),
@@ -455,28 +493,55 @@ class TestCli:
             ("report", lambda c: {"variant": "plain"}, "/rounds"),
             ("simulate", lambda g: {**g, "meta": {**g["meta"], "bits": {"integer": "a"}}},
              "/meta/bits/integer"),
+            ("train", lambda d: 5, ""),
+            ("train", lambda d: {**d, "probs": "abcd"}, "/probs"),
+            ("train", lambda d: {**d, "probs": [str(v) for v in d["probs"]]}, "/probs/0"),
+            ("train", lambda d: {**d, "alphabet_size": True}, "/alphabet_size"),
+            ("distinguisher", lambda d: None, ""),
+            ("distinguisher", lambda d: {**d, "k": "x"}, "/k"),
+            ("distinguisher", lambda d: {**d, "k": 1.7}, "/k"),
+            ("distinguisher", lambda d: {**d, "entries": []}, "/entries"),
+            ("distinguisher", lambda d: {**d, "entries": {"0_1:01": 1}}, "/entries/0_1:01"),
+            ("construct", lambda g: {**g, "meta": {**g["meta"], "alphabet_size": "x"}},
+             ""),
+            ("selfboost", lambda c: {**c, "family": {"kind": 5}}, "/family/kind"),
+            ("selfboost", lambda c: {**c, "variant": 5}, "/variant"),
         ],
         ids=["epsilon-missing", "k-string", "config-list", "family-string",
-             "compile-string", "trace-no-rounds", "bits-string"],
+             "compile-string", "trace-no-rounds", "bits-string", "distribution-number",
+             "probs-string", "probs-strings", "alphabet_size-bool", "distinguisher-null",
+             "distinguisher-k-string", "distinguisher-k-fraction",
+             "distinguisher-entries-list", "distinguisher-key-underscore",
+             "construct-alphabet_size-string",
+             "family-kind-number", "variant-number"],
     )
-    def test_bad_input_fails_at_the_boundary(self, tmp_path, capsys, command, edit, where):
-        source, flag = {
-            "selfboost": ("selfboost_config.json", "--config"),
-            "report": ("selfboost_config.json", "--trace"),
-            "simulate": ("model_circuit_n4.json", "--graph"),
-        }[command]
-        obj = json.load(open(fixture(source)))
-        if command == "selfboost":
-            obj["distribution_file"] = fixture("train_n4.json")
+    def test_bad_input_fails_at_the_boundary(self, tmp_path, capsys, target, edit, where):
+        # the fixture each case edits, and the command line that reads it (the
+        # edited file's flag comes last, and argparse keeps a flag's last value)
+        model, train = fixture("model_n4.json"), fixture("train_n4.json")
+        circuit = fixture("model_circuit_n4.json")
+        table = fixture("distinguisher_n4_k2.json")
+        config = fixture("selfboost_config.json")
+        boost = ["boost", "--train", train, "--model", model, "--distinguisher", table]
+        source, argv = {
+            "selfboost": (config, ["selfboost", "--config"]),
+            "report": (config, ["report", "--trace"]),
+            "simulate": (circuit, ["simulate", "--input", "0,1,1", "--quantized",
+                                   "--graph"]),
+            "train": (train, boost + ["--train"]),
+            "distinguisher": (table, boost + ["--distinguisher"]),
+            "construct": (circuit, ["construct", "--k", "2", "--alpha", "0.1",
+                                    "--distinguisher", circuit, "--model"]),
+        }[target]
+        obj = json.load(open(source))
+        if target == "selfboost":
+            obj["distribution_file"] = train
         path = str(tmp_path / "in.json")
         nio.write_json_atomic(path, edit(obj))
-        argv = [command, "--out", str(tmp_path / "o"), flag, path]
-        if command == "simulate":
-            argv += ["--input", "0,1,1", "--quantized"]
-        assert run_cli(*argv) == 2
+        assert run_cli(*argv, path, "--out", str(tmp_path / "o")) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "FormatError"
-        assert f"(at {path}{where})" in payload["message"]
+        assert payload["message"].count(f"(at {path}{where})") == 1
         assert not os.path.exists(str(tmp_path / "o"))
 
     def test_verify_runs_clean(self, tmp_path, capsys):
