@@ -29,7 +29,7 @@ from .errors import NtpboostError, ValidationError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
 from .rnn.engine import run as engine_run
-from .selfboost import run_algorithm
+from .selfboost import BITS, PLAIN, run_algorithm
 from .verify import run_all
 
 ROUND_CSV_COLUMNS = ["round", "N_i", "H_i", "T_i", "L_i", "KL", "alpha"]
@@ -137,14 +137,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _family_from_config(cfg, alphabet, n, k: int, location: str):
-    spec = nio.field(cfg, "family", dict, location, default={})
-    kind = nio.field(spec, "kind", str, location + "/family", default="one_prefix_table")
-    if kind == "one_prefix_table":
-        return one_prefix_table_family(alphabet, n, k)
-    raise NtpboostError(f"unknown family kind {kind!r}")
-
-
 def _rounds_csv(rounds: list[dict]) -> str:
     """rounds.csv from the ``rounds`` records of a trace payload."""
     buf = _io.StringIO()
@@ -204,17 +196,24 @@ def cmd_selfboost(args) -> int:
     where = args.config
     cfg = nio.read_json(where)
 
-    def get(key, kind, *default):
-        return nio.field(cfg, key, kind, where, *default)
+    def get(key, kind, *default, allowed=None):
+        return nio.field(cfg, key, kind, where, *default, allowed=allowed)
 
-    dist_path, epsilon = get("distribution_file", str), get("epsilon", float)
-    k, seed, tau = get("k", int), get("seed", int, args.seed), get("tau", int, 3)
-    d_bound, b_d = get("d_bound", int, 7), get("b_d", int, 0)
-    want_compile, variant = get("compile", bool, False), get("variant", str, "plain")
+    positive = nio.Between(1)
+    dist_path = get("distribution_file", str)
+    epsilon = get("epsilon", float, allowed=nio.Between(0, 1, open=True))
+    seed, tau = get("seed", int, args.seed), get("tau", int, 3, allowed=positive)
+    d_bound, b_d = get("d_bound", int, 7, allowed=positive), get("b_d", int, 0)
+    want_compile = get("compile", bool, False)
+    variant = get("variant", str, PLAIN, allowed=(PLAIN, BITS))
+    family = get("family", dict, {})  # read only to check it: one kind exists
+    nio.field(family, "kind", str, where + "/family", "one_prefix_table",
+              allowed=("one_prefix_table",))
     if not os.path.isabs(dist_path):
         dist_path = os.path.join(os.path.dirname(os.path.abspath(where)), dist_path)
     p = nio.load_and_validate(dist_path, "distribution")
-    fam = _family_from_config(cfg, p.alphabet, p.n, k, where)
+    k = get("k", int, allowed=nio.Between(1, p.n))
+    fam = one_prefix_table_family(p.alphabet, p.n, k)
     compile_hook = make_compile_hook(p, fam) if want_compile or args.compile else None
     model, trace = run_algorithm(
         variant,

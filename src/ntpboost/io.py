@@ -13,17 +13,20 @@ JSON schemas (frozen in docs/formats.md):
                  expressions are s-expression strings; edges are implicit
 
 Every JSON value read, CLI configs and traces included, goes through
-``checked`` and ``field``; a wrong type is a ``FormatError`` naming its
-JSON-pointer-like location.  Loaders re-validate every module invariant.
+``checked`` and ``field``; a wrong type, or a value outside the domain
+given to ``field``, is a ``FormatError`` naming its JSON-pointer-like
+location.  Loaders re-validate every module invariant.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
 import tempfile
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -102,14 +105,42 @@ def checked(value, kind: type, location: str):
     raise FormatError(f"expected {_KIND_NAMES[kind]}, got {value!r:.40}", location)
 
 
-def field(obj, key: str, kind: type, location: str, default=_REQUIRED):
+@dataclass(frozen=True)
+class Between:
+    """The numbers from ``low`` to ``high``, both ends excluded when ``open``."""
+
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def __contains__(self, value) -> bool:
+        if self.open:
+            return self.low < value < self.high
+        return self.low <= value <= self.high
+
+    def __str__(self) -> str:
+        if self.open:
+            return f"a number in ({self.low}, {self.high})"
+        if self.high == math.inf:
+            return f"at least {self.low}"
+        return f"from {self.low} to {self.high}"
+
+
+def field(obj, key: str, kind: type, location: str, default=_REQUIRED, allowed=None):
     """``obj[key]`` checked as ``kind``, where ``obj`` is the object at ``location``.
 
     A missing key gives ``default``; without one it is a ``FormatError``.
+    ``allowed``, when given, is the value's domain: a ``Between`` or a
+    tuple of the allowed values.
     """
     where = f"{location}/{key}"
     if key in checked(obj, dict, location):
-        return checked(obj[key], kind, where)
+        value = checked(obj[key], kind, where)
+        if allowed is None or value in allowed:
+            return value
+        domain = allowed if isinstance(allowed, Between) else (
+            "one of " + ", ".join(map(repr, allowed)))
+        raise FormatError(f"expected {domain}, got {value!r:.40}", where)
     if default is _REQUIRED:
         raise FormatError(f"missing field {key!r}", where)
     return default
@@ -128,10 +159,8 @@ def distribution_to_json(text: TextDistribution) -> dict:
 
 
 def distribution_from_json(obj, location: str = "") -> TextDistribution:
-    size, n = field(obj, "alphabet_size", int, location), field(obj, "n", int, location)
-    for key, value in (("alphabet_size", size), ("n", n)):
-        if value < 1:
-            raise FormatError(f"{key} must be positive", f"{location}/{key}")
+    size = field(obj, "alphabet_size", int, location, allowed=Between(1))
+    n = field(obj, "n", int, location, allowed=Between(1))
     probs = []
     for j, v in enumerate(field(obj, "probs", list, location)):
         probs.append(checked(v, float, f"{location}/probs/{j}"))
@@ -233,12 +262,10 @@ def distinguisher_to_json(d: Distinguisher, alphabet: Alphabet) -> dict:
 
 def distinguisher_from_json(obj, alphabet: Alphabet, location: str = "") -> Distinguisher:
     kind = field(obj, "kind", str, location)
-    k = field(obj, "k", int, location)
-    n = field(obj, "n", int, location)
+    n = field(obj, "n", int, location, allowed=Between(1))
+    k = field(obj, "k", int, location, allowed=Between(1, n))
     if kind == "table":
-        default = field(obj, "default", int, location, default=0)
-        if default not in (0, 1):
-            raise FormatError("default must be a bit", location + "/default")
+        default = field(obj, "default", int, location, default=0, allowed=(0, 1))
         entries = {}
         for key, bit in field(obj, "entries", dict, location).items():
             loc = f"{location}/entries/{key}"

@@ -101,7 +101,7 @@ from .graph import RnnGraph
 
 @dataclass
 class ExecutionTrace:
-    """Per-step values of every node, plus the input pointer trajectory.
+    """Per-step values of every node.
 
     ``saturation_events`` counts fixed-point saturations over every
     column; ``evaluated_columns`` is the number of columns the schedule
@@ -110,7 +110,6 @@ class ExecutionTrace:
 
     graph: RnnGraph
     values: np.ndarray  # shape (T, num_nodes, batch)
-    input_index: np.ndarray  # shape (T,), 1-based token index per step
     node_index: dict[str, int]
     saturation_events: int = 0
     evaluated_columns: int = 0
@@ -589,7 +588,6 @@ def run(
     return ExecutionTrace(
         graph=graph,
         values=values,
-        input_index=np.minimum(np.arange(T) // period + 1, n_tokens),
         node_index=dict(prog.node_index),
         saturation_events=saturation + sat,
         evaluated_columns=evaluated,

@@ -2,8 +2,7 @@
 
 A graph is a list of named nodes with initial values; non-input nodes
 carry a transition expression over their incoming neighbors' previous
-values.  Hidden nodes may read only input and hidden nodes, and the
-declared output schedule travels with the graph in ``meta``.
+values.  ``RnnGraph`` states which graphs are in the RNN class.
 """
 
 from __future__ import annotations
@@ -26,6 +25,11 @@ class NodeSpec:
 @dataclass
 class RnnGraph:
     """Tuple of Def.-2 data: graph, inputs, output, transitions, time, hidden.
+
+    The RNN class the loss is minimized over: graphs that pass
+    ``validate`` (hidden nodes read only input and hidden nodes) and fit
+    the size, hidden and time budgets of ``selfboost.Schedule``
+    (``SizeState.fits``).  A stricter definition belongs in ``validate``.
 
     ``meta`` carries the output schedule and construction parameters;
     recognized keys include ``schedule`` ("multiples" means the output is

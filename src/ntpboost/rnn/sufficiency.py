@@ -19,6 +19,9 @@ import numpy as np
 from .engine import _advance, compile_graph
 from .graph import RnnGraph
 
+N_TOKENS = 4  # stream length; a scrub lands after token 1, 2 or 3
+ATOL = 1e-12  # largest output change a scrub may cause
+
 
 @dataclass
 class SufficiencyReport:
@@ -31,14 +34,9 @@ class SufficiencyReport:
 
 
 def verify_hidden_sufficiency(
-    graph: RnnGraph,
-    trials: int,
-    rng: np.random.Generator,
-    n_tokens: int = 4,
-    token_values: tuple[int, ...] = (0, 1),
-    atol: float = 1e-12,
+    graph: RnnGraph, trials: int, rng: np.random.Generator
 ) -> SufficiencyReport:
-    """Scrubbing check over random streams and scrub points."""
+    """Scrubbing check over random streams of the graph's declared alphabet."""
     prog = compile_graph(graph)
     period = graph.rnn_time
     keep = set(graph.hidden_ids) | set(graph.input_ids)
@@ -46,11 +44,12 @@ def verify_hidden_sufficiency(
     out_row = prog.node_index[graph.output_id]
     report = SufficiencyReport(ok=True, trials=trials)
 
-    streams = rng.choice(token_values, size=(n_tokens, trials)).astype(float)
-    scrub_at = rng.integers(1, n_tokens, size=trials)  # scrub at i * period
+    tokens = graph.meta.get("alphabet_size", 2)
+    streams = rng.choice(tokens, size=(N_TOKENS, trials)).astype(float)
+    scrub_at = rng.integers(1, N_TOKENS, size=trials)  # scrub at i * period
     garbage = rng.uniform(0.0, 3.0, size=(len(scrub_rows), trials))
 
-    total = n_tokens * period
+    total = N_TOKENS * period
     init = prog.new_state(trials)
     for col in prog.input_cols:
         init[col] = streams[0]
@@ -63,11 +62,11 @@ def verify_hidden_sufficiency(
         for row_pos, row in enumerate(scrub_rows):
             scrubbed[row] = garbage[row_pos, cols]
         resumed, _, _ = _advance(prog, scrubbed, streams[:, cols], scrub_t, total)
-        for j in range(i + 1, n_tokens + 1):
+        for j in range(i + 1, N_TOKENS + 1):
             t = j * period
             want = baseline[t - 1][out_row, cols]
             got = resumed[t - scrub_t][out_row]
-            bad = np.abs(want - got) > atol
+            bad = np.abs(want - got) > ATOL
             if bad.any():
                 report.ok = False
                 for c in cols[np.nonzero(bad)[0]]:

@@ -1,4 +1,4 @@
-"""Engine semantics: stepping, schedules, determinism, gating, scrubbing."""
+"""Engine semantics: stepping, schedules, determinism, scrubbing."""
 
 import json
 import os
@@ -43,17 +43,14 @@ from ntpboost.rnn.expr import (
     case_select,
     const,
     evaluate,
-    ind_eq,
     ind_le,
     node,
     prod,
     recip,
     relu,
 )
-from ntpboost.rnn.gating import gated_augment
 from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
-from ntpboost.rnn.universal import embed, universal_edges, universal_graph
 from test_expr import distinct_objects
 
 
@@ -162,7 +159,6 @@ class TestStepAndRun:
         tr = run(g, [0, 1, 0])
         assert [tr.scalar("acc", t) for t in range(1, 10)] == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         assert [tr.scalar("held", t) for t in range(1, 10)] == list(range(9))
-        assert tr.input_index.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
     def test_fixed_point_snaps_every_update_and_counts_saturations(self):
         # with 2 integer bits the counter is capped at 4: every update
@@ -274,147 +270,6 @@ class TestQuantizeArray:
         q, sat = quantize_array(x, 3, 10)
         assert sat == 0
         assert np.max(np.abs(q - x)) <= 2.0**-10
-
-
-class TestGating:
-    def make_controller(self, signal):
-        # constant controller emitting `signal`
-        return RnnGraph(
-            nodes=[NodeSpec("in", 0.0, None), NodeSpec("sig", float(signal), node("sig"))],
-            input_ids=("in",),
-            output_id="sig",
-            hidden_ids=("sig",),
-            rnn_time=1,
-        )
-
-    def counter_target(self):
-        return RnnGraph(
-            nodes=[
-                NodeSpec("in", 0.0, None),
-                NodeSpec("cnt", 0.0, relu(1.0, (1.0, "cnt"))),
-            ],
-            input_ids=("in",),
-            output_id="cnt",
-            hidden_ids=(),
-            rnn_time=1,
-        )
-
-    def test_hold_freezes(self):
-        g = gated_augment(self.counter_target(), ["cnt"], self.make_controller(2))
-        tr = run(g, [0] * 6)
-        assert [tr.scalar("cnt", t) for t in range(1, 7)] == [0.0] * 6
-
-    def test_run_matches_original(self):
-        base = self.counter_target()
-        g = gated_augment(base, ["cnt"], self.make_controller(1))
-        tr = run(g, [0] * 6)
-        tr0 = run(base, [0] * 6)
-        got = [tr.scalar("cnt", t) for t in range(1, 7)]
-        want = [tr0.scalar("cnt", t) for t in range(1, 7)]
-        assert got == want
-
-    def test_alternating_load_run_against_hand_simulation(self):
-        # controller cycles LOAD, RUN: flag flips each step
-        flip = case_select([(ind_eq("sig", 0.0), const(1.0))], const(0.0))
-        ctl = RnnGraph(
-            nodes=[NodeSpec("in", 0.0, None), NodeSpec("sig", 0.0, flip)],
-            input_ids=("in",),
-            output_id="sig",
-            hidden_ids=("sig",),
-            rnn_time=1,
-        )
-        src = RnnGraph(
-            nodes=[
-                NodeSpec("in", 0.0, None),
-                NodeSpec("cnt", 0.0, relu(1.0, (1.0, "cnt"))),
-                NodeSpec("ext0", 50.0, node("ext0")),
-            ],
-            input_ids=("in",),
-            output_id="cnt",
-            hidden_ids=(),
-            rnn_time=1,
-        )
-        g = gated_augment(src, ["cnt"], ctl, external_source={"cnt": "ext0"})
-        tr = run(g, [0] * 6)
-        # hand simulation: sig_t = 0,1,0,1,... ; cnt_{t+1} = 50 if sig_t=0
-        # else cnt_t + 1
-        vals, sig, cnt = [], 0.0, 0.0
-        for t in range(1, 7):
-            vals.append(cnt)
-            cnt = 50.0 if sig == 0.0 else cnt + 1.0
-            sig = 1.0 - sig
-        assert [tr.scalar("cnt", t) for t in range(1, 7)] == vals
-
-    def test_invalid_controller_value_rejected(self):
-        g = gated_augment(self.counter_target(), ["cnt"], self.make_controller(3))
-        with pytest.raises(ValidationError, match="allowed values"):
-            run(g, [0, 0])
-
-    def test_size_accounting(self):
-        base = self.counter_target()
-        ctl = self.make_controller(1)
-        g = gated_augment(base, ["cnt"], ctl, external_source={"cnt": "cnt"})
-        # |Q| + |C|, sharing the stream input node
-        assert g.size == base.size + ctl.size - 1
-
-
-class TestUniversal:
-    def test_minimal_shape(self):
-        g = universal_graph(2, 1)
-        assert g.size == 2
-        assert g.hidden_size == 1
-
-    def test_edge_count_matches_rules(self):
-        # N=5, H=2: H*H + H + (H+R)*R with R = N-H-1 = 2
-        edges = universal_edges(5, 2)
-        assert len(edges) == 2 * 2 + 2 + (2 + 2) * 2
-
-    def test_embedding_reproduces_traces(self):
-        # token held 2 steps so the stateless block recomputes its readout
-        # inside each window despite the reset-on-advance rule
-        small = RnnGraph(
-            nodes=[
-                NodeSpec("in", 0.0, None),
-                NodeSpec("acc", 0.0, relu(0.0, (1.0, "in"), (1.0, "acc"))),
-                NodeSpec("out", 0.0, relu(-0.5, (2.0, "acc"))),
-            ],
-            input_ids=("in",),
-            output_id="out",
-            hidden_ids=("acc",),
-            rnn_time=2,
-        )
-        uni = universal_graph(6, 3)
-        mapping = {"in": "in", "acc": "h1", "out": "r1"}
-        g = embed(uni, small, mapping)
-        stream = [1, 0, 1, 1]
-        tr_small = run(small, stream)
-        tr_uni = run(g, stream)
-        for i in range(1, 5):
-            t = 2 * i
-            assert tr_uni.scalar("r1", t) == tr_small.scalar("out", t)
-
-    def test_illegal_embedding_rejected(self):
-        small = RnnGraph(
-            nodes=[
-                NodeSpec("in", 0.0, None),
-                NodeSpec("r", 0.0, relu(0.0, (1.0, "in"))),
-            ],
-            input_ids=("in",),
-            output_id="r",
-            hidden_ids=(),
-            rnn_time=1,
-        )
-        uni = universal_graph(4, 2)
-        with pytest.raises(ValidationError):
-            # r reads the input directly but maps into the R block, where
-            # input edges are not allowed
-            embed(uni, small, {"in": "in", "r": "r1"})
-
-    def test_h_must_be_smaller_than_n(self):
-        from ntpboost.errors import PreconditionError
-
-        with pytest.raises(PreconditionError):
-            universal_graph(3, 3)
 
 
 class TestSufficiency:

@@ -506,6 +506,19 @@ class TestCli:
              ""),
             ("selfboost", lambda c: {**c, "family": {"kind": 5}}, "/family/kind"),
             ("selfboost", lambda c: {**c, "variant": 5}, "/variant"),
+            # right type, outside the domain
+            ("selfboost", lambda c: {**c, "variant": "nope"}, "/variant"),
+            ("selfboost", lambda c: {**c, "family": {"kind": "nope"}}, "/family/kind"),
+            ("selfboost", lambda c: {**c, "k": 0}, "/k"),
+            ("selfboost", lambda c: {**c, "k": 9}, "/k"),
+            ("selfboost", lambda c: {**c, "epsilon": 2.0}, "/epsilon"),
+            ("selfboost", lambda c: {**c, "tau": 0}, "/tau"),
+            ("selfboost", lambda c: {**c, "d_bound": 0}, "/d_bound"),
+            ("distinguisher", lambda d: {**d, "k": 0}, "/k"),
+            ("distinguisher", lambda d: {**d, "k": 5}, "/k"),
+            ("distinguisher", lambda d: {**d, "n": 0}, "/n"),
+            ("distinguisher", lambda d: {**d, "k": 0, "entries": {}}, "/k"),
+            ("distinguisher", lambda d: {**d, "kind": "rnn", "k": 0}, "/k"),
         ],
         ids=["epsilon-missing", "k-string", "config-list", "family-string",
              "compile-string", "trace-no-rounds", "bits-string", "distribution-number",
@@ -513,7 +526,11 @@ class TestCli:
              "distinguisher-k-string", "distinguisher-k-fraction",
              "distinguisher-entries-list", "distinguisher-key-underscore",
              "construct-alphabet_size-string",
-             "family-kind-number", "variant-number"],
+             "family-kind-number", "variant-number",
+             "variant-unknown", "family-kind-unknown", "k-zero", "k-above-n",
+             "epsilon-above-one", "tau-zero", "d_bound-zero", "distinguisher-k-zero",
+             "distinguisher-k-above-n", "distinguisher-n-zero",
+             "distinguisher-k-zero-no-entries", "distinguisher-rnn-k-zero"],
     )
     def test_bad_input_fails_at_the_boundary(self, tmp_path, capsys, target, edit, where):
         # the fixture each case edits, and the command line that reads it (the
