@@ -25,7 +25,7 @@ from . import io as nio
 from .boosting import boost_text
 from .construct import build_boosted_rnn, distinguisher_to_rnn, lm_to_rnn
 from .dist import text_to_lm, token_strings, uniform_text
-from .errors import NtpboostError, ValidationError
+from .errors import FormatError, NtpboostError, PreconditionError, ValidationError
 from .families import one_prefix_table_family
 from .fixedpoint import FixedPointFormat, quantized_run
 from .rnn.engine import run as engine_run
@@ -44,10 +44,22 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _agree(key: str, value, path: str, want, want_path: str) -> None:
+    """A ``FormatError`` naming both files unless field ``key`` agrees."""
+    if value != want:
+        raise FormatError(
+            f"{key} {value} disagrees with {key} {want} at {want_path}/{key}",
+            f"{path}/{key}",
+        )
+
+
 def cmd_boost(args) -> int:
     p = nio.load_and_validate(args.train, "distribution")
     q = nio.load_and_validate(args.model, "distribution")
+    _agree("alphabet_size", q.alphabet.size, args.model, p.alphabet.size, args.train)
+    _agree("n", q.n, args.model, p.n, args.train)
     d = nio.load_and_validate(args.distinguisher, "distinguisher", p.alphabet)
+    _agree("n", d.n, args.distinguisher, p.n, args.train)
     res = boost_text(p, q, d)
     nio.write_json_atomic(
         _out_path(args, "boost_result.json"),
@@ -71,9 +83,23 @@ def cmd_boost(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.k < 1:
+        raise PreconditionError(f"--k must be at least 1, got {args.k}")
+    if not 0 <= args.offset <= args.k - 1:
+        raise PreconditionError(
+            f"--offset must be in [0, {args.k - 1}] for --k {args.k}, got {args.offset}"
+        )
+    if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
+        raise PreconditionError(f"--alpha must be a number in [0, 1], got {args.alpha}")
     q = nio.load_and_validate(args.model, "graph")
     d = nio.load_and_validate(args.distinguisher, "graph")
     base = nio.field(q.meta, "alphabet_size", int, f"{args.model}/meta")
+    k = nio.field(d.meta, "k", int, f"{args.distinguisher}/meta", args.k)
+    if k != args.k:
+        raise FormatError(
+            f"--k {args.k} disagrees with the distinguisher's k {k}",
+            f"{args.distinguisher}/meta/k",
+        )
     graph, report = build_boosted_rnn(q, d, args.k, args.alpha, args.offset, base)
     nio.write_json_atomic(_out_path(args, "boosted_graph.json"), nio.graph_to_json(graph))
     nio.write_json_atomic(

@@ -37,6 +37,17 @@ def table_shapes(k: int, n: int, size: int) -> list[tuple[int, int]]:
     return [(size ** (i - 1), size ** min(k, n - i + 1)) for i in range(1, n + 1)]
 
 
+def table_cells(k: int, n: int, size: int) -> int:
+    """Entries of D_1..D_n together, checked against the enumeration cap."""
+    total, cap = sum(r * c for r, c in table_shapes(k, n, size)), enumeration_cap()
+    if total > cap:
+        raise SizingError(
+            f"distinguisher tables of {total} entries exceed the exact "
+            f"enumeration cap {cap}"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class Distinguisher:
     """Binary predicate d(i, prefix, window) with the window property.
@@ -81,13 +92,8 @@ class Distinguisher:
         cached = self._tables.get(size)
         if cached is not None:
             return cached
+        table_cells(self.k, self.n, size)
         shapes = table_shapes(self.k, self.n, size)
-        total, cap = sum(r * c for r, c in shapes), enumeration_cap()
-        if total > cap:
-            raise SizingError(
-                f"distinguisher tables of {total} entries exceed the exact "
-                f"enumeration cap {cap}"
-            )
         raw = list(self.tabulate(size) if self.tabulate else self._read_predicate(size))
         if len(raw) != self.n:
             raise ValidationError(f"need {self.n} tables, got {len(raw)}")

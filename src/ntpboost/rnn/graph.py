@@ -141,12 +141,3 @@ class RnnGraph:
             rnn_time=self.rnn_time,
             meta=meta,
         )
-
-    def edges(self) -> set[tuple[str, str]]:
-        out = set()
-        for n in self.nodes:
-            if n.expr is None:
-                continue
-            for src in free_nodes(n.expr):
-                out.add((src, n.name))
-        return out

@@ -23,8 +23,9 @@ import numpy as np
 
 from .boosting import boost_text
 from .dist import Alphabet, TextDistribution, kl, next_token_loss, text_to_lm, uniform_text
-from .distinguishers import Distinguisher, flat, position_gaps
+from .distinguishers import flat, position_gaps
 from .errors import PreconditionError
+from .families import Family
 from .construct.boosted import (
     boosted_hidden_formula,
     boosted_size_formula,
@@ -185,21 +186,21 @@ class MinimizeResult:
 
 
 def best_member(
-    family: list[Distinguisher], p: TextDistribution, q: TextDistribution
+    family: Family, p: TextDistribution, q: TextDistribution
 ) -> tuple[int, float]:
     """Index and signed advantage of the member with largest |advantage|.
 
-    All members' flattened tables are stacked and multiplied once by the
-    flattened gaps; ties go to the lowest index.
+    The family's bit matrix is multiplied once by the flattened gaps;
+    ties go to the lowest index.
     """
     if not family:
         raise PreconditionError("empty distinguisher family")
-    k = family[0].k
-    if any(d.k != k or d.n != p.n for d in family):
-        raise PreconditionError(f"family members must share k={k} and n={p.n}")
-    gaps = flat(position_gaps(p, q, k))
-    bits = np.stack([flat(d.tables(p.alphabet.size)) for d in family])
-    values = bits @ gaps / p.n
+    if family.n != p.n or family.size != p.alphabet.size:
+        raise PreconditionError(
+            f"family has n={family.n} and |Sigma|={family.size}, "
+            f"distribution n={p.n} and |Sigma|={p.alphabet.size}"
+        )
+    values = family.bits @ flat(position_gaps(p, q, family.k)) / p.n
     best = int(np.argmax(np.abs(values)))
     return best, float(values[best])
 
@@ -208,7 +209,7 @@ def minimize_loss_constrained(
     p: TextDistribution,
     schedule: Schedule,
     index: int,
-    family: list[Distinguisher],
+    family: Family,
     start: TextDistribution | None = None,
     start_state: SizeState | None = None,
 ) -> MinimizeResult:
@@ -217,8 +218,6 @@ def minimize_loss_constrained(
     Budget exhaustion yields an explicit partial result, never a silent
     truncation.
     """
-    if not family:
-        raise PreconditionError("empty distinguisher family")
     q = start if start is not None else uniform_text(p.alphabet, p.n)
     state = start_state if start_state is not None else SizeState()
     eps = schedule.epsilon
@@ -283,7 +282,7 @@ class SelfBoostTrace:
 def run_algorithm(
     variant: str,
     p: TextDistribution,
-    family: list[Distinguisher],
+    family: Family,
     epsilon: float,
     k: int,
     tau: int,
@@ -301,6 +300,8 @@ def run_algorithm(
     given, is called with (round_record, previous_model, boost_steps)
     after each round so circuit-level checks can piggyback.
     """
+    if family.k != k:
+        raise PreconditionError(f"family has k={family.k}, the loop k={k}")
     alphabet = alphabet or p.alphabet
     schedule = make_schedule(variant, d_bound, k, tau, epsilon, alphabet, b_d)
     j0 = sample_j0(schedule, rng)
@@ -352,7 +353,7 @@ def run_algorithm(
 
 
 def reference_trajectory(
-    p: TextDistribution, schedule: Schedule, family: list[Distinguisher]
+    p: TextDistribution, schedule: Schedule, family: Family
 ) -> list[tuple[SizeState, float]]:
     """Unbudgeted boost sequence from uniform: states and losses.
 

@@ -111,6 +111,42 @@ def advantage_double_enumeration(d, p_probs, q_probs, size: int, n: int) -> floa
     return total
 
 
+def one_prefix_advantages(p_probs, q_probs, size: int, n: int, k: int) -> np.ndarray:
+    """Signed advantage of every one-prefix table member, by member number.
+
+    Member m holds key (prev, w) when bit prev * size^k + index(w) of m
+    is set, where prev is the last prefix token (0 at position 1) and w
+    the window zero-padded to length k.  Each gap
+    p(s) * (q(w | s) - p(w | s)) is found by summing documents, with the
+    uniform completion where q gives s no mass, and added to its key; a
+    member's advantage is the sum over its keys, over n.
+    """
+    keys = size ** (k + 1)
+    per_key = np.zeros(keys)
+    for i in range(1, n + 1):
+        kc = min(k, n - i + 1)
+        p_joint, q_joint = {}, {}
+        for doc in docs(size, n):
+            s = doc[: i - 1 + kc]
+            p_joint[s] = p_joint.get(s, 0.0) + p_probs[doc_index(doc, size)]
+            q_joint[s] = q_joint.get(s, 0.0) + q_probs[doc_index(doc, size)]
+        for s in product(range(size), repeat=i - 1):
+            windows = [s + w for w in product(range(size), repeat=kc)]
+            p_mass = sum(p_joint[x] for x in windows)
+            q_mass = sum(q_joint[x] for x in windows)
+            if p_mass == 0:
+                continue
+            prev = s[-1] if s else 0
+            for x in windows:
+                q_cond = q_joint[x] / q_mass if q_mass > 0 else 1.0 / size**kc
+                gap = p_mass * (q_cond - p_joint[x] / p_mass)
+                padded = x[i - 1 :] + (0,) * (k - kc)
+                per_key[prev * size**k + doc_index(padded, size)] += gap
+    members = np.arange(2**keys)
+    held = (members[:, None] >> np.arange(keys)) & 1
+    return held @ per_key / n
+
+
 def boosted_table_blockwise(q_probs, d, alpha, i0_star, size: int, n: int, k: int):
     """Blockwise-reweighted table computed document by document.
 

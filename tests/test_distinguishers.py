@@ -15,6 +15,7 @@ from ntpboost.distinguishers import (
     block_weights,
     complement,
     constant_distinguisher,
+    flat,
     max_advantage_oracle,
     max_window_predicate_advantage,
     offset_decomposition,
@@ -24,6 +25,7 @@ from ntpboost.distinguishers import (
 )
 from ntpboost.errors import PreconditionError, SizingError, ValidationError
 from ntpboost.families import (
+    Family,
     one_prefix_table_family,
     product_window_family,
     single_position_window_subsets,
@@ -36,7 +38,7 @@ from ntpboost.instances import (
 )
 from ntpboost.selfboost import best_member
 
-from oracles import advantage_double_enumeration
+from oracles import advantage_double_enumeration, one_prefix_advantages
 
 B2 = Alphabet(2)
 
@@ -253,6 +255,32 @@ class TestOnePrefixFamily:
         fam = one_prefix_table_family(B2, 3, 1)
         assert len(fam) == 2 ** (2 * 2)
 
+    def test_family_is_one_read_only_bit_matrix(self):
+        fam = one_prefix_table_family(Alphabet(3), 3, 1)
+        cells = sum(r * c for r, c in table_shapes(1, 3, 3))
+        assert fam.bits.shape == (len(fam), cells) and fam.bits.dtype == np.uint8
+        assert not fam.bits.flags.writeable
+        members = list(fam)
+        assert len(members) == len(fam)
+        for j in (0, 1, 100, len(fam) - 1):
+            assert np.array_equal(flat(members[j].tables(3)), fam.bits[j])
+        with pytest.raises(IndexError):
+            fam[len(fam)]
+
+    def test_family_respects_enumeration_cap(self, monkeypatch):
+        # each member's tables stay under the cap, as Distinguisher.tables does
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", "8")
+        with pytest.raises(SizingError):
+            one_prefix_table_family(B2, 3, 1)
+
+    @pytest.mark.parametrize(
+        "bits", [np.full((2, 6), 2), np.zeros((2, 5)), np.zeros(6)],
+        ids=["not-bits", "cells", "one-dimensional"],
+    )
+    def test_family_rejects_a_bad_matrix(self, bits):
+        with pytest.raises(ValidationError):
+            Family(1, 2, 2, bits)
+
     def test_members_satisfy_window_property(self):
         rng = rng_for(149)
         fam = one_prefix_table_family(B2, 4, 1)
@@ -408,6 +436,27 @@ class TestAdvantageDifferential:
             for j, w, a in rep.offsets:
                 assert abs(a - sum(terms[j::k]) / w) < 1e-12
 
-            idx, val = best_member(family, p, q)
+            bits = np.stack([flat(d.tables(size)) for d in family])
+            idx, val = best_member(Family(k, n, size, bits), p, q)
             assert abs(val - expected[idx]) < 1e-12
             assert abs(val) >= max(abs(e) for e in expected) - 1e-12
+
+
+class TestFamilySearch:
+    """``best_member`` over one-prefix families vs per-key gap sums."""
+
+    @pytest.mark.parametrize("size,n,k", [(2, 5, 3), (3, 3, 1), (2, 4, 2)])
+    def test_against_per_key_oracle(self, size, n, k):
+        alphabet = Alphabet(size)
+        rng = rng_for(5400 + 10 * size + n + k)
+        fam = one_prefix_table_family(alphabet, n, k)
+        for _ in range(2):
+            p = _zero_prefix_text(alphabet, n, rng)
+            q = _zero_prefix_text(alphabet, n, rng)
+            want = one_prefix_advantages(p.probs, q.probs, size, n, k)
+            assert len(want) == len(fam)
+            idx, val = best_member(fam, p, q)
+            # a member and its complement tie up to rounding, so the
+            # index itself is not asserted
+            assert abs(abs(val) - np.max(np.abs(want))) < 1e-12
+            assert abs(want[idx] - val) < 1e-12

@@ -379,6 +379,79 @@ class TestCli:
         assert payload["error"] == "FormatError"
         assert "alphabet_size" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "flags, error, flag",
+        [
+            (["--k", "0"], "PreconditionError", "--k"),
+            (["--k", "-1"], "PreconditionError", "--k"),
+            (["--k", "1"], "FormatError", "--k"),  # the circuit's meta says k 2
+            (["--offset", "2"], "PreconditionError", "--offset"),
+            (["--offset", "-1"], "PreconditionError", "--offset"),
+            (["--alpha", "nan"], "PreconditionError", "--alpha"),
+            (["--alpha", "inf"], "PreconditionError", "--alpha"),
+            (["--alpha", "1.5"], "PreconditionError", "--alpha"),
+            (["--alpha", "-0.1"], "PreconditionError", "--alpha"),
+        ],
+        ids=["k-zero", "k-negative", "k-not-meta", "offset-k", "offset-negative",
+             "alpha-nan", "alpha-inf", "alpha-above-one", "alpha-negative"],
+    )
+    def test_construct_checks_flags_before_building(
+        self, tmp_path, capsys, monkeypatch, flags, error, flag
+    ):
+        from ntpboost.construct import distinguisher_to_rnn
+
+        d = nio.load_and_validate(fixture("distinguisher_n4_k2.json"), "distinguisher", B2)
+        dpath = str(tmp_path / "d_graph.json")
+        nio.write_json_atomic(dpath, nio.graph_to_json(distinguisher_to_rnn(d, B2, 2)))
+
+        def no_build(*args):
+            raise AssertionError("built before the flags were checked")
+
+        monkeypatch.setattr(cli, "build_boosted_rnn", no_build)
+        out = str(tmp_path / "c")
+        argv = ["--model", fixture("model_circuit_n4.json"), "--distinguisher", dpath,
+                "--k", "2", "--alpha", "0.1", "--offset", "0"]
+        assert run_cli("construct", "--out", out, *argv, *flags) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+        assert payload["message"].startswith(flag + " ")
+        if error == "FormatError":
+            assert payload["message"].endswith(f"(at {dpath}/meta/k)")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "edited, edit, key, located, other",
+        [
+            ("model", lambda d: {"alphabet_size": 2, "n": 3, "probs": [0.125] * 8},
+             "n", "model", "train"),
+            ("model", lambda d: {"alphabet_size": 3, "n": 4, "probs": [1 / 81] * 81},
+             "alphabet_size", "model", "train"),
+            ("train", lambda d: {"alphabet_size": 2, "n": 3, "probs": [0.125] * 8},
+             "n", "model", "train"),
+            ("distinguisher", lambda d: {**d, "n": 3, "entries": {}},
+             "n", "distinguisher", "train"),
+        ],
+        ids=["model-n", "model-alphabet", "train-n", "distinguisher-n"],
+    )
+    def test_boost_names_both_files_that_disagree(
+        self, tmp_path, capsys, edited, edit, key, located, other
+    ):
+        paths = {
+            "train": fixture("train_n4.json"),
+            "model": fixture("model_n4.json"),
+            "distinguisher": fixture("distinguisher_n4_k2.json"),
+        }
+        obj = json.load(open(paths[edited]))
+        paths[edited] = str(tmp_path / f"{edited}.json")
+        nio.write_json_atomic(paths[edited], edit(obj))
+        out = str(tmp_path / "o")
+        argv = [f"--{name}={path}" for name, path in paths.items()]
+        assert run_cli("boost", "--out", out, *argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert f"at {paths[other]}/{key} (at {paths[located]}/{key})" in payload["message"]
+        assert not os.path.exists(out)
+
     def test_simulate_rejects_out_of_alphabet_token(self, tmp_path, capsys):
         rc = run_cli(
             "simulate",

@@ -1,8 +1,12 @@
-"""Every module of the package is reachable from the console entry point.
+"""Every module of the package is reachable from the console entry point,
+and every definition in it is used somewhere.
 
-No linter is declared, so dead modules are found here: the test follows
-``import`` and ``from ... import`` statements with ``ast``, starting at
-the module of the ``[project.scripts]`` entry in ``pyproject.toml``.
+No linter is declared, so dead code is found here, with ``ast``: the
+module test follows ``import`` and ``from ... import`` statements,
+starting at the module of the ``[project.scripts]`` entry in
+``pyproject.toml``; the definition test looks each name up among the
+names and attributes read anywhere in ``src/``, ``tests/`` and
+``benchmarks/``.
 """
 
 import ast
@@ -53,3 +57,34 @@ def test_every_module_is_reachable_from_the_entry_point():
             todo += imported(name, files[name])
     assert entry in reached
     assert sorted(set(files) - reached) == []
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_definition_is_referenced():
+    # top-level functions and classes, and methods other than dunders
+    # (those the language calls): a definition is not a reference, so a
+    # name read nowhere else is dead
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
+    for name, path in sorted(module_files().items()):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append(f"{name}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    f"{name}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, functions) and not is_dunder(method.name)
+                ]
+    read = set()
+    for folder in ("src", "tests", "benchmarks"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert [d for d in defined if d.rsplit(".", 1)[1] not in read] == []

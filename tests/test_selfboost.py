@@ -15,6 +15,7 @@ from ntpboost.instances import random_text, rng_for
 from ntpboost.selfboost import (
     SizeState,
     bad_set_bound,
+    best_member,
     empirical_bad_set,
     make_schedule,
     minimize_loss_constrained,
@@ -97,7 +98,7 @@ class TestMinimizer:
         rng = rng_for(801)
         p = random_text(B2, 3, rng)
         s = make_schedule("plain", 2, 1, 3, 0.3, B2)
-        res = minimize_loss_constrained(p, s, 10, trivial_family(1, 3))
+        res = minimize_loss_constrained(p, s, 10, trivial_family(B2, 3, 1))
         assert res.certified and not res.steps
         assert np.array_equal(res.model.probs, uniform_text(B2, 3).probs)
 
@@ -201,6 +202,18 @@ class TestRunAlgorithm:
         )
         assert trace.termination == "loss_plateau"
         assert trace.final_advantage <= 0.4 + 1e-9
+
+    def test_family_k_must_match_the_loop(self):
+        p = uniform_text(B2, 4)
+        fam = one_prefix_table_family(B2, 4, 2)
+        with pytest.raises(PreconditionError, match="k=2"):
+            run_algorithm("plain", p, fam, 0.3, 1, 3, 7, random.Random(5))
+
+    def test_family_search_checks_n_and_alphabet(self):
+        p = uniform_text(B2, 4)
+        for fam in (one_prefix_table_family(B2, 3, 1), trivial_family(Alphabet(3), 4, 1)):
+            with pytest.raises(PreconditionError, match="family has"):
+                best_member(fam, p, p)
 
 
 class TestBadSet:
