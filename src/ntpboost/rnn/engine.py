@@ -62,6 +62,18 @@ A run can carry a whole batch of streams at once (used to sweep every
 document of Sigma^n in one pass).  Optional fixed-point mode quantizes
 every node value after every update and counts saturation events.
 
+A run records only the nodes it is asked for.  ``run(..., record=names)``
+keeps the named nodes at every step, in graph order; the default is the
+output node alone, so a trace holds steps x batch values, not steps x
+nodes x batch.  ``_advance`` keeps the previous full state by reference
+between updates and writes only the recorded rows into the trace.  The
+reset, the token write, fixed-point snapping, saturation counting and the
+domain checks still act on the full state at every step, so saturation
+counts and errors do not depend on what is recorded.  Before it
+allocates anything, ``run`` checks the trace's size (steps x recorded
+nodes x batch values) against ``dist.enumeration_cap()`` and raises
+``SizingError`` naming the predicted bytes.
+
 Columns of a batch share their schedule evaluations.  A column's state
 at time t depends only on its state at the start t0 of the call and on
 the tokens written into its input nodes since, so ``_advance`` groups
@@ -94,22 +106,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReciprocalZeroError, ValidationError
+from ..dist import enumeration_cap
+from ..errors import ReciprocalZeroError, SizingError, ValidationError
 from .expr import Const, Node, Prod, Recip, Relu
 from .graph import RnnGraph
 
 
 @dataclass
 class ExecutionTrace:
-    """Per-step values of every node.
+    """Per-step values of the recorded nodes.
 
-    ``saturation_events`` counts fixed-point saturations over every
-    column; ``evaluated_columns`` is the number of columns the schedule
+    ``values`` is (steps, recorded nodes, batch), and ``node_index`` maps
+    each recorded node to its row; ``run`` records the output node alone
+    unless ``record=`` names others.  Reading a node that was not
+    recorded raises ``ValidationError``.  ``saturation_events`` counts
+    fixed-point saturations over every node and column, recorded or not;
+    ``evaluated_columns`` is the number of columns the schedule
     evaluated, summed over the updates (see the module docstring).
     """
 
     graph: RnnGraph
-    values: np.ndarray  # shape (T, num_nodes, batch)
+    values: np.ndarray  # shape (T, recorded nodes, batch)
     node_index: dict[str, int]
     saturation_events: int = 0
     evaluated_columns: int = 0
@@ -119,8 +136,13 @@ class ExecutionTrace:
         return self.values.shape[0]
 
     def value(self, name: str, t: int) -> np.ndarray:
-        """Value(s) of a node at 1-based time t (batch vector)."""
-        return self.values[t - 1, self.node_index[name]]
+        """Value(s) of a recorded node at 1-based time t (batch vector)."""
+        row = self.node_index.get(name)
+        if row is None:
+            raise ValidationError(
+                f"node {name!r} was not recorded; recorded nodes: {sorted(self.node_index)}"
+            )
+        return self.values[t - 1, row]
 
     def scalar(self, name: str, t: int) -> float:
         v = self.value(name, t)
@@ -453,10 +475,15 @@ def _advance(
     stream: np.ndarray,
     t0: int,
     t1: int,
+    rows,
     fixed_point: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, int, int]:
-    """States at times t0..t1 given the state at t0, the saturations, and
-    the number of columns the schedule evaluated.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Run from the state at t0 to t1.
+
+    Returns the state rows ``rows`` (a list or array of row indices) at
+    times t0..t1, (t1 - t0 + 1, len(rows), batch); the full state at t1; the saturations; and the
+    number of columns the schedule evaluated.  Only the previous full
+    state is kept between updates.
 
     ``stream`` is (n_tokens, batch).  Each update evaluates the schedule
     on the previous state, zeroes the reset nodes when the input pointer
@@ -474,15 +501,15 @@ def _advance(
     # one gather scratch for every width, sized for the widest level at
     # the full batch (a scratch per width raised the peak memory of a run)
     scratch = np.empty(max((lv.src.size for lv in sched.levels), default=0) * batch)
-    out = np.empty((t1 - t0 + 1, num_nodes, batch))
-    out[0] = state
+    out = np.empty((t1 - t0 + 1, len(rows), batch))
+    out[0] = state[rows]
+    prev = state
     groups = _group(state) if batch > 1 else None
     S = None
     saturation = evaluated = 0
     prev_idx = min((t0 - 1) // period + 1, n_tokens)
     for t in range(t0 + 1, t1 + 1):
         idx = min((t - 1) // period + 1, n_tokens)
-        prev = out[t - t0 - 1]
         width = batch if groups is None else len(groups[0])
         if S is None or S.shape[1] != width:
             S = bound = None  # free the last width's arrays first (lower peak memory)
@@ -506,14 +533,15 @@ def _advance(
             new, sat = quantize_array(new, *fixed_point)
             saturation += sat
         _run_checks(prog, new, t)
-        out[t - t0] = new
+        out[t - t0] = new[rows]
+        prev = new
         if groups is not None and (advanced or t == t0 + 1):
             keys = np.empty((2, batch), dtype=np.uint64)
             keys[0] = groups[1]
             keys[1] = np.asarray(tokens, dtype=np.float64).view(np.uint64)
             groups = _group(keys)
         prev_idx = idx
-    return out, saturation, evaluated
+    return out, prev, saturation, evaluated
 
 
 def quantize_array(
@@ -554,6 +582,8 @@ def run(
     total_steps: int | None = None,
     fixed_point: tuple[int, int] | None = None,
     program: Program | None = None,
+    *,
+    record=None,
 ) -> ExecutionTrace:
     """Run the graph on a token stream (optionally a batch of streams).
 
@@ -562,8 +592,13 @@ def run(
     ``meta["alphabet_size"]``, every token must be an integer in
     [0, alphabet_size).  ``fixed_point`` = (integer_bits,
     fraction_bits) quantizes every node value after every update.
+
+    ``record`` names the nodes whose values the trace keeps at every
+    step (default: the output node alone); the run itself always
+    updates, snaps and checks every node.  The trace, steps x recorded
+    nodes x batch values, must fit the enumeration cap, which is checked
+    before anything is allocated.
     """
-    prog = program if program is not None else compile_graph(graph)
     arr = np.asarray(stream, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -577,21 +612,45 @@ def run(
         raise ValidationError(
             f"total_steps {T} outside [1, stream capacity {n_tokens * period}]"
         )
+    rows = _recorded_rows(graph, record)
+    cells, cap = T * len(rows) * batch, enumeration_cap()
+    if cells > cap:
+        raise SizingError(
+            f"trace of {T} steps x {len(rows)} recorded nodes x {batch} streams "
+            f"= {cells} values ({8 * cells} bytes) exceeds the enumeration cap "
+            f"{cap}; record fewer nodes"
+        )
 
+    prog = program if program is not None else compile_graph(graph)
     state = prog.new_state(batch)
     state[prog.input_cols] = arr[0]
     saturation = 0
     if fixed_point is not None:
         state, saturation = quantize_array(state, *fixed_point)
     _run_checks(prog, state, 1)
-    values, sat, evaluated = _advance(prog, state, arr, 1, T, fixed_point)
+    values, _, sat, evaluated = _advance(prog, state, arr, 1, T, rows, fixed_point)
     return ExecutionTrace(
         graph=graph,
         values=values,
-        node_index=dict(prog.node_index),
+        node_index={graph.nodes[r].name: j for j, r in enumerate(rows)},
         saturation_events=saturation + sat,
         evaluated_columns=evaluated,
     )
+
+
+def _recorded_rows(graph: RnnGraph, record) -> np.ndarray:
+    """State rows of the nodes ``record`` names, in graph order."""
+    if record is None:
+        record = (graph.output_id,)
+    elif isinstance(record, str):
+        raise ValidationError(f"record takes a list of node names, got {record!r}")
+    index = {n.name: j for j, n in enumerate(graph.nodes)}
+    rows = set()
+    for name in record:
+        if name not in index:
+            raise ValidationError(f"cannot record {name!r}: the graph has no such node")
+        rows.add(index[name])
+    return np.array(sorted(rows), dtype=np.intp)
 
 
 def _run_checks(prog: Program, state: np.ndarray, t: int) -> None:
@@ -612,5 +671,5 @@ def step(graph: RnnGraph, state: dict[str, float], current_input: float) -> dict
     """
     prog = compile_graph(graph)
     old = np.array([[state[n.name]] for n in graph.nodes], dtype=np.float64)
-    states, _, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2)
-    return {n.name: float(states[1, j, 0]) for j, n in enumerate(graph.nodes)}
+    _, new, _, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2, [])
+    return {n.name: float(new[j, 0]) for j, n in enumerate(graph.nodes)}

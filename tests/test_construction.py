@@ -120,7 +120,8 @@ class TestCounterTraces:
         U, sc = build_sync_enumerator(q, k, i0_star, tau, base=2, prefix="u.")
         B = 2**k
         stream = np.array([1, 0, 1, 1])
-        tr = run(U, stream)
+        counters = ["u.w0", "u.w", "u.u", "u.vc", "u.u0", "u.ve"]
+        tr = run(U, stream, record=counters)
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         for t in range(1, 4 * sc.period + 1):
             i1, mu, j1, r1, s1 = symbolic_loop_position(t, sc.period, tau, k, B)
@@ -269,7 +270,7 @@ class TestComponents:
         v1n, v2n = g.meta["pair"]
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
-        tr = run(g, docs)
+        tr = run(g, docs, record=[v1n, v2n])
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for i in range(i0_star + 1, n + 1):
@@ -295,7 +296,7 @@ class TestComponents:
     def test_g_r0_one_gives_g2_one(self):
         g, sc = build_g(2, 0, 6, 2)
         _, v2n = g.meta["pair"]
-        tr = run(g, np.array([1, 0, 1, 0]))
+        tr = run(g, np.array([1, 0, 1, 0]), record=[v2n])
         for j in (1, 2, 3, 4):
             tt = j * 2 * sc.tau - 1  # i=1 has r0 = 1
             assert tr.scalar(v2n, tt) == 1.0

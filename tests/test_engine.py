@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from ntpboost.construct import (
     lm_to_rnn,
 )
 from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
-from ntpboost.errors import ReciprocalZeroError, ValidationError
+from ntpboost.errors import ReciprocalZeroError, SizingError, ValidationError
 from ntpboost.instances import random_prefix_window_distinguisher, random_text, rng_for
+from ntpboost.rnn import engine
 from ntpboost.rnn.engine import (
     _CONST,
     _NODE,
@@ -50,6 +52,7 @@ from ntpboost.rnn.expr import (
     relu,
 )
 from ntpboost.rnn.graph import NodeSpec, RnnGraph
+from ntpboost.rnn import sufficiency
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from test_expr import distinct_objects
 
@@ -66,6 +69,11 @@ def counter_graph(period):
         rnn_time=period,
         meta={"schedule": "multiples"},
     )
+
+
+def every_node(graph):
+    """``record=`` value that keeps every node of ``graph``."""
+    return [n.name for n in graph.nodes]
 
 
 def identity_echo_graph():
@@ -110,7 +118,7 @@ class TestStepAndRun:
             hidden_ids=(),
             rnn_time=1,
         )
-        tr = run(g, [0, 0, 0, 0])
+        tr = run(g, [0, 0, 0, 0], record=["a", "b"])
         # a: 2, 1, 0.5, 0.25 ; b: 1, 2, 2, 1
         assert [tr.scalar("a", t) for t in range(1, 5)] == [2.0, 1.0, 0.5, 0.25]
         assert [tr.scalar("b", t) for t in range(1, 5)] == [1.0, 2.0, 2.0, 1.0]
@@ -156,7 +164,7 @@ class TestStepAndRun:
             rnn_time=3,
             meta={"reset_on_advance": ["acc"]},
         )
-        tr = run(g, [0, 1, 0])
+        tr = run(g, [0, 1, 0], record=["acc", "held"])
         assert [tr.scalar("acc", t) for t in range(1, 10)] == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         assert [tr.scalar("held", t) for t in range(1, 10)] == list(range(9))
 
@@ -170,14 +178,14 @@ class TestStepAndRun:
     def test_batch_runs_match_single(self):
         g = counter_graph(4)
         streams = np.array([[0, 1], [1, 0], [0, 0]])  # (tokens, batch)
-        tr = run(g, streams)
-        single0 = run(g, streams[:, 0])
+        tr = run(g, streams, record=every_node(g))
+        single0 = run(g, streams[:, 0], record=every_node(g))
         assert np.array_equal(tr.values[:, :, 0], single0.values[:, :, 0])
 
     def test_determinism(self):
         g = counter_graph(5)
-        a = run(g, [0, 1, 1])
-        b = run(g, [0, 1, 1])
+        a = run(g, [0, 1, 1], record=every_node(g))
+        b = run(g, [0, 1, 1], record=every_node(g))
         assert np.array_equal(a.values, b.values)
 
     def test_reciprocal_zero_reports_node_and_time(self):
@@ -272,6 +280,56 @@ class TestQuantizeArray:
         assert np.max(np.abs(q - x)) <= 2.0**-10
 
 
+def full_trace_scrubbing(graph, trials, rng):
+    """The failures of the scrubbing check, from one all-node baseline
+    trace and all-node resumed traces; it draws what
+    ``verify_hidden_sufficiency`` draws, in the same order."""
+    prog = compile_graph(graph)
+    period, every = graph.rnn_time, np.arange(len(graph.nodes))
+    keep = set(graph.hidden_ids) | set(graph.input_ids)
+    scrub_rows = [j for j, n in enumerate(graph.nodes) if n.name not in keep]
+    out = prog.node_index[graph.output_id]
+    size = graph.meta.get("alphabet_size", 2)
+    streams = rng.choice(size, size=(sufficiency.N_TOKENS, trials)).astype(float)
+    scrub_at = rng.integers(1, sufficiency.N_TOKENS, size=trials)
+    garbage = rng.uniform(0.0, 3.0, size=(len(scrub_rows), trials))
+    total = sufficiency.N_TOKENS * period
+    init = prog.new_state(trials)
+    init[prog.input_cols] = streams[0]
+    baseline = _advance(prog, init, streams, 1, total, every)[0]
+    failures = []
+    for i in sorted(set(scrub_at.tolist())):
+        cols = np.nonzero(scrub_at == i)[0]
+        scrub_t = i * period
+        scrubbed = baseline[scrub_t - 1][:, cols]
+        scrubbed[scrub_rows] = garbage[:, cols]
+        resumed = _advance(prog, scrubbed, streams[:, cols], scrub_t, total, every)[0]
+        for t in range((i + 1) * period, total + 1, period):
+            gap = np.abs(baseline[t - 1, out, cols] - resumed[t - scrub_t, out])
+            bad = cols[gap > sufficiency.ATOL]
+            if bad.size:
+                failures += [
+                    {"trial": int(c), "scrub_time": scrub_t, "diverged_at": t} for c in bad
+                ]
+                break
+    return failures
+
+
+def accumulator_graph(period):
+    """The output reads a non-hidden accumulator that carries state."""
+    return RnnGraph(
+        nodes=[
+            NodeSpec("in", 0.0, None),
+            NodeSpec("acc", 0.0, relu(0.0, (1.0, "in"), (1.0, "acc"))),
+            NodeSpec("out", 0.0, relu(0.0, (1.0, "acc"))),
+        ],
+        input_ids=("in",),
+        output_id="out",
+        hidden_ids=(),
+        rnn_time=period,
+    )
+
+
 class TestSufficiency:
     def test_all_hidden_graph_passes(self):
         g = counter_graph(3)
@@ -280,22 +338,26 @@ class TestSufficiency:
         assert rep.ok
 
     def test_constructed_counterexample_fails(self):
-        # output depends on a non-hidden accumulator that carries state
-        g = RnnGraph(
-            nodes=[
-                NodeSpec("in", 0.0, None),
-                NodeSpec("acc", 0.0, relu(0.0, (1.0, "in"), (1.0, "acc"))),
-                NodeSpec("out", 0.0, relu(0.0, (1.0, "acc"))),
-            ],
-            input_ids=("in",),
-            output_id="out",
-            hidden_ids=(),
-            rnn_time=2,
-        )
+        g = accumulator_graph(2)
         rng = np.random.default_rng(13)
         rep = verify_hidden_sufficiency(g, trials=20, rng=rng)
         assert not rep.ok
         assert rep.first_failure()["diverged_at"] > rep.first_failure()["scrub_time"]
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_failures_match_the_full_trace_check(self, period):
+        g = accumulator_graph(period)
+        rep = verify_hidden_sufficiency(g, trials=20, rng=np.random.default_rng(13))
+        want = full_trace_scrubbing(g, 20, np.random.default_rng(13))
+        assert len(want) > 0
+        assert (rep.ok, rep.failures) == (False, want)
+
+    def test_boosted_circuit_passes_as_the_full_trace_check_does(self):
+        q, d, k, alpha, offset, size = boosted_instance(641, 4, 2)
+        g, _ = build_boosted_rnn(q, d, k, alpha, offset, size)
+        rep = verify_hidden_sufficiency(g, trials=8, rng=np.random.default_rng(5))
+        assert rep.ok
+        assert full_trace_scrubbing(g, 8, np.random.default_rng(5)) == []
 
 
 class TestTokenAlphabet:
@@ -408,10 +470,10 @@ class TestKernelDifferential:
     @given(small_graphs())
     def test_each_step_matches_tree_evaluation(self, case):
         graph, streams = case
-        tr = run(graph, streams)
+        tr = run(graph, streams, record=every_node(graph))
         # a batch of one sums through the accumulate path, a batch of two
         # through the elementwise reduce: both give the same bytes
-        single = run(graph, streams[:, 0])
+        single = run(graph, streams[:, 0], record=every_node(graph))
         assert single.values.tobytes() == tr.values[:, :, :1].tobytes()
         names = [n.name for n in graph.nodes]
         for t in range(2, tr.total_steps + 1):
@@ -562,7 +624,7 @@ class TestTapeDifferential:
 
 def columns_alone(graph, streams):
     """Run each column as its own batch of one: the unshared reference."""
-    runs = [run(graph, streams[:, b]) for b in range(streams.shape[1])]
+    runs = [run(graph, streams[:, b], record=every_node(graph)) for b in range(streams.shape[1])]
     return np.concatenate([r.values for r in runs], axis=2)
 
 
@@ -579,7 +641,7 @@ class TestPrefixSharing:
         graph, _ = build_boosted_rnn(q, d, k, alpha, offset, size)
         docs = np.array(list(product(range(size), repeat=4)), dtype=float).T
         streams = docs[:, [0, 5, 3, 5, 15, 0] + list(range(16))]
-        tr = run(graph, streams)
+        tr = run(graph, streams, record=every_node(graph))
         want = columns_alone(graph, streams)
         assert tr.values.tobytes() == want.tobytes()
         assert tr.evaluated_columns == updates_times_prefixes(graph, 4, size)
@@ -588,7 +650,7 @@ class TestPrefixSharing:
     def test_shared_batch_matches_single_runs_and_evaluate(self, case):
         graph, streams = case
         batch = streams[:, [0, 1, 0, 1, 1]]
-        tr = run(graph, batch)
+        tr = run(graph, batch, record=every_node(graph))
         want = columns_alone(graph, batch)
         assert tr.values.tobytes() == want.tobytes()
         names = [n.name for n in graph.nodes]
@@ -612,7 +674,7 @@ class TestPrefixSharing:
             rnn_time=1,
         )
         streams = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0]])
-        tr = run(g, streams)
+        tr = run(g, streams, record=every_node(g))
         want = columns_alone(g, streams)
         assert tr.values.tobytes() == want.tobytes()
         assert [np.signbit(v) for v in tr.value("a", 3)] == [False, True, False]
@@ -637,9 +699,11 @@ class TestPrefixSharing:
         prog = compile_graph(g)
         stream = np.zeros((4, 2))
         state = np.array([[0.0, 0.0], [9.0, 7.0], [0.5, 0.5]])
-        both, _, evaluated = _advance(prog, state, stream, 1, 4)
+        rows = np.arange(len(g.nodes))
+        both, last, _, evaluated = _advance(prog, state, stream, 1, 4, rows)
+        assert last.tobytes() == both[-1].tobytes()
         for b in range(2):
-            alone, _, _ = _advance(prog, state[:, b : b + 1], stream[:, :1], 1, 4)
+            alone, _, _, _ = _advance(prog, state[:, b : b + 1], stream[:, :1], 1, 4, rows)
             assert both[:, :, b : b + 1].tobytes() == alone.tobytes()
         assert evaluated == 3 * 2
 
@@ -648,10 +712,11 @@ class TestPrefixSharing:
         g = self.decrementer()
         prog = compile_graph(g)
         state = np.array([[0.0, 0.0], [9.0, 2.0], [0.5, 0.5]])
+        rows = np.arange(len(g.nodes))
         with pytest.raises(ReciprocalZeroError) as alone:
-            _advance(prog, state[:, 1:], np.zeros((4, 1)), 1, 4)
+            _advance(prog, state[:, 1:], np.zeros((4, 1)), 1, 4, rows)
         with pytest.raises(ReciprocalZeroError) as both:
-            _advance(prog, state, np.zeros((4, 2)), 1, 4)
+            _advance(prog, state, np.zeros((4, 2)), 1, 4, rows)
         assert (both.value.node, both.value.time_step) == ("y", 4)
         assert (both.value.node, both.value.time_step) == (
             alone.value.node,
@@ -659,7 +724,8 @@ class TestPrefixSharing:
         )
 
     def test_identical_columns_count_saturations_per_column(self):
-        tr = run(counter_graph(8), np.zeros((2, 2)), fixed_point=(2, 0))
+        g = counter_graph(8)
+        tr = run(g, np.zeros((2, 2)), fixed_point=(2, 0), record=every_node(g))
         assert tr.saturation_events == 2 * 12
         assert tr.values[:, :, 0].tobytes() == tr.values[:, :, 1].tobytes()
         assert tr.evaluated_columns == 15
@@ -757,8 +823,11 @@ def one_update(graph, states):
     """The engine's update from each start state (columns of ``states``),
     reading token 0."""
     batch = states.shape[1]
-    out, _, evaluated = _advance(compile_graph(graph), states, np.zeros((1, batch)), 1, 2)
+    rows = np.arange(len(graph.nodes))
+    stream = np.zeros((1, batch))
+    out, last, _, evaluated = _advance(compile_graph(graph), states, stream, 1, 2, rows)
     assert evaluated == batch  # the columns are distinct, so none is shared
+    assert last.tobytes() == out[1].tobytes()
     return out[1]
 
 
@@ -875,7 +944,8 @@ class TestLevelKernel:
         assert first.value.args[0] < prog.node_slot["o1"]
         for cols in ([0], [0, 1]):
             with pytest.raises(ReciprocalZeroError) as err:
-                _advance(prog, states[:, cols], np.zeros((1, len(cols))), 1, 2)
+                rows = np.arange(len(graph.nodes))
+                _advance(prog, states[:, cols], np.zeros((1, len(cols))), 1, 2, rows)
             assert (err.value.node, err.value.time_step) == ("o0", 2)
 
     def test_batch_one_against_batch_two(self):
@@ -940,3 +1010,98 @@ class TestLevelKernel:
         node_index = {"in": 0, "out": 1}
         with pytest.raises(ValidationError, match="tape slot"):
             _schedule(tape, graph, node_index, {"out": len(tape) - 1})
+
+
+# -- recorded nodes: a run keeps only the rows it is asked for ---------------
+
+
+@pytest.fixture(scope="module")
+def sweep_circuit():
+    """An n=6, k=2 boosted circuit and all 64 documents as one batch."""
+    q, d, k, alpha, offset, size = boosted_instance(641, 6, 2)
+    graph, _ = build_boosted_rnn(q, d, k, alpha, offset, size)
+    docs = np.array(list(product(range(size), repeat=6)), dtype=float).T
+    return graph, compile_graph(graph), docs
+
+
+class TestRecord:
+    def test_output_only_run_is_the_output_row_of_the_full_run(
+        self, sweep_circuit, monkeypatch
+    ):
+        graph, prog, docs = sweep_circuit
+        # the all-node reference trace (360 x 75 x 64 values) is over the
+        # default cap of 2^20
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(1 << 22))
+        full = run(graph, docs, program=prog, record=every_node(graph))
+        assert full.values.shape == (360, 75, 64)
+        out = run(graph, docs, program=prog)
+        assert list(out.node_index) == [graph.output_id]
+        assert out.values.shape == (360, 1, 64)
+        row = full.node_index[graph.output_id]
+        assert out.values.tobytes() == full.values[:, row : row + 1].tobytes()
+        assert out.evaluated_columns == full.evaluated_columns
+
+    def test_fixed_point_counts_saturations_of_unrecorded_nodes(
+        self, sweep_circuit, monkeypatch
+    ):
+        graph, prog, docs = sweep_circuit
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(1 << 22))
+        # two integer bits saturate the counters, which are not recorded
+        full = run(graph, docs, fixed_point=(2, 20), program=prog, record=every_node(graph))
+        out = run(graph, docs, fixed_point=(2, 20), program=prog)
+        row = full.node_index[graph.output_id]
+        assert out.values.tobytes() == full.values[:, row : row + 1].tobytes()
+        assert out.saturation_events == full.saturation_events > 0
+
+    def test_output_only_run_peaks_far_below_the_full_trace(self, sweep_circuit):
+        graph, prog, docs = sweep_circuit
+        full_bytes = 360 * len(graph.nodes) * docs.shape[1] * 8  # 13.8 MB
+        tracemalloc.start()
+        try:
+            run(graph, docs, program=prog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes / 3
+
+    def test_cap_raises_before_allocating(self, sweep_circuit, monkeypatch):
+        graph, prog, docs = sweep_circuit
+        cells = 360 * 1 * docs.shape[1]
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(cells))
+        assert run(graph, docs, program=prog).values.size == cells
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(cells - 1))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(engine, "compile_graph", unreachable)
+        monkeypatch.setattr(engine, "_advance", unreachable)
+        with pytest.raises(SizingError, match=f"{8 * cells} bytes"):
+            run(graph, docs)
+        monkeypatch.setattr(engine.Program, "new_state", unreachable)
+        with pytest.raises(SizingError, match=f"{8 * cells} bytes"):
+            run(graph, docs, program=prog)
+
+    def test_unknown_record_name_rejected(self):
+        with pytest.raises(ValidationError, match="'nope'"):
+            run(counter_graph(3), [0, 1], record=["w0", "nope"])
+
+    def test_single_string_record_rejected(self):
+        # "in" would otherwise record the nodes "i" and "n"
+        with pytest.raises(ValidationError, match="list of node names"):
+            run(counter_graph(3), [0, 1], record="in")
+
+    def test_reading_an_unrecorded_node_names_it_and_the_recorded_set(self):
+        tr = run(counter_graph(3), [0, 1])
+        assert tr.scalar("w0", 2) == 2.0
+        with pytest.raises(ValidationError, match=r"'in' was not recorded.*\['w0'\]"):
+            tr.value("in", 2)
+        with pytest.raises(ValidationError, match="'ghost' was not recorded"):
+            tr.scalar("ghost", 2)
+
+    def test_recorded_rows_follow_graph_order(self):
+        g = counter_graph(3)
+        a = run(g, [0, 1], record=["w0", "in", "w0"])
+        b = run(g, [0, 1], record=every_node(g))
+        assert a.node_index == b.node_index == {"in": 0, "w0": 1}
+        assert a.values.tobytes() == b.values.tobytes()

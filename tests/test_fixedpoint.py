@@ -174,10 +174,11 @@ class TestQuantizedRun:
         lm = dyadic_lm(B2, 3, rng, frac_bits=6, min_conditional=0.125)
         g = lm_to_rnn(lm, 2)
         stream = np.array([1, 0, 1])
-        exact = run(g, stream)
+        every = [n.name for n in g.nodes]
+        exact = run(g, stream, record=every)
         # every value in this circuit is a counter, token, or dyadic
         # conditional: a 40-bit grid holds them exactly
-        snapped = quantized_run(g, FixedPointFormat(20, 40), stream)
+        snapped = quantized_run(g, FixedPointFormat(20, 40), stream, record=every)
         assert np.array_equal(exact.values, snapped.values)
         assert snapped.saturation_events == 0
 

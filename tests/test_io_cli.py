@@ -129,8 +129,8 @@ class TestGraphFormat:
         nio.write_json_atomic(str(path), nio.graph_to_json(g))
         back = nio.load_and_validate(str(path), "graph")
         stream = np.array([1, 0, 1])
-        a = run(g, stream)
-        b = run(back, stream)
+        a = run(g, stream, record=[n.name for n in g.nodes])
+        b = run(back, stream, record=[n.name for n in back.nodes])
         assert np.array_equal(a.values, b.values)
 
     def test_hidden_invariant_checked_at_load(self, tmp_path):
