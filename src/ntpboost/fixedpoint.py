@@ -50,19 +50,13 @@ def quantized_run(
     fmt: FixedPointFormat,
     input_stream,
     total_steps: int | None = None,
-    *,
-    record=None,
 ) -> ExecutionTrace:
-    """Run with every node value snapped to the format after every update.
-
-    ``record`` names the nodes the trace keeps, as in ``engine.run``.
-    """
+    """Run with every node value snapped to the format after every update."""
     return run(
         graph,
         input_stream,
         total_steps=total_steps,
         fixed_point=(fmt.integer_bits, fmt.fraction_bits),
-        record=record,
     )
 
 

@@ -62,17 +62,18 @@ A run can carry a whole batch of streams at once (used to sweep every
 document of Sigma^n in one pass).  Optional fixed-point mode quantizes
 every node value after every update and counts saturation events.
 
-A run records only the nodes it is asked for.  ``run(..., record=names)``
-keeps the named nodes at every step, in graph order; the default is the
-output node alone, so a trace holds steps x batch values, not steps x
+A run records the output node at every multiple of ``rnn_time``, the
+times at which it holds a next-token answer, and nothing else: a trace
+holds tokens x batch values, no more than the stream itself, not steps x
 nodes x batch.  ``_advance`` keeps the previous full state by reference
-between updates and writes only the recorded rows into the trace.  The
-reset, the token write, fixed-point snapping, saturation counting and the
-domain checks still act on the full state at every step, so saturation
-counts and errors do not depend on what is recorded.  Before it
-allocates anything, ``run`` checks the trace's size (steps x recorded
-nodes x batch values) against ``dist.enumeration_cap()`` and raises
-``SizingError`` naming the predicted bytes.
+between updates and writes only the requested rows, at the requested
+times, into the trace.  The reset, the token write, fixed-point
+snapping, saturation counting and the domain checks still act on the
+full state at every step, so saturation counts and errors do not depend
+on what is recorded.  Before it allocates anything, ``run`` checks the
+batch, the number of streams, against ``dist.enumeration_cap()``, the
+cap ``dist.token_strings`` puts on the documents it enumerates, and
+raises ``SizingError`` naming the predicted bytes.
 
 Columns of a batch share their schedule evaluations.  A column's state
 at time t depends only on its state at the start t0 of the call and on
@@ -114,51 +115,41 @@ from .graph import RnnGraph
 
 @dataclass
 class ExecutionTrace:
-    """Per-step values of the recorded nodes.
+    """The output node at every multiple of ``rnn_time``.
 
-    ``values`` is (steps, recorded nodes, batch), and ``node_index`` maps
-    each recorded node to its row; ``run`` records the output node alone
-    unless ``record=`` names others.  Reading a node that was not
-    recorded raises ``ValidationError``.  ``saturation_events`` counts
-    fixed-point saturations over every node and column, recorded or not;
-    ``evaluated_columns`` is the number of columns the schedule
-    evaluated, summed over the updates (see the module docstring).
+    ``values`` is (recorded times, 1, batch): row i - 1 holds the output
+    at t = i * rnn_time, for every such t up to ``total_steps``.  Reading
+    another node or time raises ``ValidationError``.
+    ``saturation_events`` counts fixed-point saturations over every node,
+    step and column; ``evaluated_columns`` is the number of columns the
+    schedule evaluated, summed over the updates (see the module
+    docstring).
     """
 
     graph: RnnGraph
-    values: np.ndarray  # shape (T, recorded nodes, batch)
-    node_index: dict[str, int]
+    values: np.ndarray  # shape (total_steps // rnn_time, 1, batch)
+    total_steps: int
     saturation_events: int = 0
     evaluated_columns: int = 0
 
-    @property
-    def total_steps(self) -> int:
-        return self.values.shape[0]
-
     def value(self, name: str, t: int) -> np.ndarray:
-        """Value(s) of a recorded node at 1-based time t (batch vector)."""
-        row = self.node_index.get(name)
-        if row is None:
+        """The output at 1-based time t, a multiple of rnn_time (batch vector)."""
+        if name != self.graph.output_id:
             raise ValidationError(
-                f"node {name!r} was not recorded; recorded nodes: {sorted(self.node_index)}"
+                f"node {name!r} was not recorded; a run records the output "
+                f"node {self.graph.output_id!r}"
             )
-        return self.values[t - 1, row]
-
-    def scalar(self, name: str, t: int) -> float:
-        v = self.value(name, t)
-        if v.size != 1:
-            raise ValidationError("scalar() on a batched trace; use value()")
-        return float(v[0])
+        i, rest = divmod(t, self.graph.rnn_time)
+        if rest or not 1 <= i <= len(self.values):
+            raise ValidationError(
+                f"time {t} was not recorded; a run records the output at the "
+                f"multiples of rnn_time {self.graph.rnn_time} up to {self.total_steps}"
+            )
+        return self.values[i - 1, 0]
 
     def output_at_multiples(self) -> dict[int, np.ndarray]:
         """Output node at times i * rnn_time, i = 1, 2, ..."""
-        period = self.graph.rnn_time
-        out = {}
-        i = 1
-        while i * period <= self.total_steps:
-            out[i] = self.value(self.graph.output_id, i * period)
-            i += 1
-        return out
+        return {i: self.values[i - 1, 0] for i in range(1, len(self.values) + 1)}
 
 
 # -- tape compilation --------------------------------------------------------
@@ -477,13 +468,15 @@ def _advance(
     t1: int,
     rows,
     fixed_point: tuple[int, int] | None = None,
+    every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Run from the state at t0 to t1.
 
     Returns the state rows ``rows`` (a list or array of row indices) at
-    times t0..t1, (t1 - t0 + 1, len(rows), batch); the full state at t1; the saturations; and the
-    number of columns the schedule evaluated.  Only the previous full
-    state is kept between updates.
+    the multiples of ``every`` in [t0, t1], (count, len(rows), batch);
+    the full state at t1; the saturations; and the number of columns the
+    schedule evaluated.  Only the previous full state is kept between
+    updates.
 
     ``stream`` is (n_tokens, batch).  Each update evaluates the schedule
     on the previous state, zeroes the reset nodes when the input pointer
@@ -501,8 +494,10 @@ def _advance(
     # one gather scratch for every width, sized for the widest level at
     # the full batch (a scratch per width raised the peak memory of a run)
     scratch = np.empty(max((lv.src.size for lv in sched.levels), default=0) * batch)
-    out = np.empty((t1 - t0 + 1, len(rows), batch))
-    out[0] = state[rows]
+    skipped = (t0 - 1) // every  # multiples of ``every`` before t0
+    out = np.empty((t1 // every - skipped, len(rows), batch))
+    if t0 % every == 0:
+        out[0] = state[rows]
     prev = state
     groups = _group(state) if batch > 1 else None
     S = None
@@ -533,7 +528,8 @@ def _advance(
             new, sat = quantize_array(new, *fixed_point)
             saturation += sat
         _run_checks(prog, new, t)
-        out[t - t0] = new[rows]
+        if t % every == 0:
+            out[t // every - skipped - 1] = new[rows]
         prev = new
         if groups is not None and (advanced or t == t0 + 1):
             keys = np.empty((2, batch), dtype=np.uint64)
@@ -582,8 +578,6 @@ def run(
     total_steps: int | None = None,
     fixed_point: tuple[int, int] | None = None,
     program: Program | None = None,
-    *,
-    record=None,
 ) -> ExecutionTrace:
     """Run the graph on a token stream (optionally a batch of streams).
 
@@ -593,11 +587,10 @@ def run(
     [0, alphabet_size).  ``fixed_point`` = (integer_bits,
     fraction_bits) quantizes every node value after every update.
 
-    ``record`` names the nodes whose values the trace keeps at every
-    step (default: the output node alone); the run itself always
-    updates, snaps and checks every node.  The trace, steps x recorded
-    nodes x batch values, must fit the enumeration cap, which is checked
-    before anything is allocated.
+    The trace keeps the output at the multiples of ``rnn_time``; the run
+    itself updates, snaps and checks every node at every step.  The
+    batch must fit the enumeration cap, which is checked before anything
+    is allocated.
     """
     arr = np.asarray(stream, dtype=np.float64)
     if arr.ndim == 1:
@@ -612,45 +605,45 @@ def run(
         raise ValidationError(
             f"total_steps {T} outside [1, stream capacity {n_tokens * period}]"
         )
-    rows = _recorded_rows(graph, record)
-    cells, cap = T * len(rows) * batch, enumeration_cap()
-    if cells > cap:
+    cap = enumeration_cap()
+    if batch > cap:
+        nodes = len(graph.nodes)
         raise SizingError(
-            f"trace of {T} steps x {len(rows)} recorded nodes x {batch} streams "
-            f"= {cells} values ({8 * cells} bytes) exceeds the enumeration cap "
-            f"{cap}; record fewer nodes"
+            f"a run over {batch} streams exceeds the enumeration cap {cap}: "
+            f"its state of {nodes} nodes takes {8 * nodes * batch} bytes and "
+            f"its trace {8 * (T // period) * batch} bytes"
         )
 
     prog = program if program is not None else compile_graph(graph)
-    state = prog.new_state(batch)
-    state[prog.input_cols] = arr[0]
-    saturation = 0
-    if fixed_point is not None:
-        state, saturation = quantize_array(state, *fixed_point)
-    _run_checks(prog, state, 1)
-    values, _, sat, evaluated = _advance(prog, state, arr, 1, T, rows, fixed_point)
+    state, saturation = _start(prog, arr, fixed_point)
+    out_row = [prog.node_index[graph.output_id]]
+    values, _, sat, evaluated = _advance(
+        prog, state, arr, 1, T, out_row, fixed_point, every=period
+    )
     return ExecutionTrace(
         graph=graph,
         values=values,
-        node_index={graph.nodes[r].name: j for j, r in enumerate(rows)},
+        total_steps=T,
         saturation_events=saturation + sat,
         evaluated_columns=evaluated,
     )
 
 
-def _recorded_rows(graph: RnnGraph, record) -> np.ndarray:
-    """State rows of the nodes ``record`` names, in graph order."""
-    if record is None:
-        record = (graph.output_id,)
-    elif isinstance(record, str):
-        raise ValidationError(f"record takes a list of node names, got {record!r}")
-    index = {n.name: j for j, n in enumerate(graph.nodes)}
-    rows = set()
-    for name in record:
-        if name not in index:
-            raise ValidationError(f"cannot record {name!r}: the graph has no such node")
-        rows.add(index[name])
-    return np.array(sorted(rows), dtype=np.intp)
+def _start(
+    prog: Program, stream: np.ndarray, fixed_point: tuple[int, int] | None
+) -> tuple[np.ndarray, int]:
+    """The state at t = 1 of ``stream``'s columns, and its saturations.
+
+    Initial values with the first token written, snapped to
+    ``fixed_point`` when given, and checked.
+    """
+    state = prog.new_state(stream.shape[1])
+    state[prog.input_cols] = stream[0]
+    saturation = 0
+    if fixed_point is not None:
+        state, saturation = quantize_array(state, *fixed_point)
+    _run_checks(prog, state, 1)
+    return state, saturation
 
 
 def _run_checks(prog: Program, state: np.ndarray, t: int) -> None:

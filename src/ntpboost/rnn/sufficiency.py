@@ -7,8 +7,10 @@ undisturbed run.  If they do for many random streams and scrub points,
 the declared hidden set really does carry all state the outputs need.
 
 Trials are batched: one baseline run carries every trial stream, and
-resumed runs are grouped by scrub time.  The runs record the output
-node alone; the baseline keeps the full state only at the scrub times.
+resumed runs are grouped by scrub time.  Every run advances one token
+period at a time and reads the output from the full state at each
+multiple of the period; the baseline keeps full states only at the
+scrub times.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _advance, compile_graph
+from .engine import _advance, _start, compile_graph
 from .graph import RnnGraph
 
 N_TOKENS = 4  # stream length; a scrub lands after token 1, 2 or 3
@@ -49,23 +51,17 @@ def verify_hidden_sufficiency(
     scrub_at = rng.integers(1, N_TOKENS, size=trials)  # scrub at i * period
     garbage = rng.uniform(0.0, 3.0, size=(len(scrub_rows), trials))
 
-    # the baseline runs one token period at a time and keeps the output at
-    # each multiple of the period, and the full state only at scrub times
-    total = N_TOKENS * period
+    # the baseline keeps the output at each multiple of the period, and
+    # the full state only at the scrub times
     out_row = prog.node_index[graph.output_id]
-    state = prog.new_state(trials)
-    for col in prog.input_cols:
-        state[col] = streams[0]
     scrub_times = sorted(set(int(v) for v in scrub_at))
-    want = np.empty((N_TOKENS + 1, trials))
+    want = np.empty((N_TOKENS, trials))
     scrub_states = {}
-    t = 1
-    for i in range(1, N_TOKENS + 1):
-        _, state, _, _ = _advance(prog, state, streams, t, i * period, [])
-        want[i] = state[out_row]
+    start, _ = _start(prog, streams, None)
+    for i, state in _by_period(prog, start, streams, 1, 1):
+        want[i - 1] = state[out_row]
         if i in scrub_times:
             scrub_states[i] = state
-        t = i * period
 
     for i in scrub_times:
         cols = np.nonzero(scrub_at == i)[0]
@@ -73,18 +69,23 @@ def verify_hidden_sufficiency(
         scrubbed = scrub_states[i][:, cols]
         for row_pos, row in enumerate(scrub_rows):
             scrubbed[row] = garbage[row_pos, cols]
-        resumed, _, _, _ = _advance(
-            prog, scrubbed, streams[:, cols], scrub_t, total, [out_row]
-        )
-        for j in range(i + 1, N_TOKENS + 1):
-            t = j * period
-            got = resumed[t - scrub_t, 0]
-            bad = np.abs(want[j, cols] - got) > ATOL
+        for j, state in _by_period(prog, scrubbed, streams[:, cols], scrub_t, i + 1):
+            bad = np.abs(want[j - 1, cols] - state[out_row]) > ATOL
             if bad.any():
                 report.ok = False
                 for c in cols[np.nonzero(bad)[0]]:
                     report.failures.append(
-                        {"trial": int(c), "scrub_time": scrub_t, "diverged_at": t}
+                        {"trial": int(c), "scrub_time": scrub_t, "diverged_at": j * period}
                     )
                 break
     return report
+
+
+def _by_period(prog, state: np.ndarray, streams: np.ndarray, t: int, first: int):
+    """From ``state`` at time t, yield (i, the full state at i * period)
+    for i = first, ..., N_TOKENS, one token period at a time."""
+    period = prog.graph.rnn_time
+    for i in range(first, N_TOKENS + 1):
+        _, state, _, _ = _advance(prog, state, streams, t, i * period, [])
+        t = i * period
+        yield i, state

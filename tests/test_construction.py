@@ -42,6 +42,7 @@ from ntpboost.instances import (
 )
 from ntpboost.rnn.engine import run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
+from full_trace import full_run
 
 B2 = Alphabet(2)
 
@@ -76,7 +77,7 @@ class TestCompiledTables:
         stream = [0, 1, 1, 0]
         tr = run(g, np.array(stream))
         for i in (3, 4):
-            assert tr.scalar("out", i * 2) == 0.5
+            assert tr.value("out", i * 2)[0] == 0.5
 
     def test_distinguisher_circuit_trailing_window(self):
         rng = rng_for(509)
@@ -120,8 +121,7 @@ class TestCounterTraces:
         U, sc = build_sync_enumerator(q, k, i0_star, tau, base=2, prefix="u.")
         B = 2**k
         stream = np.array([1, 0, 1, 1])
-        counters = ["u.w0", "u.w", "u.u", "u.vc", "u.u0", "u.ve"]
-        tr = run(U, stream, record=counters)
+        tr = full_run(U, stream)
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         for t in range(1, 4 * sc.period + 1):
             i1, mu, j1, r1, s1 = symbolic_loop_position(t, sc.period, tau, k, B)
@@ -161,7 +161,7 @@ class TestSyncEnumerator:
 
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
-        tr = run(U, docs)
+        tr = full_run(U, docs)
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for i in range(1, i0_star + 1):
@@ -180,7 +180,7 @@ class TestSyncEnumerator:
         lm = uniform_lm(B2, 3)
         q = lm_to_rnn(lm, 2)
         U, sc = build_sync_enumerator(q, 1, 0, q.rnn_time + 4, base=2, prefix="u.")
-        tr = run(U, np.array([0, 1, 0]))
+        tr = full_run(U, np.array([0, 1, 0]))
         for i in range(1, 4):
             for j in (1, 2):
                 got = tr.scalar(U.output_id, window_sample_time(sc, i, j, 1))
@@ -210,7 +210,7 @@ class TestComponents:
         assert f1.size == q.size + q.hidden_size + 2 * k + 7
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
-        tr = run(f1, docs)
+        tr = full_run(f1, docs)
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for i in range(1, i0_star + 1):
@@ -228,7 +228,7 @@ class TestComponents:
         lm = uniform_lm(B2, 4)
         q = lm_to_rnn(lm, 2)
         f1, sc = build_f1(q, 2, 0, q.rnn_time + 4, 2)
-        tr = run(f1, np.array([0, 1, 0, 1]))
+        tr = full_run(f1, np.array([0, 1, 0, 1]))
         for i in (1, 2, 3):
             for j in (1, 2, 3, 4):
                 tt = (i - 1) * sc.period + j * 2 * sc.tau - 1
@@ -241,7 +241,7 @@ class TestComponents:
         assert f2.size == D.size + D.hidden_size + 2 * k + 7
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
-        tr = run(f2, docs)
+        tr = full_run(f2, docs)
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for i in range(i0_star + 1, n + 1):
@@ -258,7 +258,7 @@ class TestComponents:
         one = distinguisher_to_rnn(constant_distinguisher(2, 4, 1), B2, 2)
         for D, want in ((zero, 1.0), (one, math.exp(-alpha))):
             f2, sc = build_f2(D, 2, 0, alpha, D.rnn_time + 4, 2)
-            tr = run(f2, np.array([0, 1, 0, 1]))
+            tr = full_run(f2, np.array([0, 1, 0, 1]))
             for i in (1, 2, 3, 4):
                 for j in (1, 2, 3, 4):
                     tt = (i - 1) * sc.period + j * 2 * sc.tau - 1
@@ -270,7 +270,7 @@ class TestComponents:
         v1n, v2n = g.meta["pair"]
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
-        tr = run(g, docs, record=[v1n, v2n])
+        tr = full_run(g, docs)
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for i in range(i0_star + 1, n + 1):
@@ -289,14 +289,14 @@ class TestComponents:
         # block with token 1 kills g1 at r0 = 1
         g, sc = build_g(2, 0, 6, 2)
         v1n, _ = g.meta["pair"]
-        tr = run(g, np.array([1, 0, 1, 0]))
+        tr = full_run(g, np.array([1, 0, 1, 0]))
         tt = 2 * sc.tau - 1  # i=1, j=1 (z = 00), r0 = 1
         assert tr.scalar(v1n, tt) == 0.0
 
     def test_g_r0_one_gives_g2_one(self):
         g, sc = build_g(2, 0, 6, 2)
         _, v2n = g.meta["pair"]
-        tr = run(g, np.array([1, 0, 1, 0]), record=[v2n])
+        tr = full_run(g, np.array([1, 0, 1, 0]))
         for j in (1, 2, 3, 4):
             tt = j * 2 * sc.tau - 1  # i=1 has r0 = 1
             assert tr.scalar(v2n, tt) == 1.0

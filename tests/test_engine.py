@@ -54,6 +54,7 @@ from ntpboost.rnn.expr import (
 from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.rnn import sufficiency
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
+from full_trace import full_run
 from test_expr import distinct_objects
 
 
@@ -69,11 +70,6 @@ def counter_graph(period):
         rnn_time=period,
         meta={"schedule": "multiples"},
     )
-
-
-def every_node(graph):
-    """``record=`` value that keeps every node of ``graph``."""
-    return [n.name for n in graph.nodes]
 
 
 def identity_echo_graph():
@@ -103,7 +99,7 @@ class TestStepAndRun:
 
     def test_counter_paper_example(self):
         # step counter with period 6 has value 2 at t = 8
-        tr = run(counter_graph(6), [0, 1, 0])
+        tr = full_run(counter_graph(6), [0, 1, 0])
         assert tr.scalar("w0", 8) == 2.0
 
     def test_product_chain_hand_evaluated(self):
@@ -118,7 +114,7 @@ class TestStepAndRun:
             hidden_ids=(),
             rnn_time=1,
         )
-        tr = run(g, [0, 0, 0, 0], record=["a", "b"])
+        tr = full_run(g, [0, 0, 0, 0])
         # a: 2, 1, 0.5, 0.25 ; b: 1, 2, 2, 1
         assert [tr.scalar("a", t) for t in range(1, 5)] == [2.0, 1.0, 0.5, 0.25]
         assert [tr.scalar("b", t) for t in range(1, 5)] == [1.0, 2.0, 2.0, 1.0]
@@ -129,7 +125,7 @@ class TestStepAndRun:
         outs = tr.output_at_multiples()
         # output at t = i reads the input at t = i - 1: one-step echo with
         # the pointer having advanced, so compare shifted
-        assert [int(tr.scalar("out", t)) for t in range(2, 6)] == stream[:4]
+        assert [int(outs[t][0]) for t in range(2, 6)] == stream[:4]
 
     def test_hold_three_steps_schedule(self):
         # token held 3 steps: output for x_{:i+1} available at t = 3i + 3
@@ -147,7 +143,7 @@ class TestStepAndRun:
         stream = [4, 7, 9]
         tr = run(g, stream)
         for i, tok in enumerate(stream):
-            assert tr.scalar("out", 3 * i + 3) == float(tok)
+            assert tr.value("out", 3 * i + 3)[0] == float(tok)
 
     def test_reset_on_advance_zeroes_named_nodes(self):
         # "acc" counts steps and is zeroed whenever the pointer advances;
@@ -164,28 +160,28 @@ class TestStepAndRun:
             rnn_time=3,
             meta={"reset_on_advance": ["acc"]},
         )
-        tr = run(g, [0, 1, 0], record=["acc", "held"])
+        tr = full_run(g, [0, 1, 0])
         assert [tr.scalar("acc", t) for t in range(1, 10)] == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         assert [tr.scalar("held", t) for t in range(1, 10)] == list(range(9))
 
     def test_fixed_point_snaps_every_update_and_counts_saturations(self):
         # with 2 integer bits the counter is capped at 4: every update
         # from t=5 on computes 5 and saturates back to 4
-        tr = run(counter_graph(8), [0, 0], fixed_point=(2, 0))
+        tr = full_run(counter_graph(8), [0, 0], fixed_point=(2, 0))
         assert [tr.scalar("w0", t) for t in range(1, 17)] == [1, 2, 3] + [4] * 13
         assert tr.saturation_events == 12
 
     def test_batch_runs_match_single(self):
         g = counter_graph(4)
         streams = np.array([[0, 1], [1, 0], [0, 0]])  # (tokens, batch)
-        tr = run(g, streams, record=every_node(g))
-        single0 = run(g, streams[:, 0], record=every_node(g))
+        tr = full_run(g, streams)
+        single0 = full_run(g, streams[:, 0])
         assert np.array_equal(tr.values[:, :, 0], single0.values[:, :, 0])
 
     def test_determinism(self):
         g = counter_graph(5)
-        a = run(g, [0, 1, 1], record=every_node(g))
-        b = run(g, [0, 1, 1], record=every_node(g))
+        a = full_run(g, [0, 1, 1])
+        b = full_run(g, [0, 1, 1])
         assert np.array_equal(a.values, b.values)
 
     def test_reciprocal_zero_reports_node_and_time(self):
@@ -285,7 +281,7 @@ def full_trace_scrubbing(graph, trials, rng):
     trace and all-node resumed traces; it draws what
     ``verify_hidden_sufficiency`` draws, in the same order."""
     prog = compile_graph(graph)
-    period, every = graph.rnn_time, np.arange(len(graph.nodes))
+    period, rows = graph.rnn_time, np.arange(len(graph.nodes))
     keep = set(graph.hidden_ids) | set(graph.input_ids)
     scrub_rows = [j for j, n in enumerate(graph.nodes) if n.name not in keep]
     out = prog.node_index[graph.output_id]
@@ -294,16 +290,14 @@ def full_trace_scrubbing(graph, trials, rng):
     scrub_at = rng.integers(1, sufficiency.N_TOKENS, size=trials)
     garbage = rng.uniform(0.0, 3.0, size=(len(scrub_rows), trials))
     total = sufficiency.N_TOKENS * period
-    init = prog.new_state(trials)
-    init[prog.input_cols] = streams[0]
-    baseline = _advance(prog, init, streams, 1, total, every)[0]
+    baseline = full_run(graph, streams).values
     failures = []
     for i in sorted(set(scrub_at.tolist())):
         cols = np.nonzero(scrub_at == i)[0]
         scrub_t = i * period
         scrubbed = baseline[scrub_t - 1][:, cols]
         scrubbed[scrub_rows] = garbage[:, cols]
-        resumed = _advance(prog, scrubbed, streams[:, cols], scrub_t, total, every)[0]
+        resumed = _advance(prog, scrubbed, streams[:, cols], scrub_t, total, rows)[0]
         for t in range((i + 1) * period, total + 1, period):
             gap = np.abs(baseline[t - 1, out, cols] - resumed[t - scrub_t, out])
             bad = cols[gap > sufficiency.ATOL]
@@ -470,10 +464,10 @@ class TestKernelDifferential:
     @given(small_graphs())
     def test_each_step_matches_tree_evaluation(self, case):
         graph, streams = case
-        tr = run(graph, streams, record=every_node(graph))
+        tr = full_run(graph, streams)
         # a batch of one sums through the accumulate path, a batch of two
         # through the elementwise reduce: both give the same bytes
-        single = run(graph, streams[:, 0], record=every_node(graph))
+        single = full_run(graph, streams[:, 0])
         assert single.values.tobytes() == tr.values[:, :, :1].tobytes()
         names = [n.name for n in graph.nodes]
         for t in range(2, tr.total_steps + 1):
@@ -624,7 +618,7 @@ class TestTapeDifferential:
 
 def columns_alone(graph, streams):
     """Run each column as its own batch of one: the unshared reference."""
-    runs = [run(graph, streams[:, b], record=every_node(graph)) for b in range(streams.shape[1])]
+    runs = [full_run(graph, streams[:, b]) for b in range(streams.shape[1])]
     return np.concatenate([r.values for r in runs], axis=2)
 
 
@@ -641,7 +635,7 @@ class TestPrefixSharing:
         graph, _ = build_boosted_rnn(q, d, k, alpha, offset, size)
         docs = np.array(list(product(range(size), repeat=4)), dtype=float).T
         streams = docs[:, [0, 5, 3, 5, 15, 0] + list(range(16))]
-        tr = run(graph, streams, record=every_node(graph))
+        tr = full_run(graph, streams)
         want = columns_alone(graph, streams)
         assert tr.values.tobytes() == want.tobytes()
         assert tr.evaluated_columns == updates_times_prefixes(graph, 4, size)
@@ -650,7 +644,7 @@ class TestPrefixSharing:
     def test_shared_batch_matches_single_runs_and_evaluate(self, case):
         graph, streams = case
         batch = streams[:, [0, 1, 0, 1, 1]]
-        tr = run(graph, batch, record=every_node(graph))
+        tr = full_run(graph, batch)
         want = columns_alone(graph, batch)
         assert tr.values.tobytes() == want.tobytes()
         names = [n.name for n in graph.nodes]
@@ -674,7 +668,7 @@ class TestPrefixSharing:
             rnn_time=1,
         )
         streams = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0]])
-        tr = run(g, streams, record=every_node(g))
+        tr = full_run(g, streams)
         want = columns_alone(g, streams)
         assert tr.values.tobytes() == want.tobytes()
         assert [np.signbit(v) for v in tr.value("a", 3)] == [False, True, False]
@@ -724,8 +718,7 @@ class TestPrefixSharing:
         )
 
     def test_identical_columns_count_saturations_per_column(self):
-        g = counter_graph(8)
-        tr = run(g, np.zeros((2, 2)), fixed_point=(2, 0), record=every_node(g))
+        tr = full_run(counter_graph(8), np.zeros((2, 2)), fixed_point=(2, 0))
         assert tr.saturation_events == 2 * 12
         assert tr.values[:, :, 0].tobytes() == tr.values[:, :, 1].tobytes()
         assert tr.evaluated_columns == 15
@@ -1012,7 +1005,7 @@ class TestLevelKernel:
             _schedule(tape, graph, node_index, {"out": len(tape) - 1})
 
 
-# -- recorded nodes: a run keeps only the rows it is asked for ---------------
+# -- recorded outputs: a run keeps the output at the multiples of rnn_time --
 
 
 @pytest.fixture(scope="module")
@@ -1024,36 +1017,42 @@ def sweep_circuit():
     return graph, compile_graph(graph), docs
 
 
+def outputs_of(full, graph):
+    """The output row of an all-node trace at the multiples of rnn_time,
+    shaped as ``run`` records it."""
+    row = full.node_index[graph.output_id]
+    period = graph.rnn_time
+    return full.values[period - 1 :: period, row : row + 1]
+
+
 class TestRecord:
-    def test_output_only_run_is_the_output_row_of_the_full_run(
-        self, sweep_circuit, monkeypatch
-    ):
+    def test_run_keeps_the_outputs_of_the_full_trace(self, sweep_circuit):
         graph, prog, docs = sweep_circuit
-        # the all-node reference trace (360 x 75 x 64 values) is over the
-        # default cap of 2^20
-        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(1 << 22))
-        full = run(graph, docs, program=prog, record=every_node(graph))
+        full = full_run(graph, docs)
         assert full.values.shape == (360, 75, 64)
         out = run(graph, docs, program=prog)
-        assert list(out.node_index) == [graph.output_id]
-        assert out.values.shape == (360, 1, 64)
-        row = full.node_index[graph.output_id]
-        assert out.values.tobytes() == full.values[:, row : row + 1].tobytes()
+        assert out.values.shape == (6, 1, 64)
+        assert out.total_steps == 360
+        assert out.values.tobytes() == outputs_of(full, graph).tobytes()
         assert out.evaluated_columns == full.evaluated_columns
 
-    def test_fixed_point_counts_saturations_of_unrecorded_nodes(
-        self, sweep_circuit, monkeypatch
-    ):
+    def test_fixed_point_counts_saturations_of_unrecorded_nodes(self, sweep_circuit):
         graph, prog, docs = sweep_circuit
-        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(1 << 22))
         # two integer bits saturate the counters, which are not recorded
-        full = run(graph, docs, fixed_point=(2, 20), program=prog, record=every_node(graph))
+        full = full_run(graph, docs, fixed_point=(2, 20))
         out = run(graph, docs, fixed_point=(2, 20), program=prog)
-        row = full.node_index[graph.output_id]
-        assert out.values.tobytes() == full.values[:, row : row + 1].tobytes()
+        assert out.values.tobytes() == outputs_of(full, graph).tobytes()
         assert out.saturation_events == full.saturation_events > 0
 
-    def test_output_only_run_peaks_far_below_the_full_trace(self, sweep_circuit):
+    def test_partial_period_keeps_the_last_whole_one(self):
+        g = counter_graph(3)
+        full = full_run(g, [0, 1, 0])
+        tr = run(g, [0, 1, 0], total_steps=8)
+        assert tr.total_steps == 8
+        assert tr.values.tobytes() == outputs_of(full, g)[:2].tobytes()
+        assert list(tr.output_at_multiples()) == [1, 2]
+
+    def test_run_peaks_far_below_the_full_trace(self, sweep_circuit):
         graph, prog, docs = sweep_circuit
         full_bytes = 360 * len(graph.nodes) * docs.shape[1] * 8  # 13.8 MB
         tracemalloc.start()
@@ -1066,42 +1065,38 @@ class TestRecord:
 
     def test_cap_raises_before_allocating(self, sweep_circuit, monkeypatch):
         graph, prog, docs = sweep_circuit
-        cells = 360 * 1 * docs.shape[1]
-        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(cells))
-        assert run(graph, docs, program=prog).values.size == cells
-        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(cells - 1))
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(docs.shape[1]))
+        assert run(graph, docs, program=prog).values.shape == (6, 1, 64)
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", str(docs.shape[1] - 1))
 
         def unreachable(*args, **kwargs):
             raise AssertionError("allocated before the cap check")
 
         monkeypatch.setattr(engine, "compile_graph", unreachable)
+        monkeypatch.setattr(engine, "_start", unreachable)
         monkeypatch.setattr(engine, "_advance", unreachable)
-        with pytest.raises(SizingError, match=f"{8 * cells} bytes"):
+        state_bytes = 8 * len(graph.nodes) * 64
+        with pytest.raises(SizingError, match=f"{state_bytes} bytes"):
             run(graph, docs)
         monkeypatch.setattr(engine.Program, "new_state", unreachable)
-        with pytest.raises(SizingError, match=f"{8 * cells} bytes"):
+        with pytest.raises(SizingError, match=f"trace {8 * 6 * 64} bytes"):
             run(graph, docs, program=prog)
 
-    def test_unknown_record_name_rejected(self):
-        with pytest.raises(ValidationError, match="'nope'"):
-            run(counter_graph(3), [0, 1], record=["w0", "nope"])
+    def test_circuit_tables_within_the_cap_tabulate(self, monkeypatch):
+        # the runs behind the tables take 6 tokens x 2 steps x 64 documents
+        # = 768 values, over a cap that the 188 table entries fit
+        b2 = Alphabet(2)
+        d = random_prefix_window_distinguisher(b2, 6, 2, rng_for(5))
+        circuit = nio.distinguisher_from_graph(distinguisher_to_rnn(d, b2, 2), 2, 6)
+        monkeypatch.setenv("NTPBOOST_MAX_ENUM", "188")
+        got = circuit.tables(2)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in d.tables(2)]
 
-    def test_single_string_record_rejected(self):
-        # "in" would otherwise record the nodes "i" and "n"
-        with pytest.raises(ValidationError, match="list of node names"):
-            run(counter_graph(3), [0, 1], record="in")
-
-    def test_reading_an_unrecorded_node_names_it_and_the_recorded_set(self):
+    def test_reading_an_unrecorded_node_or_time_is_a_validation_error(self):
         tr = run(counter_graph(3), [0, 1])
-        assert tr.scalar("w0", 2) == 2.0
-        with pytest.raises(ValidationError, match=r"'in' was not recorded.*\['w0'\]"):
-            tr.value("in", 2)
-        with pytest.raises(ValidationError, match="'ghost' was not recorded"):
-            tr.scalar("ghost", 2)
-
-    def test_recorded_rows_follow_graph_order(self):
-        g = counter_graph(3)
-        a = run(g, [0, 1], record=["w0", "in", "w0"])
-        b = run(g, [0, 1], record=every_node(g))
-        assert a.node_index == b.node_index == {"in": 0, "w0": 1}
-        assert a.values.tobytes() == b.values.tobytes()
+        assert tr.value("w0", 6).tolist() == [3.0]
+        with pytest.raises(ValidationError, match="'in' was not recorded.*'w0'"):
+            tr.value("in", 3)
+        for t in (0, -3, 2, 9):
+            with pytest.raises(ValidationError, match=f"time {t} was not recorded"):
+                tr.value("w0", t)

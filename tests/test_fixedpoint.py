@@ -31,6 +31,7 @@ from ntpboost.instances import (
     rng_for,
 )
 from ntpboost.rnn.engine import run
+from full_trace import full_run
 
 B2 = Alphabet(2)
 
@@ -174,13 +175,15 @@ class TestQuantizedRun:
         lm = dyadic_lm(B2, 3, rng, frac_bits=6, min_conditional=0.125)
         g = lm_to_rnn(lm, 2)
         stream = np.array([1, 0, 1])
-        every = [n.name for n in g.nodes]
-        exact = run(g, stream, record=every)
+        exact = full_run(g, stream)
         # every value in this circuit is a counter, token, or dyadic
         # conditional: a 40-bit grid holds them exactly
-        snapped = quantized_run(g, FixedPointFormat(20, 40), stream, record=every)
+        snapped = full_run(g, stream, fixed_point=(20, 40))
         assert np.array_equal(exact.values, snapped.values)
         assert snapped.saturation_events == 0
+        quantized = quantized_run(g, FixedPointFormat(20, 40), stream)
+        assert np.array_equal(quantized.values, run(g, stream).values)
+        assert quantized.saturation_events == 0
 
     def test_product_chain_error_within_product_bound(self):
         # chain of m quantized multiplications of [0,1] factors

@@ -21,8 +21,8 @@ from ntpboost.instances import (
     random_text,
     rng_for,
 )
-from ntpboost.rnn.engine import run
 from ntpboost.selfboost import make_schedule
+from full_trace import full_run
 
 B2 = Alphabet(2)
 FIXTURES = os.path.join(os.path.dirname(nio.__file__), "fixtures")
@@ -129,8 +129,8 @@ class TestGraphFormat:
         nio.write_json_atomic(str(path), nio.graph_to_json(g))
         back = nio.load_and_validate(str(path), "graph")
         stream = np.array([1, 0, 1])
-        a = run(g, stream, record=[n.name for n in g.nodes])
-        b = run(back, stream, record=[n.name for n in back.nodes])
+        a = full_run(g, stream)
+        b = full_run(back, stream)
         assert np.array_equal(a.values, b.values)
 
     def test_hidden_invariant_checked_at_load(self, tmp_path):
@@ -303,9 +303,8 @@ class TestCli:
             # break position 1 of document 9 and position 2 of document 5:
             # document order puts (0, 1, 0, 1) first, at prefix (0,)
             trace = real_run(graph, docs)
-            out = trace.node_index[graph.output_id]
-            trace.values[graph.rnn_time - 1, out, 9] += 0.5
-            trace.values[2 * graph.rnn_time - 1, out, 5] += 0.5
+            trace.values[0, 0, 9] += 0.5
+            trace.values[1, 0, 5] += 0.5
             return trace
 
         hook = cli.make_compile_hook(p, family)
