@@ -18,7 +18,7 @@ from .boosting import boosted_lm
 from .dist import LanguageModel, TextDistribution, token_strings
 from .distinguishers import Distinguisher
 from .errors import PreconditionError, ValidationError
-from .rnn.engine import ExecutionTrace, quantize_array, run
+from .rnn.engine import ExecutionTrace, Program, quantize_array, run
 from .rnn.graph import RnnGraph
 from .construct.boosted import ConstructionReport, build_boosted_rnn
 
@@ -50,13 +50,19 @@ def quantized_run(
     fmt: FixedPointFormat,
     input_stream,
     total_steps: int | None = None,
+    program: Program | None = None,
 ) -> ExecutionTrace:
-    """Run with every node value snapped to the format after every update."""
+    """Run with every node value snapped to the format after every update.
+
+    ``program`` is ``graph`` compiled, as ``engine.run`` takes it, for a
+    caller that runs the same graph more than once.
+    """
     return run(
         graph,
         input_stream,
         total_steps=total_steps,
         fixed_point=(fmt.integer_bits, fmt.fraction_bits),
+        program=program,
     )
 
 

@@ -33,7 +33,11 @@ earlier level.  ``Schedule`` reports the cost: ``levels``,
 factors on the tape) and ``padded_cells`` (cells gathered per column
 and update).  On one n=6, k=2 boosted circuit of the ``sweep``
 benchmark, 1,777 tape slots give 8 levels and 27 reductions, gathering
-6,397 cells for 5,815 terms.
+6,397 cells for 5,815 terms.  ``_schedule`` reads the tape once into
+flat arrays (each slot's operator, each term's parent, place, child and
+coefficient) and derives levels, rows, buckets and padded cells from
+them with numpy index arithmetic; ``tests/reference_schedule.py`` keeps
+the slot-by-slot layout it must reproduce field for field.
 Every update of ``run``, ``step`` and the scrubbing harness goes
 through the one step function ``_advance``.
 
@@ -104,6 +108,7 @@ nothing is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -229,21 +234,21 @@ def compile_graph(graph: RnnGraph) -> Program:
     tape: list = []
     slot_of: dict = {}  # tape entry -> its slot
     lowered: dict[int, int] = {}  # id(expr) -> slot; the graph keeps each alive
+    get = lowered.get
 
     def lower(expr) -> int:
-        slot = lowered.get(id(expr))
-        if slot is not None:
-            return slot
-        if isinstance(expr, Const):
+        # a child already lowered is looked up here, not in a call
+        kind = type(expr)
+        if kind is Relu or kind is Recip:
+            terms = [(c, s if (s := get(id(e))) is not None else lower(e)) for c, e in expr.terms]
+            entry = (_RELU if kind is Relu else _RECIP, expr.bias, tuple(terms))
+        elif kind is Prod:
+            fs = [s if (s := get(id(f))) is not None else lower(f) for f in expr.factors]
+            entry = (_PROD, tuple(fs))
+        elif kind is Const:
             entry = (_CONST, expr.value)
-        elif isinstance(expr, Node):
+        elif kind is Node:
             entry = (_NODE, node_index[expr.name])
-        elif isinstance(expr, Relu):
-            entry = (_RELU, expr.bias, tuple((c, lower(e)) for c, e in expr.terms))
-        elif isinstance(expr, Recip):
-            entry = (_RECIP, expr.bias, tuple((c, lower(e)) for c, e in expr.terms))
-        elif isinstance(expr, Prod):
-            entry = (_PROD, tuple(lower(f) for f in expr.factors))
         else:
             raise ValidationError(f"unknown expression {expr!r}")
         slot = slot_of.setdefault(entry, len(tape))
@@ -255,7 +260,8 @@ def compile_graph(graph: RnnGraph) -> Program:
     node_slot = {}
     for spec in graph.nodes:
         if spec.expr is not None:
-            node_slot[spec.name] = lower(spec.expr)
+            e = spec.expr
+            node_slot[spec.name] = lowered[id(e)] if id(e) in lowered else lower(e)
 
     checks = [
         (node_index[name], name, frozenset(values))
@@ -276,98 +282,145 @@ def compile_graph(graph: RnnGraph) -> Program:
 def _schedule(tape, graph, node_index, node_slot) -> Schedule:
     """Lay the tape out in levels, and each level in padded buckets.
 
-    A child must come before its parent on the tape and a node read must
-    name a node, so every gathered row belongs to the state, a constant
-    or an earlier level; ``_evaluate`` gathers without a bounds check on
-    that guarantee.
+    One pass over the tape collects each slot's operator and its terms
+    as flat arrays; levels, rows, buckets and padded cells then follow by
+    numpy index arithmetic.  A child must come before its parent on the
+    tape and a node read must name a node, so every gathered row belongs
+    to the state, a constant or an earlier level; ``_evaluate`` gathers
+    without a bounds check on that guarantee.
     """
     num_nodes = len(graph.nodes)
-    row = [0] * len(tape)
-    level = [0] * len(tape)
-    consts = []
-    members: dict = {}
-    for slot, entry in enumerate(tape):
-        op = entry[0]
-        if op is _NODE:
-            if not 0 <= entry[1] < num_nodes:
-                raise ValidationError(f"tape slot {slot} reads node {entry[1]} of {num_nodes}")
-            row[slot] = entry[1]
-        elif op is _CONST:
-            row[slot] = num_nodes + len(consts)
-            consts.append(entry[1])
-        else:
-            children = entry[1] if op is _PROD else [s for _, s in entry[2]]
-            if children and not 0 <= min(children) <= max(children) < slot:
-                raise ValidationError(f"tape slot {slot} reads a slot not before it")
-            level[slot] = 1 + max(map(level.__getitem__, children), default=0)
-            # a term-less slot takes one pad term, so its bucket is arity 1's
-            bucket = (op, max(len(children), 1).bit_length())
-            members.setdefault(level[slot], {}).setdefault(bucket, []).append(slot)
+    ops = np.array([entry[0] for entry in tape], dtype=np.intp)
+    reads = np.flatnonzero(ops == _NODE)
+    consts = np.flatnonzero(ops == _CONST)
+    sums = np.flatnonzero((ops == _RELU) | (ops == _RECIP))
+    prods = np.flatnonzero(ops == _PROD)
+    sum_terms = [tape[s][2] for s in sums.tolist()]
+    prod_terms = [tape[s][1] for s in prods.tolist()]
+    # every term as (parent slot, its place in the parent, child slot, coef)
+    arity = np.zeros(len(tape), dtype=np.intp)
+    arity[sums] = [len(ts) for ts in sum_terms]
+    arity[prods] = [len(fs) for fs in prod_terms]
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(sum_terms)), float)
+    factors = np.fromiter(chain.from_iterable(prod_terms), float)
+    parent = np.concatenate([np.repeat(sums, arity[sums]), np.repeat(prods, arity[prods])])
+    place = np.concatenate([_places(arity[sums]), _places(arity[prods])])
+    child = np.concatenate([pairs[1::2], factors]).astype(np.intp)
+    coef = np.concatenate([pairs[::2], np.ones(len(factors))])
 
-    pad_sum = num_nodes + len(consts)  # -0.0 with weight 1: the exact additive identity
+    node_of = np.array([tape[s][1] for s in reads.tolist()], dtype=np.intp)
+    bad = reads[(node_of < 0) | (node_of >= num_nodes)]
+    bad_parent = parent[(child < 0) | (child >= parent)]
+    if len(bad) or len(bad_parent):
+        slot = int(min(bad.min(initial=len(tape)), bad_parent.min(initial=len(tape))))
+        if tape[slot][0] == _NODE:
+            raise ValidationError(f"tape slot {slot} reads node {tape[slot][1]} of {num_nodes}")
+        raise ValidationError(f"tape slot {slot} reads a slot not before it")
+
+    # level: 0 for leaves, else one more than the deepest child
+    inner = np.sort(np.concatenate([sums, prods]))
+    level = np.zeros(len(tape), dtype=np.intp)
+    while True:
+        deeper = np.zeros_like(level)
+        deeper[inner] = 1
+        np.maximum.at(deeper, parent, level[child] + 1)
+        if (deeper == level).all():
+            break
+        level = deeper
+
+    # rows: state, constants, the two pads (-0.0 with weight 1 and 1.0,
+    # the exact identities), then level by level each bucket's slots;
+    # buckets sort relu | recip | prod, then by arity.bit_length(), and a
+    # term-less slot takes one pad term, so its bucket is arity 1's
+    width = np.frexp(np.maximum(arity, 1))[1]
+    order = inner[np.lexsort((inner, width[inner], ops[inner], level[inner]))]
+    pad_sum = num_nodes + len(consts)
     pad_prod = pad_sum + 1
-    consts += [-0.0, 1.0]
+    base = pad_sum + 2
+    row = np.empty(len(tape), dtype=np.intp)
+    row[reads] = node_of
+    row[consts] = np.arange(num_nodes, pad_sum)
+    row[order] = np.arange(base, base + len(order))
+
+    starts = _runs(level[order], ops[order], width[order])
+    size = np.diff(np.append(starts, len(order)))
+    spread = np.maximum(np.maximum.reduceat(arity[order], starts), 1) if len(order) else size
+    cells = spread * size
+    cell0 = np.cumsum(cells) - cells
+    b_op, b_level = ops[order[starts]], level[order[starts]]
+
+    bucket = np.repeat(np.arange(len(starts)), size)  # of each slot in ``order``
+    at = np.empty(len(tape), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    b = bucket[at[parent]]
+    cell = cell0[b] + place * size[b] + at[parent] - starts[b]
+    src = np.repeat(np.where(b_op == _PROD, pad_prod, pad_sum), cells)
+    src[cell] = row[child]
+    weight = np.ones(len(src))
+    weight[cell] = coef
+    bias_of = np.full(len(tape), -0.0)
+    # a zero bias is not added where there are terms
+    bias_of[sums] = [tape[s][1] for s in sums.tolist()]
+    bias_of[sums[(arity[sums] > 0) & (bias_of[sums] == 0.0)]] = -0.0
+
     levels = []
-    reductions = term_cells = padded_cells = 0
-    top = num_nodes + len(consts)
-    for depth in sorted(members):
-        buckets = members[depth]  # keys sort relu | recip | prod, then by arity
-        lo, src, coef, bias, spans, recip_slots = top, [], [], [], [], []
-        for (op, _), slots in sorted(buckets.items()):
-            if op is _PROD:
-                terms = [[(1.0, row[s]) for s in tape[slot][1]] for slot in slots]
-                pad = (1.0, pad_prod)
-            else:
-                terms = [[(c, row[s]) for c, s in tape[slot][2]] for slot in slots]
-                pad = (1.0, pad_sum)
-                # a zero bias is not added where there are terms
-                bias += [
-                    -0.0 if ts and tape[slot][1] == 0.0 else tape[slot][1]
-                    for slot, ts in zip(slots, terms)
-                ]
-                if op is _RECIP:
-                    recip_slots += slots
-            arity = max(1, *map(len, terms))
-            cells = [ts[j] if j < len(ts) else pad for j in range(arity) for ts in terms]
-            spans.append((op, len(src), arity, top, len(slots)))
-            src += [r for _, r in cells]
-            if op is not _PROD:
-                coef += [c for c, _ in cells]
-            for j, slot in enumerate(slots):
-                row[slot] = top + j
-            top += len(slots)
-            term_cells += sum(map(len, terms))
-        n_relu = sum(n for op, _, _, _, n in spans if op is _RELU)
-        n_sums = n_relu + len(recip_slots)
-        coef = np.array(coef)[:, None]
-        bias = np.array(bias)[:, None]
+    bounds = np.append(_runs(b_level), len(starts)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, last = int(cell0[lo]), int(cell0[hi - 1] + cells[hi - 1])
+        r0, r1 = int(starts[lo]), int(starts[hi - 1] + size[hi - 1])
+        slots = order[r0:r1]
+        n_relu = int((ops[slots] == _RELU).sum())
+        n_sums = int((ops[slots] != _PROD).sum())
+        sum_cells = int(cells[lo:hi][b_op[lo:hi] != _PROD].sum())
+        lv_coef = weight[first : first + sum_cells, None]
+        lv_bias = bias_of[slots[:n_sums], None]
+        spans = zip(
+            b_op[lo:hi].tolist(),
+            (cell0[lo:hi] - first).tolist(),
+            spread[lo:hi].tolist(),
+            (base + starts[lo:hi]).tolist(),
+            size[lo:hi].tolist(),
+        )
         levels.append(
             Level(
-                relu=slice(lo, lo + n_relu),
-                recip=slice(lo + n_relu, lo + n_sums),
-                src=np.array(src, dtype=np.intp),
-                buckets=spans,
-                sum_cells=len(coef),
-                coef=None if (coef == 1.0).all() else coef,
-                bias=None if ((bias == 0.0) & np.signbit(bias)).all() else bias,
-                recip_slots=np.array(recip_slots, dtype=np.intp),
+                relu=slice(base + r0, base + r0 + n_relu),
+                recip=slice(base + r0 + n_relu, base + r0 + n_sums),
+                src=src[first:last],
+                buckets=list(spans),
+                sum_cells=sum_cells,
+                coef=None if (lv_coef == 1.0).all() else lv_coef,
+                bias=None if ((lv_bias == 0.0) & np.signbit(lv_bias)).all() else lv_bias,
+                recip_slots=slots[n_relu:n_sums],
             )
         )
-        reductions += len(spans)
-        padded_cells += len(src)
 
     next_rows = np.arange(num_nodes)
-    for name, slot in node_slot.items():
-        next_rows[node_index[name]] = row[slot]
+    next_rows[[node_index[name] for name in node_slot]] = row[list(node_slot.values())]
+    const_values = [tape[s][1] for s in consts.tolist()] + [-0.0, 1.0]
     return Schedule(
-        num_rows=top,
-        const_values=np.array(consts, dtype=np.float64),
+        num_rows=base + len(order),
+        const_values=np.array(const_values, dtype=np.float64),
         levels=levels,
         next_rows=next_rows,
-        reductions=reductions,
-        term_cells=term_cells,
-        padded_cells=padded_cells,
+        reductions=len(starts),
+        term_cells=len(parent),
+        padded_cells=len(src),
     )
+
+
+def _places(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., count - 1 for each count, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal keys."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
 
 
 def _bind(sched: Schedule, S: np.ndarray, scratch: np.ndarray) -> list:

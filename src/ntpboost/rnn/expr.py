@@ -18,6 +18,19 @@ and its hash, all computed from its children when it is built, so
 structural, with floats compared by value: ``Relu(0.0, t) ==
 Relu(-0.0, t)``.
 
+The intern table maps each key to a weak reference whose callback
+drops the entry when its expression is freed.  The indicator gadgets
+are interned the same way: ``ind_eq``, ``ind_le`` and ``ind_ge`` look
+their result up in a second weak table keyed by the gadget, x by
+identity and c by its bits (by identity when c is a node), so a table
+compiler that asks for ``ind_eq("p1", 2.0)`` once per prefix builds its
+three relus once.  ``c`` is converted to a float first: an int and an
+equal float give one gadget, ``0.0`` and ``-0.0`` two.
+``substitute`` rebuilds renamed sums and products through the internal
+constructors ``_sum`` and ``_prod``, reusing the source node's converted
+floats and their packed bits; the public constructors convert and check
+their arguments, then call the same two.
+
 Case selectors (sums of value*condition products) assume nonnegative
 branch values, which holds for every graph this package constructs;
 relu of such a sum is then exact.
@@ -28,13 +41,33 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from functools import partial
 
 from ..errors import ValidationError
 
 MACHINE_EPS = 2.0**-32  # indicator window; inputs here are always integers
 
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# key -> weak reference to the live expression built for it
+_INTERNED: dict = {}
+_GADGETS: dict = {}
 _NO_NAMES: frozenset = frozenset()
+
+
+def _live(table: dict, key):
+    """The live expression ``table`` holds for ``key``, or None."""
+    ref = table.get(key)
+    return None if ref is None else ref()
+
+
+def _hold(table: dict, key, obj):
+    """Hold ``obj`` weakly under ``key``: the entry goes when obj does."""
+    table[key] = weakref.ref(obj, partial(_drop, table, key))
+    return obj
+
+
+def _drop(table: dict, key, ref) -> None:
+    if table.get(key) is ref:  # not bound to a newer expression since
+        del table[key]
 
 
 def _bits(*xs: float) -> bytes:
@@ -108,8 +141,7 @@ def _intern(cls, key, fields: tuple, depth: int, free: frozenset) -> Expr:
     object.__setattr__(obj, "_depth", depth)
     object.__setattr__(obj, "_free", free)
     object.__setattr__(obj, "_hash", hash((cls, *fields)))
-    _INTERNED[key] = obj
-    return obj
+    return _hold(_INTERNED, key, obj)
 
 
 class Const(Expr):
@@ -119,7 +151,7 @@ class Const(Expr):
     def __new__(cls, value: float):
         value = float(value)
         key = (cls, _bits(value))
-        obj = _INTERNED.get(key)
+        obj = _live(_INTERNED, key)
         if obj is None:
             obj = _intern(cls, key, (value,), 0, _NO_NAMES)
         return obj
@@ -131,28 +163,38 @@ class Node(Expr):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        obj = _INTERNED.get(key)
+        obj = _live(_INTERNED, key)
         if obj is None:
             obj = _intern(cls, key, (name,), 0, frozenset((name,)))
         return obj
 
 
 class _WeightedSum(Expr):
-    """bias + sum coef * child, then the subclass's activation."""
+    """bias + sum coef * child, then the subclass's activation.
 
-    __slots__ = ("bias", "terms")
+    ``_packed`` holds the bias and the coefficients packed by ``_bits``,
+    the float part of the intern key.
+    """
+
+    __slots__ = ("bias", "terms", "_packed")
     __match_args__ = ("bias", "terms")
 
     def __new__(cls, bias: float, terms):
         bias = float(bias)
         terms = tuple((float(c), _child(e)) for c, e in terms)
-        key = (cls, _bits(bias, *(c for c, _ in terms)), *(id(e) for _, e in terms))
-        obj = _INTERNED.get(key)
-        if obj is None:
-            children = [e for _, e in terms]
-            depth = 1 + max((e._depth for e in children), default=0)
-            obj = _intern(cls, key, (bias, terms), depth, _union(children))
-        return obj
+        return _sum(cls, bias, terms, _bits(bias, *(c for c, _ in terms)))
+
+
+def _sum(cls, bias: float, terms: tuple, packed: bytes) -> Expr:
+    """Intern a weighted sum of converted floats, packed in ``packed``."""
+    key = (cls, packed, *[id(e) for _, e in terms])
+    obj = _live(_INTERNED, key)
+    if obj is None:
+        children = [e for _, e in terms]
+        depth = 1 + max([e._depth for e in children], default=0)
+        obj = _intern(cls, key, (bias, terms), depth, _union(children))
+        object.__setattr__(obj, "_packed", packed)
+    return obj
 
 
 class Relu(_WeightedSum):
@@ -177,12 +219,17 @@ class Prod(Expr):
         factors = tuple(_child(f) for f in factors)
         if not factors:
             raise ValidationError("a product needs at least one factor")
-        key = (cls, *(id(f) for f in factors))
-        obj = _INTERNED.get(key)
-        if obj is None:
-            depth = 1 + max(f._depth for f in factors)
-            obj = _intern(cls, key, (factors,), depth, _union(factors))
-        return obj
+        return _prod(factors)
+
+
+def _prod(factors: tuple) -> Expr:
+    """Intern a product of one or more checked factors."""
+    key = (Prod, *[id(f) for f in factors])
+    obj = _live(_INTERNED, key)
+    if obj is None:
+        depth = 1 + max([f._depth for f in factors])
+        obj = _intern(Prod, key, (factors,), depth, _union(factors))
+    return obj
 
 
 # -- construction helpers ---------------------------------------------------
@@ -211,16 +258,27 @@ def prod(*factors) -> Expr:
     return Prod(fs)
 
 
-def ind_eq(x, c) -> Expr:
-    """1 if x == c else 0; exact for integer-valued x and c.
+def _gadget(build, x, c) -> Expr:
+    """``build(x, c)`` for a node x, looked up first in the gadget table.
 
-    ``c`` is a constant, or a node (a name or an expression) to compare
-    x with.
+    ``c`` is a constant, keyed by its bits, or a node, keyed by identity.
+    The gadget reads x and c, so their ids stay valid while the entry
+    lives.
     """
-    x = node(x)
+    if isinstance(c, Expr):
+        key = (build, id(x), id(c))
+    else:
+        c = float(c)
+        key = (build, id(x), _bits(c))
+    obj = _live(_GADGETS, key)
+    if obj is None:
+        obj = _hold(_GADGETS, key, build(x, c))
+    return obj
+
+
+def _eq(x: Expr, c) -> Expr:
     inv = 1.0 / MACHINE_EPS
-    if isinstance(c, (str, Expr)):
-        c = node(c)
+    if isinstance(c, Expr):
         above = relu(0.0, (1.0, x), (-1.0, c))
         below = relu(0.0, (1.0, c), (-1.0, x))
     else:
@@ -229,18 +287,33 @@ def ind_eq(x, c) -> Expr:
     return relu(1.0, (-inv, above), (-inv, below))
 
 
-def ind_le(x, c: float) -> Expr:
-    """1 if x <= c else 0; exact for integer-valued x."""
-    x = node(x)
+def _le(x: Expr, c: float) -> Expr:
     inv = 1.0 / MACHINE_EPS
     return relu(0.0, (inv, relu(c + MACHINE_EPS, (-1.0, x))), (-inv, relu(c, (-1.0, x))))
 
 
-def ind_ge(x, c: float) -> Expr:
-    """1 if x >= c else 0; exact for integer-valued x."""
-    x = node(x)
+def _ge(x: Expr, c: float) -> Expr:
     inv = 1.0 / MACHINE_EPS
     return relu(0.0, (inv, relu(MACHINE_EPS - c, (1.0, x))), (-inv, relu(-c, (1.0, x))))
+
+
+def ind_eq(x, c) -> Expr:
+    """1 if x == c else 0; exact for integer-valued x and c.
+
+    ``c`` is a constant, or a node (a name or an expression) to compare
+    x with.
+    """
+    return _gadget(_eq, node(x), node(c) if isinstance(c, str) else c)
+
+
+def ind_le(x, c: float) -> Expr:
+    """1 if x <= c else 0; exact for integer-valued x."""
+    return _gadget(_le, node(x), c)
+
+
+def ind_ge(x, c: float) -> Expr:
+    """1 if x >= c else 0; exact for integer-valued x."""
+    return _gadget(_ge, node(x), c)
 
 
 def lnot(b: Expr) -> Expr:
@@ -279,26 +352,28 @@ def substitute(expr: Expr, mapping: dict[str, str]) -> Expr:
     """Rename node references; names absent from the mapping are kept.
 
     A subexpression reading no mapped name is returned as it is, and each
-    shared subexpression is renamed once.
+    shared subexpression is renamed once, through the internal
+    constructors: its floats were converted and checked when it was built.
     """
-    mapped = frozenset(mapping)
+    kept = frozenset(mapping).isdisjoint  # of the free names of a node kept as it is
     memo: dict[int, Expr] = {}  # by identity: ``expr`` keeps its nodes alive
+    renamed = memo.get
 
     def rename(e: Expr) -> Expr:
-        if mapped.isdisjoint(e._free):
-            return e
-        out = memo.get(id(e))
-        if out is None:
-            if isinstance(e, Node):
-                out = Node(mapping[e.name])
-            elif isinstance(e, Prod):
-                out = Prod([rename(f) for f in e.factors])
-            else:
-                out = type(e)(e.bias, [(c, rename(x)) for c, x in e.terms])
-            memo[id(e)] = out
+        # children kept or renamed before are looked up here, not in a call
+        kind = type(e)
+        if kind is Node:
+            out = Node(mapping[e.name])
+        elif kind is Prod:
+            fs = [f if kept(f._free) else renamed(id(f)) or rename(f) for f in e.factors]
+            out = _prod(tuple(fs))
+        else:
+            terms = [(c, x if kept(x._free) else renamed(id(x)) or rename(x)) for c, x in e.terms]
+            out = _sum(kind, e.bias, tuple(terms), e._packed)
+        memo[id(e)] = out
         return out
 
-    return rename(expr)
+    return expr if kept(expr._free) else rename(expr)
 
 
 def evaluate(expr: Expr, values: dict[str, float]) -> float:

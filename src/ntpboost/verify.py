@@ -52,7 +52,7 @@ from .instances import (
     random_text,
     rng_for,
 )
-from .rnn.engine import run
+from .rnn.engine import compile_graph, run
 from .rnn.expr import evaluate
 from .rnn.sufficiency import verify_hidden_sufficiency
 from .rnn.transitions import build_transition
@@ -255,8 +255,9 @@ def check_quantized_boost() -> tuple[bool, str]:
         FixedPointFormat(20, bf), FixedPointFormat(2, 8), ell,
     )
     docs = token_strings(2, n)
-    tq = quantized_run(out.graph, out.format, docs)
-    tx = run(out.graph, docs)
+    prog = compile_graph(out.graph)  # one compile for both runs
+    tq = quantized_run(out.graph, out.format, docs, program=prog)
+    tx = run(out.graph, docs, program=prog)
     worst = 0.0
     low = 1.0
     for i in range(1, n + 1):

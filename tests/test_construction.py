@@ -4,12 +4,15 @@ The heavy acceptance matrices live in test_acceptance; here each layer
 is exercised on a few seeded instances with exact or 1e-9 tolerances.
 """
 
+import hashlib
+import json
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+from ntpboost import io as nio
 from ntpboost.boosting import boost_text
 from ntpboost.construct import (
     boosted_hidden_formula,
@@ -30,17 +33,24 @@ from ntpboost.construct.enumerator import build_scaffold
 from ntpboost.dist import (
     Alphabet,
     extended_block_distribution,
+    lm_to_text,
     text_to_lm,
     uniform_lm,
 )
 from ntpboost.distinguishers import anchor_of, constant_distinguisher
 from ntpboost.errors import PreconditionError, ValidationError
+from ntpboost.fixedpoint import (
+    FixedPointFormat,
+    build_boosted_rnn_quantized,
+    minimal_fraction_bits,
+)
 from ntpboost.instances import (
+    dyadic_lm,
     random_prefix_window_distinguisher,
     random_text,
     rng_for,
 )
-from ntpboost.rnn.engine import run
+from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
 
@@ -469,3 +479,70 @@ class TestHiddenSufficiency:
         )
         rep = verify_hidden_sufficiency(broken, trials=30, rng=rng)
         assert not rep.ok
+
+
+# -- pinned output: graphs and tapes stay byte-identical ----------------------
+
+# sha256 of the sorted-key graph JSON followed by the repr of the compiled
+# tape, for seeded instances of every builder.  A change to the compile
+# layer (expressions, renaming, lowering) must leave all of them as they are.
+BUILD_DIGESTS = {
+    (601, "lm_to_rnn"): "b453ff1339a8e358f217409f4464a50e9e12d62e7f13fd1b31cd18adb10f477c",
+    (601, "distinguisher_to_rnn"): "a9cc489fde5ee2706af2213bda2f9d4c8075319201b7c0883825a51e13bfa5f5",
+    (601, "build_boosted_rnn"): "e4f8ec1d3175cbd56251ed99bf60c4bfc43470db81e4573e850c46741680676e",
+    (601, "build_boosted_rnn_simple"): "6c489335cf6bc9cd2967cff7e5feebf02b26b06f9dcf43efa64fb8bc7954cfc4",
+    (602, "lm_to_rnn"): "76c177d45ded0a81ecbf5fffcf2098cd0c174465fb2f19410ce64bb82e678758",
+    (602, "distinguisher_to_rnn"): "eaa9be929bc536f33bc4bab21f689c7ab9ec25a631b0a9ecd96d17d60188d590",
+    (602, "build_boosted_rnn"): "918dd60784911b5e68f2f8394b78f64cb563e314624ad9a3ccd73acad354ea0a",
+    (602, "build_boosted_rnn_simple"): "17d5ba8ca5cdf84d8e06cf3392ec7daeae9eed04d5381459d04a4c4f50ef0a6e",
+    (605, "lm_to_rnn"): "2dc25b4a66f2ddc68f26a1bdd3a6258827988c9cfe46cebc698ccb94f131d964",
+    (605, "distinguisher_to_rnn"): "109257348c0ae865e45ebac533e0edff0b6bb259e21e467f67187794bc0c0c56",
+    (605, "build_boosted_rnn"): "e66aa25dded0efeed7086823e4323375d69727c2e75f365f99462f276dd2d067",
+    (605, "build_boosted_rnn_simple"): "4215a61e3c17789738e04a33e145c221f38d6c0877febe4d6edb7948ee7e945a",
+    (1061, "build_boosted_rnn_quantized"): "d96e046f947d6d6d852d0acac48426ee6188d4339504a852e30907bc514525bf",
+}
+
+
+def build_digest(graph) -> str:
+    h = hashlib.sha256(json.dumps(nio.graph_to_json(graph), sort_keys=True).encode())
+    h.update(repr(compile_graph(graph).tape).encode())
+    return h.hexdigest()
+
+
+class TestPinnedBuilds:
+    @pytest.mark.parametrize(
+        "seed,size,n,k,rnn_time", [(601, 2, 4, 2, 2), (602, 2, 3, 1, 2), (605, 3, 3, 2, 3)]
+    )
+    def test_table_and_boosted_builders(self, seed, size, n, k, rnn_time):
+        alphabet = Alphabet(size)
+        rng = rng_for(seed)
+        p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+        res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
+        q = lm_to_rnn(text_to_lm(qt), rnn_time)
+        d = distinguisher_to_rnn(res.applied, alphabet, rnn_time)
+        args = (q, d, k, res.alpha, res.offset, size)
+        graphs = {
+            "lm_to_rnn": q,
+            "distinguisher_to_rnn": d,
+            "build_boosted_rnn": build_boosted_rnn(*args)[0],
+            "build_boosted_rnn_simple": build_boosted_rnn_simple(*args),
+        }
+        for name, graph in graphs.items():
+            assert build_digest(graph) == BUILD_DIGESTS[seed, name], name
+
+    def test_quantized_builder(self):
+        # the instance of verify's quantized-boost check
+        rng = rng_for(1061)
+        n, k, ell = 4, 1, 1 / 8
+        p = random_text(B2, n, rng)
+        lm = dyadic_lm(B2, n, rng, frac_bits=14, min_conditional=ell)
+        res = boost_text(p, lm_to_text(lm), random_prefix_window_distinguisher(B2, n, k, rng))
+        assert res.alpha > 0
+        bf = max(minimal_fraction_bits(k, res.alpha, ell), 14)
+        out = build_boosted_rnn_quantized(
+            lm_to_rnn(lm, 2),
+            distinguisher_to_rnn(res.applied, B2, 2),
+            k, res.alpha, res.offset, 2,
+            FixedPointFormat(20, bf), FixedPointFormat(2, 8), ell,
+        )
+        assert build_digest(out.graph) == BUILD_DIGESTS[1061, "build_boosted_rnn_quantized"]

@@ -55,6 +55,7 @@ from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.rnn import sufficiency
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
+from reference_schedule import reference_schedule
 from test_expr import distinct_objects
 
 
@@ -560,6 +561,65 @@ def assert_reference_tape(graph):
     assert repr(got) == repr(want)
 
 
+def signed_zero_graph():
+    """Sums whose biases and constants are 0.0 and -0.0, in both orders."""
+    x = Node("x")
+    neg, pos = Relu(-0.0, ((1.0, x),)), Relu(0.0, ((1.0, x),))
+    nodes = [
+        NodeSpec("x", 0.0, None),
+        NodeSpec("a", 0.0, relu(0.0, (1.0, neg), (2.0, pos))),
+        NodeSpec("b", 0.0, prod(pos, Const(0.0), Const(-0.0), neg)),
+        NodeSpec("c", 0.0, Relu(-0.0, ((1.0, pos), (1.0, Const(-0.0))))),
+    ]
+    return RnnGraph(nodes=nodes, input_ids=("x",), output_id="a", hidden_ids=(), rnn_time=1)
+
+
+def signed_zero_bias_graph():
+    """Zero biases with and without terms, next to nonzero ones: the
+    schedule adds -0.0 for a zero bias with terms and keeps a term-less
+    sum's bias as it is."""
+    x = Node("x")
+    exprs = [
+        Relu(0.0, ()),
+        Relu(-0.0, ()),
+        Recip(0.0, ((1.0, x),)),
+        Recip(-0.0, ((1.0, Relu(1.0, ())),)),
+        Relu(0.0, ((0.0, x), (-0.0, x))),
+        Relu(-0.0, ((-1.0, x),)),
+        Relu(2.0, ((1.0, Relu(0.0, ())),)),
+        prod(Relu(-0.0, ()), Const(-0.0), x),
+    ]
+    nodes = [NodeSpec("x", 1.0, None)]
+    nodes += [NodeSpec(f"n{j}", 1.0, e) for j, e in enumerate(exprs)]
+    return RnnGraph(nodes=nodes, input_ids=("x",), output_id="n0", hidden_ids=(), rnn_time=1)
+
+
+def assert_reference_schedule(graph):
+    """Every field of the engine's schedule equals the reference layout's,
+    floats and their signs compared by bytes."""
+    prog = compile_graph(graph)
+    got = prog.schedule
+    want = reference_schedule(prog.tape, graph, prog.node_index, prog.node_slot)
+
+    def same_array(a, b):
+        if a is None or b is None:
+            assert a is None and b is None
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    counts = ("num_rows", "reductions", "term_cells", "padded_cells")
+    assert [getattr(got, f) for f in counts] == [getattr(want, f) for f in counts]
+    same_array(got.const_values, want.const_values)
+    same_array(got.next_rows, want.next_rows)
+    assert len(got.levels) == len(want.levels)
+    for lv, ref in zip(got.levels, want.levels):
+        assert (lv.relu, lv.recip, lv.sum_cells) == (ref.relu, ref.recip, ref.sum_cells)
+        assert repr(lv.buckets) == repr(ref.buckets)
+        for field in ("src", "coef", "bias", "recip_slots"):
+            same_array(getattr(lv, field), getattr(ref, field))
+
+
 def boosted_instance(seed, n, k):
     b2 = Alphabet(2)
     rng = rng_for(seed)
@@ -598,19 +658,80 @@ class TestTapeDifferential:
         assert_reference_tape(graph)
 
     def test_signed_zero_biases_merge_into_the_first(self):
-        x = Node("x")
-        neg, pos = Relu(-0.0, ((1.0, x),)), Relu(0.0, ((1.0, x),))
-        nodes = [
-            NodeSpec("x", 0.0, None),
-            NodeSpec("a", 0.0, relu(0.0, (1.0, neg), (2.0, pos))),
-            NodeSpec("b", 0.0, prod(pos, Const(0.0), Const(-0.0), neg)),
-            NodeSpec("c", 0.0, Relu(-0.0, ((1.0, pos), (1.0, Const(-0.0))))),
-        ]
-        g = RnnGraph(nodes=nodes, input_ids=("x",), output_id="a", hidden_ids=(), rnn_time=1)
+        g = signed_zero_graph()
         assert_reference_tape(g)
         tape = compile_graph(g).tape
         assert repr(tape[1]) == "(2, -0.0, ((1.0, 0),))"  # the -0.0 sum came first
         assert len(tape) == 6  # x, the merged sum, a, the merged constant, b, c
+
+
+class TestScheduleDifferential:
+    """The numpy layout of ``_schedule`` against the slot-by-slot reference."""
+
+    def test_fixture_graphs(self):
+        fixtures = os.path.join(os.path.dirname(nio.__file__), "fixtures")
+        graphs = 0
+        for name in sorted(os.listdir(fixtures)):
+            with open(os.path.join(fixtures, name)) as fh:
+                payload = json.load(fh) if name.endswith(".json") else {}
+            if "nodes" in payload:
+                assert_reference_schedule(nio.graph_from_json(payload))
+                graphs += 1
+        assert graphs >= 1
+
+    @pytest.mark.parametrize("seed,n,k", [(641, 4, 2), (643, 3, 1)])
+    def test_boosted_constructions(self, seed, n, k):
+        args = boosted_instance(seed, n, k)
+        q, d = args[:2]
+        for graph in (q, d, build_boosted_rnn(*args)[0], build_boosted_rnn_simple(*args)):
+            assert_reference_schedule(graph)
+
+    @given(small_graphs())
+    def test_random_graphs(self, case):
+        graph, _ = case
+        assert_reference_schedule(graph)
+
+    def test_signed_zero_biases(self):
+        for graph in (signed_zero_graph(), signed_zero_bias_graph()):
+            assert_reference_schedule(graph)
+        bias = compile_graph(signed_zero_bias_graph()).schedule.levels[0].bias[:, 0]
+        assert np.signbit(bias).any() and not np.signbit(bias).all()
+
+    def test_graphs_without_operators(self):
+        for graph in (
+            RnnGraph([NodeSpec("x", 0.0, None)], ("x",), "x", (), 1),
+            RnnGraph(
+                [NodeSpec("x", 0.0, None), NodeSpec("y", 0.0, node("x")),
+                 NodeSpec("z", 0.0, Const(-0.0))],
+                ("x",), "y", (), 1,
+            ),
+        ):
+            assert_reference_schedule(graph)
+            assert compile_graph(graph).schedule.levels == []
+
+    @pytest.mark.parametrize(
+        "tape",
+        [
+            [(_NODE, 0), (_RELU, 0.0, ((1.0, 2),)), (_RELU, 0.0, ((1.0, 0),))],
+            [(_NODE, 0), (_RECIP, 1.0, ((1.0, 1),))],
+            [(_NODE, 0), (_PROD, (0, 9))],
+            [(_NODE, 0), (_RELU, 0.0, ((1.0, -1),))],
+            [(_NODE, 2)],
+            [(_NODE, -1)],
+            [(_NODE, 0), (_PROD, (0, 5)), (_NODE, 7)],
+            [(_NODE, 0), (_NODE, 3), (_PROD, (0, 5))],
+            [(_NODE, 0), (_RELU, 0.0, ((1.0, 0),)), (_PROD, (1, 2)), (_RELU, 1.0, ((1.0, 9),))],
+        ],
+    )
+    def test_malformed_tapes_fail_alike(self, tape):
+        graph = identity_echo_graph()
+        node_index = {"in": 0, "out": 1}
+        errors = []
+        for layout in (_schedule, reference_schedule):
+            with pytest.raises(ValidationError, match="tape slot") as err:
+                layout(tape, graph, node_index, {"out": len(tape) - 1})
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 # -- prefix sharing: columns with equal start state and tokens step once -----

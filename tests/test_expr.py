@@ -20,6 +20,8 @@ from ntpboost.rnn.expr import (
     free_nodes,
     from_sexpr,
     ind_eq,
+    ind_ge,
+    ind_le,
     prod,
     recip,
     relu,
@@ -119,13 +121,60 @@ class TestInterning:
     def test_dropped_expressions_leave_the_table(self):
         e = relu(0.25, (3.0, "interning_probe"), (1.0, Const(7.0)))
         probe = weakref.ref(e)
-        assert any(v is e for v in X._INTERNED.values())
+        # the table holds weak references
+        assert any(ref() is e for ref in X._INTERNED.values())
         del e
         gc.collect()
         assert probe() is None
-        assert not any(
-            "interning_probe" in free_nodes(v) for v in list(X._INTERNED.values())
-        )
+        live = [ref() for ref in X._INTERNED.values()]
+        assert None not in live  # an entry leaves with its expression
+        assert not any("interning_probe" in free_nodes(v) for v in live)
+
+    def test_equal_gadget_arguments_give_one_object(self):
+        for gadget in (ind_eq, ind_le, ind_ge):
+            e = gadget("x", 3.0)
+            assert gadget(Node("x"), 3.0) is e
+            assert gadget("x", 3) is e
+            assert gadget(Node("x"), 3) is e
+            assert gadget("x", 0) is gadget("x", 0.0)
+            assert gadget("x", 4.0) is not e
+            assert gadget("y", 3.0) is not e
+        assert ind_eq("x", "y") is ind_eq(Node("x"), "y") is ind_eq("x", Node("y"))
+        assert ind_eq("x", "y") is not ind_eq("y", "x")
+        # a gadget is the expression its relus build, not a copy of it
+        inv = 1.0 / X.MACHINE_EPS
+        built = relu(1.0, (-inv, relu(-3.0, (1.0, "x"))), (-inv, relu(3.0, (-1.0, "x"))))
+        assert ind_eq("x", 3.0) is built
+
+    def test_signed_zero_gadgets_stay_two_objects(self):
+        for gadget in (ind_eq, ind_le, ind_ge):
+            pos, neg = gadget("x", 0.0), gadget("x", -0.0)
+            assert pos is not neg
+            assert pos == neg  # structurally equal, floats by value
+            assert to_sexpr(pos) != to_sexpr(neg)
+            assert from_sexpr(to_sexpr(neg)) is neg
+
+    def test_dropped_gadgets_leave_the_table(self):
+        def entries(name):
+            live = [ref() for ref in X._GADGETS.values()]
+            assert None not in live  # an entry leaves with its gadget
+            return [g for g in live if name in free_nodes(g)]
+
+        before = len(X._GADGETS)
+        gadgets = [ind_eq("gadget_probe", 5.0), ind_le("gadget_probe", 2.0)]
+        gadgets.append(ind_ge("gadget_probe", 1.0))
+        gadgets.append(ind_eq("gadget_probe", "gadget_other"))
+        assert len(entries("gadget_probe")) == 4
+        probes = [weakref.ref(g) for g in gadgets]
+        del gadgets
+        gc.collect()
+        assert all(p() is None for p in probes)
+        assert entries("gadget_probe") == []
+        # building and dropping many gadgets leaves the table as it was
+        for c in range(500):
+            ind_eq("gadget_probe", float(c))
+        gc.collect()
+        assert len(X._GADGETS) == before
 
     def test_expressions_are_immutable(self):
         e = relu(1.0, (1.0, "x"))

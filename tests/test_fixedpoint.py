@@ -30,7 +30,7 @@ from ntpboost.instances import (
     random_text,
     rng_for,
 )
-from ntpboost.rnn.engine import run
+from ntpboost.rnn.engine import compile_graph, run
 from full_trace import full_run
 
 B2 = Alphabet(2)
@@ -184,6 +184,32 @@ class TestQuantizedRun:
         quantized = quantized_run(g, FixedPointFormat(20, 40), stream)
         assert np.array_equal(quantized.values, run(g, stream).values)
         assert quantized.saturation_events == 0
+
+    def test_compiled_program_is_passed_through(self):
+        rng = rng_for(757)
+        g = lm_to_rnn(dyadic_lm(B2, 3, rng, frac_bits=6, min_conditional=0.125), 2)
+        docs = np.array(list(product(range(2), repeat=3))).T
+        fmt = FixedPointFormat(1, 3)  # coarse: snapping and saturation both show
+        alone = quantized_run(g, fmt, docs)
+        shared = quantized_run(g, fmt, docs, program=compile_graph(g))
+        assert shared.values.tobytes() == alone.values.tobytes()
+        assert shared.saturation_events == alone.saturation_events > 0
+
+    def test_verify_compiles_the_quantized_boost_once(self, monkeypatch):
+        from ntpboost import verify
+        from ntpboost.rnn import engine
+
+        graphs = []
+
+        def counted(graph):
+            graphs.append(graph)
+            return compile_graph(graph)
+
+        monkeypatch.setattr(verify, "compile_graph", counted)
+        monkeypatch.setattr(engine, "compile_graph", counted)
+        ok, detail = verify.check_quantized_boost()
+        assert ok, detail
+        assert len(graphs) == 1
 
     def test_product_chain_error_within_product_bound(self):
         # chain of m quantized multiplications of [0,1] factors
