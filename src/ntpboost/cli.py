@@ -38,6 +38,8 @@ ROUND_FIELDS = {
     "index": int, "budget_size": int, "budget_hidden": int, "budget_time": str,
     "loss": float, "kl": float, "best_advantage": float, "certified": bool,
 }
+# documents a compiled selfboost round may run; larger instances are not compiled
+COMPILE_ENUM_CAP = 1 << 14
 
 
 def _out_path(args, name: str) -> str:
@@ -54,11 +56,13 @@ def _agree(key: str, value, path: str, want, want_path: str) -> None:
 
 
 def cmd_boost(args) -> int:
-    p = nio.load_and_validate(args.train, "distribution")
-    q = nio.load_and_validate(args.model, "distribution")
+    p = nio.distribution_from_json(nio.read_json(args.train), args.train)
+    q = nio.distribution_from_json(nio.read_json(args.model), args.model)
     _agree("alphabet_size", q.alphabet.size, args.model, p.alphabet.size, args.train)
     _agree("n", q.n, args.model, p.n, args.train)
-    d = nio.load_and_validate(args.distinguisher, "distinguisher", p.alphabet)
+    d = nio.distinguisher_from_json(
+        nio.read_json(args.distinguisher), p.alphabet, args.distinguisher
+    )
     _agree("n", d.n, args.distinguisher, p.n, args.train)
     res = boost_text(p, q, d)
     nio.write_json_atomic(
@@ -91,8 +95,8 @@ def cmd_construct(args) -> int:
         )
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
         raise PreconditionError(f"--alpha must be a number in [0, 1], got {args.alpha}")
-    q = nio.load_and_validate(args.model, "graph")
-    d = nio.load_and_validate(args.distinguisher, "graph")
+    q = nio.graph_from_json(nio.read_json(args.model), args.model)
+    d = nio.graph_from_json(nio.read_json(args.distinguisher), args.distinguisher)
     base = nio.field(q.meta, "alphabet_size", int, f"{args.model}/meta")
     k = nio.field(d.meta, "k", int, f"{args.distinguisher}/meta", args.k)
     if k != args.k:
@@ -103,16 +107,7 @@ def cmd_construct(args) -> int:
     graph, report = build_boosted_rnn(q, d, args.k, args.alpha, args.offset, base)
     nio.write_json_atomic(_out_path(args, "boosted_graph.json"), nio.graph_to_json(graph))
     nio.write_json_atomic(
-        _out_path(args, "construction_report.json"),
-        {
-            "built_size": report.built_size,
-            "built_hidden": report.built_hidden,
-            "built_time": report.built_time,
-            "formula_size": report.formula_size,
-            "formula_hidden": report.formula_hidden,
-            "formula_time": report.formula_time,
-            "equivalence_checked": report.equivalence_checked,
-        },
+        _out_path(args, "construction_report.json"), dataclasses.asdict(report)
     )
     print(
         f"construct: size={report.built_size} hidden={report.built_hidden} "
@@ -135,7 +130,7 @@ def _parse_tokens(text: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    graph = nio.load_and_validate(args.graph, "graph")
+    graph = nio.graph_from_json(nio.read_json(args.graph), args.graph)
     stream = np.array(_parse_tokens(args.input))
     if args.quantized:
         where = f"{args.graph}/meta"
@@ -237,7 +232,7 @@ def cmd_selfboost(args) -> int:
               allowed=("one_prefix_table",))
     if not os.path.isabs(dist_path):
         dist_path = os.path.join(os.path.dirname(os.path.abspath(where)), dist_path)
-    p = nio.load_and_validate(dist_path, "distribution")
+    p = nio.distribution_from_json(nio.read_json(dist_path), dist_path)
     k = get("k", int, allowed=nio.Between(1, p.n))
     fam = one_prefix_table_family(p.alphabet, p.n, k)
     compile_hook = make_compile_hook(p, fam) if want_compile or args.compile else None
@@ -268,7 +263,7 @@ def cmd_selfboost(args) -> int:
     return 0
 
 
-def make_compile_hook(p, family, enum_cap: int = 1 << 14):
+def make_compile_hook(p, family):
     """Compile and equivalence-check each round's first boost as a circuit.
 
     The analytic table remains the source of truth across rounds; this
@@ -282,7 +277,7 @@ def make_compile_hook(p, family, enum_cap: int = 1 << 14):
         if not steps:
             return False
         size, n = p.alphabet.size, p.n
-        if size**n > enum_cap:
+        if size**n > COMPILE_ENUM_CAP:
             return False
         start = prev_model if prev_model is not None else uniform_text(p.alphabet, p.n)
         first = steps[0]

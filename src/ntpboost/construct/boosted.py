@@ -27,6 +27,7 @@ from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
     case_select,
     const,
+    exp_binary,
     ind_eq,
     ind_ge,
     ind_le,
@@ -37,7 +38,6 @@ from ..rnn.expr import (
     substitute,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
-from ..rnn.transitions import exp_binary
 from .components import build_f1, build_f2, build_g
 from .enumerator import EnumScaffold, build_scaffold
 

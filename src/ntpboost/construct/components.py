@@ -14,6 +14,7 @@ from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
     case_select,
     const,
+    exp_binary,
     ind_eq,
     ind_ge,
     ind_le,
@@ -22,7 +23,6 @@ from ..rnn.expr import (
     relu,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
-from ..rnn.transitions import exp_binary
 from .enumerator import EnumScaffold, build_scaffold, build_sync_enumerator
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
+    base_c_increment,
     case_select,
     const,
     ind_eq,
@@ -42,7 +43,6 @@ from ..rnn.expr import (
     substitute,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
-from ..rnn.transitions import base_c_increment
 
 MAX_WINDOW_ENUM = 4096
 

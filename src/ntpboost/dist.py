@@ -22,7 +22,6 @@ import numpy as np
 from .errors import SizingError, SupportError, ValidationError, ZeroMarginalError
 
 NORM_ATOL = 1e-12
-LOAD_NORM_ATOL = 1e-9
 DEFAULT_MAX_ENUM = 1 << 20
 
 Document = tuple[int, ...]

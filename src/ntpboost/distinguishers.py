@@ -310,25 +310,14 @@ def pinsker_bound(p: TextDistribution, q: TextDistribution, k: int) -> float:
 def max_advantage_oracle(
     p: TextDistribution,
     q: TextDistribution,
-    k: int,
     family,
     cap: int = 1 << 20,
 ) -> tuple[Distinguisher, float]:
     """Brute-force member of ``family`` with the largest |advantage|.
 
-    ``family`` is a finite iterable of distinguishers (ties break to the
-    earliest member) or the string "all_window_predicates": the family
-    of independent per-position window subsets, whose extreme member is
-    assembled position by position from the aggregated p-weighted gaps.
+    ``family`` is a finite iterable of distinguishers; ties break to the
+    earliest member.
     """
-    if family == "all_window_predicates":
-        if p.alphabet.size**k > 1 << 12:
-            raise SizingError(
-                f"window space |Sigma|^k = {p.alphabet.size ** k} too large "
-                f"to enumerate per position"
-            )
-        best = _extreme_window_predicate(p, q, k)
-        return best, abs(advantage(best, p, q))
     best_d, best_val = None, -1.0
     count = 0
     for d in family:
@@ -343,31 +332,6 @@ def max_advantage_oracle(
     return best_d, best_val
 
 
-def _window_gaps(
-    p: TextDistribution, q: TextDistribution, k: int
-) -> tuple[list[np.ndarray], float, float]:
-    """Per-position gaps summed over prefixes, with their positive and
-    negative totals over all positions."""
-    cols = [g.sum(axis=0) for g in position_gaps(p, q, k)]
-    hi = sum(c[c > 0].sum() for c in cols)
-    lo = sum(c[c < 0].sum() for c in cols)
-    return cols, hi, lo
-
-
-def _extreme_window_predicate(
-    p: TextDistribution, q: TextDistribution, k: int
-) -> Distinguisher:
-    """The per-position window predicate attaining the extreme |advantage|."""
-    size, n = p.alphabet.size, p.n
-    cols, hi, lo = _window_gaps(p, q, k)
-    sign = 1.0 if hi >= -lo else -1.0
-    tables = [
-        np.broadcast_to(sign * c > 0, shape)
-        for c, shape in zip(cols, table_shapes(k, n, size))
-    ]
-    return from_tables(k, n, size, tables)
-
-
 def max_window_predicate_advantage(
     p: TextDistribution, q: TextDistribution, k: int
 ) -> float:
@@ -378,5 +342,7 @@ def max_window_predicate_advantage(
     position take the windows whose aggregated p-weighted gap is positive
     (for the max) or negative (for the min).
     """
-    _, hi, lo = _window_gaps(p, q, k)
+    cols = [g.sum(axis=0) for g in position_gaps(p, q, k)]
+    hi = sum(c[c > 0].sum() for c in cols)
+    lo = sum(c[c < 0].sum() for c in cols)
     return max(abs(hi), abs(lo)) / p.n

@@ -327,21 +327,3 @@ def distinguisher_from_graph(graph: RnnGraph, k: int, n: int) -> Distinguisher:
         ]
 
     return Distinguisher(k, n, pred, tabulate)
-
-
-# ---------------------------------------------------------------------------
-# load-and-validate front end
-
-def load_and_validate(path: str, kind: str, alphabet: Alphabet | None = None):
-    """Typed loader used by the CLI; every invariant checked at load."""
-    if kind not in ("distribution", "distinguisher", "graph"):
-        raise FormatError(f"unknown artifact kind {kind!r}")
-    if kind == "distinguisher" and alphabet is None:
-        raise FormatError("a distinguisher file does not store its alphabet: "
-                          "loading one needs the alphabet argument", path)
-    obj = read_json(path)
-    if kind == "distribution":
-        return distribution_from_json(obj, location=path)
-    if kind == "graph":
-        return graph_from_json(obj, location=path)
-    return distinguisher_from_json(obj, alphabet, location=path)

@@ -1,1 +1,1 @@
-"""Circuit framework: expressions, graphs, engine, transition library."""
+"""Circuit framework: expressions and their gadget library, graphs, engine."""

@@ -643,7 +643,8 @@ def run(
     The trace keeps the output at the multiples of ``rnn_time``; the run
     itself updates, snaps and checks every node at every step.  The
     batch must fit the enumeration cap, which is checked before anything
-    is allocated.
+    is allocated.  ``program``, when given, is ``graph`` compiled by
+    ``compile_graph``, the same graph object.
     """
     arr = np.asarray(stream, dtype=np.float64)
     if arr.ndim == 1:
@@ -668,6 +669,8 @@ def run(
         )
 
     prog = program if program is not None else compile_graph(graph)
+    if prog.graph is not graph:
+        raise ValidationError("the program was compiled from another graph")
     state, saturation = _start(prog, arr, fixed_point)
     out_row = [prog.node_index[graph.output_id]]
     values, _, sat, evaluated = _advance(

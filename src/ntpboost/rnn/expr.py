@@ -1,10 +1,14 @@
-"""Transition-function expressions, hash-consed.
+"""Transition-function expressions, hash-consed, and the gadget library.
 
 The only internal operators are relu of a weighted sum, product, and
 reciprocal of a weighted sum; leaves are constants and references to
-incoming-neighbor values at the previous time step.  Indicator gadgets
-built from these are exact on integer inputs because the machine
-precision constant is a power of two.
+incoming-neighbor values at the previous time step.  Every gadget the
+constructions use is built here from these: the indicators ``ind_eq``,
+``ind_le`` and ``ind_ge``, ``lnot``, ``or_`` and ``and_`` of bits, the
+first-match selector ``case_select``, ``base_c_increment`` and
+``exp_binary``.  Each is exact on its declared domain: indicator inputs
+are integers (the machine precision constant is a power of two),
+boolean inputs are bits and digit inputs lie in [0, c-1].
 
 Expressions are hash-consed: building a node equal to a live one
 returns the live object, so a circuit is a DAG holding one object per
@@ -333,6 +337,52 @@ def case_select(cases: list[tuple[Expr, Expr]], default: Expr) -> Expr:
         blockers.append(lnot(cond))
     terms.append((1.0, prod(default, *blockers)))
     return relu(0.0, *terms)
+
+
+def or_(*xs) -> Expr:
+    """OR of bits as [sum >= 1]."""
+    total = relu(0.0, *[(1.0, node(x)) for x in xs])
+    return ind_ge(total, 1.0)
+
+
+def and_(*xs) -> Expr:
+    """AND of bits as [sum >= count]."""
+    total = relu(0.0, *[(1.0, node(x)) for x in xs])
+    return ind_ge(total, float(len(xs)))
+
+
+def base_c_increment(c: int, k: int, digits) -> list[Expr]:
+    """Add one to a k-digit base-c number held in ``digits``.
+
+    ``digits[0]`` is the least significant digit; each returned
+    expression computes the new value of the corresponding digit:
+    carry while lower digits are all c-1, wrap at c^k - 1.
+    """
+    if c < 2 or k < 1:
+        raise ValidationError(f"need base >= 2 and width >= 1, got c={c}, k={k}")
+    if len(digits) != k:
+        raise ValidationError(f"need {k} digit nodes, got {len(digits)}")
+    out = []
+    for i in range(1, k + 1):
+        lower = [(1.0, node(d)) for d in digits[: i - 1]]
+        h1 = relu(float((i - 1) * (c - 1)), *[(-w, e) for w, e in lower])
+        h2 = relu(float((i - 1) * (c - 1) - 1), *[(-w, e) for w, e in lower])
+        upto = [(1.0, node(d)) for d in digits[:i]]
+        h3 = relu(float(-i * (c - 1) + 1), *upto)
+        out.append(
+            relu(1.0, (1.0, node(digits[i - 1])), (-1.0, h1), (1.0, h2), (-float(c), h3))
+        )
+    return out
+
+
+def exp_binary(alpha: float, x) -> Expr:
+    """exp(alpha * x) for x in {0, 1}: (1 - e^alpha) [x = 0] + e^alpha.
+
+    Exact at both inputs for |alpha| < ln 3, which covers every use here
+    (boosting exponents are advantages, so |alpha| <= 1).
+    """
+    ea = math.exp(alpha)
+    return relu(ea, (1.0 - ea, ind_eq(x, 0.0)))
 
 
 # -- inspection -------------------------------------------------------------

@@ -105,18 +105,6 @@ class Schedule:
         return scale * self.k * math.log(self.alphabet.size) / self.epsilon**2
 
 
-def make_schedule(
-    variant: str,
-    d_bound: int,
-    k: int,
-    tau: int,
-    epsilon: float,
-    alphabet: Alphabet,
-    b_d: int = 0,
-) -> Schedule:
-    return Schedule(variant, d_bound, k, tau, epsilon, alphabet, b_d)
-
-
 def sample_j0(schedule: Schedule, rng: random.Random) -> int:
     lo, hi = schedule.j0_range()
     if hi < lo:
@@ -288,7 +276,6 @@ def run_algorithm(
     tau: int,
     d_bound: int,
     rng: random.Random,
-    alphabet: Alphabet | None = None,
     b_d: int = 0,
     max_rounds: int | None = None,
     compile_hook=None,
@@ -302,8 +289,7 @@ def run_algorithm(
     """
     if family.k != k:
         raise PreconditionError(f"family has k={family.k}, the loop k={k}")
-    alphabet = alphabet or p.alphabet
-    schedule = make_schedule(variant, d_bound, k, tau, epsilon, alphabet, b_d)
+    schedule = Schedule(variant, d_bound, k, tau, epsilon, p.alphabet, b_d)
     j0 = sample_j0(schedule, rng)
     trace = SelfBoostTrace(variant=variant, j0=j0, epsilon=epsilon, k=k)
     bound = schedule.round_bound + 1

@@ -53,9 +53,8 @@ from .instances import (
     rng_for,
 )
 from .rnn.engine import compile_graph, run
-from .rnn.expr import evaluate
+from .rnn.expr import base_c_increment, evaluate, exp_binary, ind_eq
 from .rnn.sufficiency import verify_hidden_sufficiency
-from .rnn.transitions import build_transition
 from .selfboost import run_algorithm
 
 B2 = Alphabet(2)
@@ -207,10 +206,10 @@ def check_transition_library() -> tuple[bool, str]:
     """Transition library matches the mathematical definitions."""
     bad = 0
     for c in range(-2, 8):
-        eq = build_transition("indicator_eq", x="x", c=float(c))
+        eq = ind_eq("x", float(c))
         for x in range(-4, 12):
             bad += evaluate(eq, {"x": float(x)}) != float(x == c)
-    exprs = build_transition("base_c_increment", c=3, k=3, digits=["a", "b", "c"])
+    exprs = base_c_increment(3, 3, ["a", "b", "c"])
     val = [0, 0, 0]
     for step in range(29):
         want = (step + 1) % 27
@@ -218,7 +217,7 @@ def check_transition_library() -> tuple[bool, str]:
             int(evaluate(e, {"a": val[0], "b": val[1], "c": val[2]})) for e in exprs
         ]
         bad += (val[0] + 3 * val[1] + 9 * val[2]) != want
-    e = build_transition("exp_binary", alpha=0.4, x="x")
+    e = exp_binary(0.4, "x")
     bad += evaluate(e, {"x": 0.0}) != 1.0
     bad += evaluate(e, {"x": 1.0}) != math.exp(0.4)
     return bad == 0, f"{bad} mismatches"

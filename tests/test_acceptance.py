@@ -51,12 +51,21 @@ from ntpboost.instances import (
     rng_for,
 )
 from ntpboost.rnn.engine import run
-from ntpboost.rnn.expr import evaluate
+from ntpboost.rnn.expr import (
+    and_,
+    base_c_increment,
+    evaluate,
+    exp_binary,
+    ind_eq,
+    ind_ge,
+    ind_le,
+    lnot,
+    or_,
+)
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
-from ntpboost.rnn.transitions import build_transition
 from ntpboost.selfboost import (
+    Schedule,
     empirical_bad_set,
-    make_schedule,
     reference_trajectory,
     run_algorithm,
 )
@@ -240,7 +249,7 @@ def test_criterion_7_algorithm1_loop():
         rng = rng_for(inst_seed)
         p = random_text(B2, n, rng)
         fam = one_prefix_table_family(B2, n, k)
-        schedule = make_schedule("plain", 7, k, 3, eps, B2)
+        schedule = Schedule("plain", 7, k, 3, eps, B2)
         traj = reference_trajectory(p, schedule, fam)
         lo, hi = schedule.j0_range()
         bad = empirical_bad_set(traj, schedule, range(lo, hi + 2))
@@ -351,9 +360,9 @@ def test_criterion_9_transition_library():
     bad = 0
     # indicators on an exhaustive integer grid
     for c in range(-3, 9):
-        eq = build_transition("indicator_eq", x="x", c=float(c))
-        le = build_transition("indicator_le", x="x", c=float(c))
-        ge = build_transition("indicator_ge", x="x", c=float(c))
+        eq = ind_eq("x", float(c))
+        le = ind_le("x", float(c))
+        ge = ind_ge("x", float(c))
         for x in range(-6, 15):
             vals = {"x": float(x)}
             bad += evaluate(eq, vals) != float(x == c)
@@ -362,18 +371,18 @@ def test_criterion_9_transition_library():
     # boolean operations over all input tuples
     for width in range(1, 5):
         names = [f"b{j}" for j in range(width)]
-        e_or = build_transition("or", *names)
-        e_and = build_transition("and", *names)
+        e_or = or_(*names)
+        e_and = and_(*names)
         for bits in product((0.0, 1.0), repeat=width):
             vals = dict(zip(names, bits))
             bad += evaluate(e_or, vals) != float(any(bits))
             bad += evaluate(e_and, vals) != float(all(bits))
-    bad += evaluate(build_transition("not", x="b"), {"b": 1.0}) != 0.0
+    bad += evaluate(lnot("b"), {"b": 1.0}) != 0.0
     # base-c increment for c <= 3, k <= 4: full cycles
     for c in (2, 3):
         for k in (1, 2, 3, 4):
             digits = [f"d{j}" for j in range(k)]
-            exprs = build_transition("base_c_increment", c=c, k=k, digits=digits)
+            exprs = base_c_increment(c, k, digits)
             val = [0] * k
             for step in range(c**k + 3):
                 vals = {f"d{j}": float(val[j]) for j in range(k)}
@@ -382,7 +391,7 @@ def test_criterion_9_transition_library():
                 bad += sum(dv * c**j for j, dv in enumerate(val)) != want
     # exponential on binary input
     for alpha in (-1.0, -0.25, 0.0, 0.4, 1.0):
-        e = build_transition("exp_binary", alpha=alpha, x="x")
+        e = exp_binary(alpha, "x")
         bad += evaluate(e, {"x": 0.0}) != 1.0
         bad += evaluate(e, {"x": 1.0}) != math.exp(alpha)
     report(9, bad == 0, f"transition library exact on exhaustive domains ({bad} bad)")

@@ -200,25 +200,26 @@ class TestMaxAdvantageOracle:
         rng = rng_for(127)
         p = random_text(B2, 3, rng)
         q = random_text(B2, 3, rng)
-        d, val = max_advantage_oracle(p, q, 1, [constant_distinguisher(1, 3)])
+        d, val = max_advantage_oracle(p, q, [constant_distinguisher(1, 3)])
         assert val == 0.0
 
     def test_equal_distributions_zero(self):
         rng = rng_for(131)
         p = random_text(B2, 3, rng)
         fam = single_position_window_subsets(B2, 3, 1, position=2)
-        _, val = max_advantage_oracle(p, p, 1, fam)
+        _, val = max_advantage_oracle(p, p, fam)
         assert val < 1e-14
 
     def test_decomposed_max_matches_product_family(self):
         # production decomposition vs exhaustive product-family enumeration
         rng = rng_for(137)
-        n, k = 3, 1
+        n = 3
         p = random_text(B2, n, rng)
         q = random_text(B2, n, rng)
-        fam = product_window_family(B2, n, k)
-        _, val = max_advantage_oracle(p, q, k, fam)
-        assert abs(val - max_window_predicate_advantage(p, q, k)) < 1e-12
+        for k in (1, 2):
+            fam = product_window_family(B2, n, k)
+            _, val = max_advantage_oracle(p, q, fam)
+            assert abs(val - max_window_predicate_advantage(p, q, k)) < 1e-12
 
     def test_single_position_subset_enumeration_vs_tv_form(self):
         # best single-position subset advantage = TV-style positive part
@@ -291,22 +292,6 @@ class TestOnePrefixFamily:
             x = shared + tuple(rng.integers(0, 2, size=4 - len(shared)))
             y = shared + tuple(rng.integers(0, 2, size=4 - len(shared)))
             assert d.value_on_document(i, x) == d.value_on_document(i, y)
-
-
-class TestAllWindowPredicatesString:
-    def test_string_family_matches_decomposed_max(self):
-        rng = rng_for(151)
-        p = random_text(B2, 4, rng)
-        q = random_text(B2, 4, rng)
-        for k in (1, 2):
-            d, val = max_advantage_oracle(p, q, k, "all_window_predicates")
-            assert abs(val - max_window_predicate_advantage(p, q, k)) < 1e-12
-
-    def test_string_family_sizing_guard(self):
-        rng = rng_for(157)
-        p = random_text(Alphabet(2), 4, rng)
-        with pytest.raises(SizingError):
-            max_advantage_oracle(p, p, 20, "all_window_predicates")
 
 
 def _lex(tokens, size):

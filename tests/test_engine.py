@@ -21,6 +21,7 @@ from ntpboost.construct import (
 )
 from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
 from ntpboost.errors import ReciprocalZeroError, SizingError, ValidationError
+from ntpboost.fixedpoint import FixedPointFormat, quantized_run
 from ntpboost.instances import random_prefix_window_distinguisher, random_text, rng_for
 from ntpboost.rnn import engine
 from ntpboost.rnn.engine import (
@@ -127,6 +128,18 @@ class TestStepAndRun:
         # output at t = i reads the input at t = i - 1: one-step echo with
         # the pointer having advanced, so compare shifted
         assert [int(outs[t][0]) for t in range(2, 6)] == stream[:4]
+
+    def test_program_of_another_graph_rejected(self):
+        # two circuits of one shape: the other's program would run silently
+        rng = rng_for(5)
+        b2 = Alphabet(2)
+        g1, g2 = (lm_to_rnn(text_to_lm(random_text(b2, 3, rng))) for _ in range(2))
+        docs = np.array(list(product(range(2), repeat=3)), dtype=float).T
+        other = compile_graph(g2)
+        with pytest.raises(ValidationError, match="another graph"):
+            run(g1, docs, program=other)
+        with pytest.raises(ValidationError, match="another graph"):
+            quantized_run(g1, FixedPointFormat(4, 20), docs, program=other)
 
     def test_hold_three_steps_schedule(self):
         # token held 3 steps: output for x_{:i+1} available at t = 3i + 3

@@ -21,7 +21,7 @@ from ntpboost.instances import (
     random_text,
     rng_for,
 )
-from ntpboost.selfboost import make_schedule
+from ntpboost.selfboost import Schedule
 from full_trace import full_run
 
 B2 = Alphabet(2)
@@ -38,18 +38,18 @@ class TestDistributionFormat:
         t = random_text(B2, 3, rng)
         path = tmp_path / "d.json"
         nio.write_json_atomic(str(path), nio.distribution_to_json(t))
-        back = nio.load_and_validate(str(path), "distribution")
+        back = nio.distribution_from_json(nio.read_json(str(path)))
         assert np.max(np.abs(back.probs - t.probs)) < 1e-15
 
     def test_valid_uniform_fixture_loads(self):
-        t = nio.load_and_validate(fixture("uniform_n2.json"), "distribution")
+        t = nio.distribution_from_json(nio.read_json(fixture("uniform_n2.json")))
         assert t.n == 2 and abs(t.probs.sum() - 1) < 1e-12
 
     def test_bad_normalization_names_tolerance(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"alphabet_size": 2, "n": 1, "probs": [0.5, 0.48]}))
         with pytest.raises(FormatError, match="1e-09"):
-            nio.load_and_validate(str(path), "distribution")
+            nio.distribution_from_json(nio.read_json(str(path)))
 
     def test_negative_prob_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -57,13 +57,13 @@ class TestDistributionFormat:
             json.dumps({"alphabet_size": 2, "n": 1, "probs": [1.5, -0.5]})
         )
         with pytest.raises(FormatError, match="probs/1"):
-            nio.load_and_validate(str(path), "distribution")
+            nio.distribution_from_json(nio.read_json(str(path)))
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"alphabet_size": 2, "n": 1, "probs": [NaN, 1.0]}')
         with pytest.raises(FormatError):
-            nio.load_and_validate(str(path), "distribution")
+            nio.distribution_from_json(nio.read_json(str(path)))
 
 
 class TestDistinguisherFormat:
@@ -73,7 +73,7 @@ class TestDistinguisherFormat:
         payload = nio.distinguisher_to_json(d, B2)
         path = tmp_path / "d.json"
         nio.write_json_atomic(str(path), payload)
-        back = nio.load_and_validate(str(path), "distinguisher", B2)
+        back = nio.distinguisher_from_json(nio.read_json(str(path)), B2)
         for i in range(1, 5):
             kc = min(2, 4 - i + 1)
             for joint in product(range(2), repeat=i - 1 + kc):
@@ -87,13 +87,9 @@ class TestDistinguisherFormat:
         d = random_prefix_window_distinguisher(b3, 3, 2, rng)
         path = tmp_path / "d.json"
         nio.write_json_atomic(str(path), nio.distinguisher_to_json(d, b3))
-        back = nio.load_and_validate(str(path), "distinguisher", b3)
+        back = nio.distinguisher_from_json(nio.read_json(str(path)), b3)
         for a, b in zip(back.tables(3), d.tables(3)):
             assert np.array_equal(a, b)
-
-    def test_missing_alphabet_rejected(self):
-        with pytest.raises(FormatError, match="alphabet"):
-            nio.load_and_validate(fixture("distinguisher_n4_k2.json"), "distinguisher")
 
     def test_bad_key_length_rejected(self, tmp_path):
         path = tmp_path / "d.json"
@@ -103,7 +99,7 @@ class TestDistinguisherFormat:
             )
         )
         with pytest.raises(FormatError, match="key length"):
-            nio.load_and_validate(str(path), "distinguisher", B2)
+            nio.distinguisher_from_json(nio.read_json(str(path)), B2)
 
     def test_rnn_kind_evaluates_through_engine(self, tmp_path):
         rng = rng_for(911)
@@ -114,7 +110,7 @@ class TestDistinguisherFormat:
         payload = {"kind": "rnn", "k": 1, "n": 3, "graph": nio.graph_to_json(g)}
         path = tmp_path / "d.json"
         nio.write_json_atomic(str(path), payload)
-        back = nio.load_and_validate(str(path), "distinguisher", B2)
+        back = nio.distinguisher_from_json(nio.read_json(str(path)), B2)
         p = random_text(B2, 3, rng)
         q = random_text(B2, 3, rng)
         assert abs(advantage(back, p, q) - advantage(d, p, q)) < 1e-12
@@ -127,7 +123,7 @@ class TestGraphFormat:
         g = lm_to_rnn(lm, 2)
         path = tmp_path / "g.json"
         nio.write_json_atomic(str(path), nio.graph_to_json(g))
-        back = nio.load_and_validate(str(path), "graph")
+        back = nio.graph_from_json(nio.read_json(str(path)))
         stream = np.array([1, 0, 1])
         a = full_run(g, stream)
         b = full_run(back, stream)
@@ -148,7 +144,7 @@ class TestGraphFormat:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="hidden node 'h' reads"):
-            nio.load_and_validate(str(path), "graph")
+            nio.graph_from_json(nio.read_json(str(path)))
 
 
 def run_cli(*argv):
@@ -178,11 +174,11 @@ class TestCli:
         )
         assert rc == 0
         result = json.load(open(os.path.join(out, "boost_result.json")))
-        boosted = nio.load_and_validate(
-            os.path.join(out, "boosted_distribution.json"), "distribution"
+        boosted = nio.distribution_from_json(
+            nio.read_json(os.path.join(out, "boosted_distribution.json"))
         )
-        p = nio.load_and_validate(fixture("train_n4.json"), "distribution")
-        q = nio.load_and_validate(fixture("model_n4.json"), "distribution")
+        p = nio.distribution_from_json(nio.read_json(fixture("train_n4.json")))
+        q = nio.distribution_from_json(nio.read_json(fixture("model_n4.json")))
         from ntpboost.dist import kl
 
         assert abs(result["kl_after"] - kl(p, boosted)) < 1e-9
@@ -198,9 +194,11 @@ class TestCli:
         from ntpboost.construct import distinguisher_to_rnn
 
         out = str(tmp_path / "c")
-        p = nio.load_and_validate(fixture("train_n4.json"), "distribution")
-        q = nio.load_and_validate(fixture("model_n4.json"), "distribution")
-        d = nio.load_and_validate(fixture("distinguisher_n4_k2.json"), "distinguisher", B2)
+        p = nio.distribution_from_json(nio.read_json(fixture("train_n4.json")))
+        q = nio.distribution_from_json(nio.read_json(fixture("model_n4.json")))
+        d = nio.distinguisher_from_json(
+            nio.read_json(fixture("distinguisher_n4_k2.json")), B2
+        )
         res = boost_text(p, q, d)
         d_graph = distinguisher_to_rnn(res.applied, B2, 2)
         dpath = str(tmp_path / "d_graph.json")
@@ -278,7 +276,7 @@ class TestCli:
         assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
         trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
         rows = open(os.path.join(out, "rounds.csv")).read().splitlines()[1:]
-        schedule = make_schedule("plain", 7, 2, 3, 0.05, B2)
+        schedule = Schedule("plain", 7, 2, 3, 0.05, B2)
         assert len(rows) == len(trace["rounds"]) >= 1
         for r, row in zip(trace["rounds"], rows):
             want = decimal_digits(schedule.time(r["index"]))
@@ -399,7 +397,9 @@ class TestCli:
     ):
         from ntpboost.construct import distinguisher_to_rnn
 
-        d = nio.load_and_validate(fixture("distinguisher_n4_k2.json"), "distinguisher", B2)
+        d = nio.distinguisher_from_json(
+            nio.read_json(fixture("distinguisher_n4_k2.json")), B2
+        )
         dpath = str(tmp_path / "d_graph.json")
         nio.write_json_atomic(dpath, nio.graph_to_json(distinguisher_to_rnn(d, B2, 2)))
 

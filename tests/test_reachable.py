@@ -4,9 +4,9 @@ and every definition in it is used somewhere.
 No linter is declared, so dead code is found here, with ``ast``: the
 module test follows ``import`` and ``from ... import`` statements,
 starting at the module of the ``[project.scripts]`` entry in
-``pyproject.toml``; the definition test looks each name up among the
-names and attributes read anywhere in ``src/``, ``tests/`` and
-``benchmarks/``.
+``pyproject.toml``; the definition test looks each top-level function,
+class, method and constant up among the names and attributes read
+anywhere in ``src/``, ``tests/`` and ``benchmarks/``.
 """
 
 import ast
@@ -63,10 +63,20 @@ def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def constant_names(node) -> list[str]:
+    """Names a top-level ``X = ...``, ``X: T = ...`` or ``A, B = ...`` binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    names = []
+    for target in targets:
+        elts = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [e.id for e in elts if isinstance(e, ast.Name)]
+    return names
+
+
 def test_every_definition_is_referenced():
-    # top-level functions and classes, and methods other than dunders
-    # (those the language calls): a definition is not a reference, so a
-    # name read nowhere else is dead
+    # top-level functions, classes and constants, and methods other than
+    # dunders (those the language calls): a definition is not a reference,
+    # so a name read nowhere else is dead
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
     for name, path in sorted(module_files().items()):
@@ -79,11 +89,15 @@ def test_every_definition_is_referenced():
                     for method in node.body
                     if isinstance(method, functions) and not is_dunder(method.name)
                 ]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [
+                    f"{name}.{c}" for c in constant_names(node) if not is_dunder(c)
+                ]
     read = set()
     for folder in ("src", "tests", "benchmarks"):
         for path in (ROOT / folder).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)

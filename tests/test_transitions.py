@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 from ntpboost.errors import ValidationError
 from ntpboost.rnn.expr import (
     Node,
+    and_,
+    base_c_increment,
+    case_select,
     depth,
     evaluate,
+    exp_binary,
     free_nodes,
     from_sexpr,
     ind_eq,
+    ind_ge,
+    ind_le,
+    lnot,
+    or_,
     to_sexpr,
 )
-from ntpboost.rnn.transitions import build_transition
 
 
 def ev(expr, **values):
@@ -26,28 +33,28 @@ def ev(expr, **values):
 
 class TestIndicators:
     def test_eq_examples(self):
-        e = build_transition("indicator_eq", x="x", c=3.0)
+        e = ind_eq("x", 3.0)
         assert ev(e, x=3.0) == 1.0
         assert ev(e, x=2.5) == 0.0
         assert ev(e, x=2.0) == 0.0
 
     def test_eq_exhaustive_integers(self):
         for c in range(-3, 12):
-            e = build_transition("indicator_eq", x="x", c=float(c))
+            e = ind_eq("x", float(c))
             for x in range(-5, 20):
                 assert ev(e, x=float(x)) == (1.0 if x == c else 0.0)
 
     def test_le_ge_exhaustive_integers(self):
         for c in range(0, 9):
-            le = build_transition("indicator_le", x="x", c=float(c))
-            ge = build_transition("indicator_ge", x="x", c=float(c))
+            le = ind_le("x", float(c))
+            ge = ind_ge("x", float(c))
             for x in range(-4, 14):
                 assert ev(le, x=float(x)) == (1.0 if x <= c else 0.0)
                 assert ev(ge, x=float(x)) == (1.0 if x >= c else 0.0)
 
     def test_large_integer_domain(self):
         # counters reach ~10^6 in big builds; indicators must stay exact
-        e = build_transition("indicator_eq", x="x", c=1048575.0)
+        e = ind_eq("x", 1048575.0)
         assert ev(e, x=1048575.0) == 1.0
         assert ev(e, x=1048574.0) == 0.0
 
@@ -65,8 +72,8 @@ class TestIndicators:
     @settings(max_examples=300)
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_indicators_hypothesis(self, x, c):
-        eq = build_transition("indicator_eq", x="x", c=float(c))
-        le = build_transition("indicator_le", x="x", c=float(c))
+        eq = ind_eq("x", float(c))
+        le = ind_le("x", float(c))
         assert ev(eq, x=float(x)) == float(x == c)
         assert ev(le, x=float(x)) == float(x <= c)
 
@@ -75,42 +82,34 @@ class TestBooleans:
     def test_or_and_not_exhaustive(self):
         for width in (1, 2, 3, 4):
             names = [f"b{j}" for j in range(width)]
-            e_or = build_transition("or", *names)
-            e_and = build_transition("and", *names)
+            e_or = or_(*names)
+            e_and = and_(*names)
             for bits in product((0.0, 1.0), repeat=width):
                 vals = dict(zip(names, bits))
                 assert ev(e_or, **vals) == float(any(bits))
                 assert ev(e_and, **vals) == float(all(bits))
-        e_not = build_transition("not", x="b")
+        e_not = lnot("b")
         assert ev(e_not, b=0.0) == 1.0
         assert ev(e_not, b=1.0) == 0.0
 
 
 class TestIfElse:
     def test_eq_selector(self):
-        e = build_transition(
-            "if_else", b="b", c=2.0, then_expr="x", else_expr="y"
-        )
+        e = case_select([(ind_eq("b", 2.0), Node("x"))], Node("y"))
         assert ev(e, b=2.0, x=7.0, y=9.0) == 7.0
         assert ev(e, b=1.0, x=7.0, y=9.0) == 9.0
 
     def test_le_selector(self):
-        e = build_transition(
-            "if_else", b="b", c=4.0, then_expr="x", else_expr="y", cmp="le"
-        )
+        e = case_select([(ind_le("b", 4.0), Node("x"))], Node("y"))
         assert ev(e, b=4.0, x=1.5, y=2.5) == 1.5
         assert ev(e, b=5.0, x=1.5, y=2.5) == 2.5
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            build_transition("sigmoid", x="x")
 
 
 class TestBaseCIncrement:
     @pytest.mark.parametrize("c,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
     def test_increments_whole_cycle(self, c, k):
         digits = [f"d{j}" for j in range(k)]
-        exprs = build_transition("base_c_increment", c=c, k=k, digits=digits)
+        exprs = base_c_increment(c, k, digits)
         value = [0] * k  # little-endian digit vector
         seen = []
         for _ in range(c**k + 2):
@@ -123,34 +122,34 @@ class TestBaseCIncrement:
     def test_paper_example(self):
         # (x1,x2,x3) = (1,1,0) in base 2 is value 3; incrementing gives
         # (0,0,1), value 4
-        exprs = build_transition("base_c_increment", c=2, k=3, digits=["a", "b", "c"])
+        exprs = base_c_increment(2, 3, ["a", "b", "c"])
         out = [ev(e, a=1.0, b=1.0, c=0.0) for e in exprs]
         assert out == [0.0, 0.0, 1.0]
 
     def test_bad_shape(self):
         with pytest.raises(ValidationError):
-            build_transition("base_c_increment", c=2, k=3, digits=["a"])
+            base_c_increment(2, 3, ["a"])
 
 
 class TestExpBinary:
     def test_endpoints_exact(self):
         for alpha in (0.3, -0.8, 1.0, 0.0, -1.0, 0.05):
-            e = build_transition("exp_binary", alpha=alpha, x="x")
+            e = exp_binary(alpha, "x")
             assert ev(e, x=0.0) == 1.0
             assert ev(e, x=1.0) == math.exp(alpha)
 
 
 class TestExprPlumbing:
     def test_free_nodes_and_depth(self):
-        e = build_transition("if_else", b="flag", c=1.0, then_expr="u", else_expr="v")
+        e = case_select([(ind_eq("flag", 1.0), Node("u"))], Node("v"))
         assert free_nodes(e) == {"flag", "u", "v"}
         assert depth(e) <= 8
 
     def test_sexpr_round_trip(self):
         exprs = [
-            build_transition("indicator_eq", x="x", c=3.0),
-            build_transition("exp_binary", alpha=-0.37, x="bit"),
-            build_transition("or", "a", "b", "c"),
+            ind_eq("x", 3.0),
+            exp_binary(-0.37, "bit"),
+            or_("a", "b", "c"),
             Node("plain"),
         ]
         for e in exprs:
