@@ -30,6 +30,7 @@ from .errors import PreconditionError, SizingError, ValidationError
 
 Predicate = Callable[[int, Document, Document], int]
 Tables = tuple[np.ndarray, ...]
+ORACLE_CAP = 1 << 20  # most members ``max_advantage_oracle`` enumerates
 
 
 def table_shapes(k: int, n: int, size: int) -> list[tuple[int, int]]:
@@ -311,19 +312,18 @@ def max_advantage_oracle(
     p: TextDistribution,
     q: TextDistribution,
     family,
-    cap: int = 1 << 20,
 ) -> tuple[Distinguisher, float]:
     """Brute-force member of ``family`` with the largest |advantage|.
 
-    ``family`` is a finite iterable of distinguishers; ties break to the
-    earliest member.
+    ``family`` is an iterable of at most ``ORACLE_CAP`` distinguishers;
+    ties break to the earliest member.
     """
     best_d, best_val = None, -1.0
     count = 0
     for d in family:
         count += 1
-        if count > cap:
-            raise SizingError(f"family enumeration exceeded cap {cap}")
+        if count > ORACLE_CAP:
+            raise SizingError(f"family enumeration exceeded cap {ORACLE_CAP}")
         val = advantage(d, p, q)
         if abs(val) > best_val + 1e-18:
             best_d, best_val = d, abs(val)

@@ -6,11 +6,16 @@ remaining stream, and demand that all later scheduled outputs match the
 undisturbed run.  If they do for many random streams and scrub points,
 the declared hidden set really does carry all state the outputs need.
 
-Trials are batched: one baseline run carries every trial stream, and
-resumed runs are grouped by scrub time.  Every run advances one token
-period at a time and reads the output from the full state at each
-multiple of the period; the baseline keeps full states only at the
-scrub times.
+Every trial is carried by one batch, advanced one token period at a
+time: a baseline column and a scrub column per trial stream.  After
+period i, the scrub columns of the trials that scrub at i get their
+garbage.  Until then a scrub column equals its baseline bit for bit, so
+``_advance``'s prefix sharing evaluates the pair once.  A scrub group
+(the trials that scrub at the same time) stops at the first period
+where any of its outputs leaves its baseline's: its scrub columns are
+set back to their baselines and merge with them again, so no later
+period of that group is checked or raises, as in a run of the group
+that ends there.  Each token period is stepped once.
 """
 
 from __future__ import annotations
@@ -44,48 +49,39 @@ def verify_hidden_sufficiency(
     period = graph.rnn_time
     keep = set(graph.hidden_ids) | set(graph.input_ids)
     scrub_rows = [j for j, n in enumerate(graph.nodes) if n.name not in keep]
-    report = SufficiencyReport(ok=True, trials=trials)
 
     tokens = graph.meta.get("alphabet_size", 2)
     streams = rng.choice(tokens, size=(N_TOKENS, trials)).astype(float)
     scrub_at = rng.integers(1, N_TOKENS, size=trials)  # scrub at i * period
     garbage = rng.uniform(0.0, 3.0, size=(len(scrub_rows), trials))
 
-    # the baseline keeps the output at each multiple of the period, and
-    # the full state only at the scrub times
+    # columns [0, trials) are the baselines, [trials, 2 trials) the scrub copies
+    both = np.concatenate([streams, streams], axis=1)
     out_row = prog.node_index[graph.output_id]
-    scrub_times = sorted(set(int(v) for v in scrub_at))
-    want = np.empty((N_TOKENS, trials))
-    scrub_states = {}
-    start, _ = _start(prog, streams, None)
-    for i, state in _by_period(prog, start, streams, 1, 1):
-        want[i - 1] = state[out_row]
-        if i in scrub_times:
-            scrub_states[i] = state
-
-    for i in scrub_times:
-        cols = np.nonzero(scrub_at == i)[0]
-        scrub_t = i * period
-        scrubbed = scrub_states[i][:, cols]
-        for row_pos, row in enumerate(scrub_rows):
-            scrubbed[row] = garbage[row_pos, cols]
-        for j, state in _by_period(prog, scrubbed, streams[:, cols], scrub_t, i + 1):
-            bad = np.abs(want[j - 1, cols] - state[out_row]) > ATOL
-            if bad.any():
-                report.ok = False
-                for c in cols[np.nonzero(bad)[0]]:
-                    report.failures.append(
-                        {"trial": int(c), "scrub_time": scrub_t, "diverged_at": j * period}
-                    )
-                break
-    return report
-
-
-def _by_period(prog, state: np.ndarray, streams: np.ndarray, t: int, first: int):
-    """From ``state`` at time t, yield (i, the full state at i * period)
-    for i = first, ..., N_TOKENS, one token period at a time."""
-    period = prog.graph.rnn_time
-    for i in range(first, N_TOKENS + 1):
-        _, state, _, _ = _advance(prog, state, streams, t, i * period, [])
+    groups = {}  # scrub period -> its trials, while the group is checked
+    diverged = {}  # scrub period -> (divergence period, its bad trials)
+    state, _ = _start(prog, both, None)
+    t = 1
+    for i in range(1, N_TOKENS + 1):
+        _, state, _, _ = _advance(prog, state, both, t, i * period, [])
         t = i * period
-        yield i, state
+        out = state[out_row]
+        for g, cols in list(groups.items()):
+            bad = np.abs(out[cols] - out[trials + cols]) > ATOL
+            if bad.any():
+                diverged[g] = (i, cols[bad])
+                state[:, trials + cols] = state[:, cols]  # the group ends here
+                del groups[g]
+        cols = np.nonzero(scrub_at == i)[0]
+        if cols.size:
+            state[np.ix_(scrub_rows, trials + cols)] = garbage[:, cols]
+            groups[i] = cols
+
+    report = SufficiencyReport(ok=not diverged, trials=trials)
+    for g in sorted(diverged):
+        j, bad = diverged[g]
+        report.failures += [
+            {"trial": int(c), "scrub_time": g * period, "diverged_at": j * period}
+            for c in bad
+        ]
+    return report

@@ -8,9 +8,10 @@ budget is exhausted.  This is exactly the mechanism behind the self-boosting
 guarantee, and the trace records the substitution explicitly.
 
 Schedules follow the algorithm statements: sizes 17(d+k) i^2, hidden
-12(d+k) i, time (8 k |Sigma|^k)^(i-1) tau, plus bit budgets and
-conditional floors for the bounded-bit variant.  Round-count logs are
-natural (KL bookkeeping in nats); bit-count logs are base 2, ceiled.
+12(d+k) i, time (8 k |Sigma|^k)^(i-1) tau.  The bounded-bit variant
+differs in its starting-index scale (16 instead of 4) and its stop
+threshold (eps^2/8k instead of eps^2/4k).  Round-count logs are natural
+(KL bookkeeping in nats).
 """
 
 from __future__ import annotations
@@ -70,22 +71,6 @@ class Schedule:
             t = (8 * self.k * self.alphabet.size**self.k) ** (i - 1) * self.tau
             self._times[i] = t
         return t
-
-    def bits(self, i: int) -> int:
-        if self.variant != BITS:
-            raise PreconditionError("bit budgets exist only in the bits variant")
-        s, k, eps = self.alphabet.size, self.k, self.epsilon
-        return math.ceil(
-            self.b_d
-            + 3 * k * math.log2(s) * i * i
-            + i * math.log2(self.tau)
-            + 772 * (k * k / eps**2 * math.log2(s) + math.log2(1 / eps))
-        )
-
-    def floor(self, i: int) -> float:
-        if self.variant != BITS:
-            raise PreconditionError("floors exist only in the bits variant")
-        return 0.99 / (self.alphabet.size * 4.0 ** (i - 1))
 
     @property
     def stop_threshold(self) -> float:
@@ -277,7 +262,6 @@ def run_algorithm(
     d_bound: int,
     rng: random.Random,
     b_d: int = 0,
-    max_rounds: int | None = None,
     compile_hook=None,
 ) -> tuple[TextDistribution, SelfBoostTrace]:
     """Iterate schedule indices from j0 + 1 until the loss stops dropping.
@@ -292,8 +276,7 @@ def run_algorithm(
     schedule = Schedule(variant, d_bound, k, tau, epsilon, p.alphabet, b_d)
     j0 = sample_j0(schedule, rng)
     trace = SelfBoostTrace(variant=variant, j0=j0, epsilon=epsilon, k=k)
-    bound = schedule.round_bound + 1
-    limit = max_rounds if max_rounds is not None else math.ceil(bound) + 2
+    limit = math.ceil(schedule.round_bound + 1) + 2
 
     prev_model: TextDistribution | None = None
     prev_loss = float("inf")

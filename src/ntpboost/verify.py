@@ -277,19 +277,25 @@ def check_quantized_boost() -> tuple[bool, str]:
 def check_error_bounds() -> tuple[bool, str]:
     """Error-propagation bounds survive fuzzing."""
     rng = rng_for(1063)
-    bad = 0
-    for _ in range(2000):
-        m = int(rng.integers(1, 8))
-        delta = float(rng.uniform(1e-6, 0.999 / m))
-        x = rng.uniform(0, 1, size=m)
-        y = np.clip(x + rng.uniform(-delta, delta, size=m), 0, 1)
-        bad += abs(np.prod(x) - np.prod(y)) > product_error_bound(m, delta) + 1e-15
-    for _ in range(2000):
-        y = float(rng.uniform(0.05, 1.0))
-        x = float(rng.uniform(0.01, y))
-        ell = float(rng.uniform(0.01, y))
-        delta = float(rng.uniform(1e-6, ell * 0.999))
-        bad += (x + delta) / (y - delta) > fraction_error_bound(x, y, delta, ell) + 1e-12
+    cases = 2000
+    # products of m factors, each off by at most delta; factors past m are 1.0
+    m = rng.integers(1, 8, size=cases)
+    delta = rng.uniform(1e-6, 0.999 / m)
+    x = rng.uniform(0, 1, size=(cases, 7))
+    y = np.clip(x + rng.uniform(-delta[:, None], delta[:, None], size=x.shape), 0, 1)
+    unused = np.arange(7) >= m[:, None]
+    x[unused] = y[unused] = 1.0
+    gap = np.abs(np.prod(x, axis=1) - np.prod(y, axis=1))
+    bound = np.fromiter(map(product_error_bound, m.tolist(), delta.tolist()), float)
+    bad = int((gap > bound + 1e-15).sum())
+    # fractions (x + delta) / (y - delta) with x <= y and delta < ell <= y
+    y = rng.uniform(0.05, 1.0, size=cases)
+    x = rng.uniform(0.01, y)
+    ell = rng.uniform(0.01, y)
+    delta = rng.uniform(1e-6, ell * 0.999)
+    args = (x.tolist(), y.tolist(), delta.tolist(), ell.tolist())
+    bound = np.fromiter(map(fraction_error_bound, *args), float)
+    bad += int(((x + delta) / (y - delta) > bound + 1e-12).sum())
     return bad == 0, f"{bad} violations"
 
 

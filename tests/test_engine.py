@@ -46,6 +46,7 @@ from ntpboost.rnn.expr import (
     case_select,
     const,
     evaluate,
+    ind_ge,
     ind_le,
     node,
     prod,
@@ -366,6 +367,70 @@ class TestSufficiency:
         rep = verify_hidden_sufficiency(g, trials=8, rng=np.random.default_rng(5))
         assert rep.ok
         assert full_trace_scrubbing(g, 8, np.random.default_rng(5)) == []
+
+
+def held_graph(den):
+    """A non-hidden ``g`` holds 10.0 and the output reads it; ``h`` is
+    20 - g, one step later, and ``den`` is 1/(1 - den(g, h))."""
+    return RnnGraph(
+        nodes=[
+            NodeSpec("in", 0.0, None),
+            NodeSpec("g", 10.0, relu(0.0, (1.0, "g"))),
+            NodeSpec("h", 10.0, relu(20.0, (-1.0, "g"))),
+            NodeSpec("den", 1.0, recip(1.0, (-1.0, den))),
+            NodeSpec("out", 10.0, relu(0.0, (1.0, "g"))),
+        ],
+        input_ids=("in",),
+        output_id="out",
+        hidden_ids=(),
+        rnn_time=1,
+    )
+
+
+class TestScrubbingPass:
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("seed, trials", [(13, 20), (31, 7), (47, 3)])
+    def test_failures_in_several_groups_match_the_full_trace_check(
+        self, period, seed, trials
+    ):
+        g = accumulator_graph(period)
+        rep = verify_hidden_sufficiency(g, trials, np.random.default_rng(seed))
+        want = full_trace_scrubbing(g, trials, np.random.default_rng(seed))
+        assert len({f["scrub_time"] for f in want}) >= 2
+        assert (rep.ok, rep.failures) == (False, want)
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_each_token_period_is_stepped_once(self, monkeypatch, period):
+        calls = []
+
+        def counted(prog, state, stream, t0, t1, rows, *args, **kw):
+            calls.append((t0, t1, state.shape[1]))
+            return _advance(prog, state, stream, t0, t1, rows, *args, **kw)
+
+        monkeypatch.setattr(sufficiency, "_advance", counted)
+        verify_hidden_sufficiency(accumulator_graph(period), 6, np.random.default_rng(3))
+        ends = [1] + [i * period for i in range(1, sufficiency.N_TOKENS + 1)]
+        assert calls == [(a, b, 12) for a, b in zip(ends, ends[1:])]
+
+    def test_garbage_that_zeroes_a_reciprocal_raises(self):
+        # garbage in [0, 3) puts g <= 5 one step after the scrub
+        g = held_graph(ind_le("g", 5))
+        with pytest.raises(ReciprocalZeroError):
+            verify_hidden_sufficiency(g, 4, np.random.default_rng(2))
+
+    def test_a_group_stops_at_its_first_divergence(self):
+        # h >= 15 two steps after a scrub: after the output has diverged
+        g = held_graph(ind_ge("h", 15))
+        with pytest.raises(ReciprocalZeroError):
+            full_trace_scrubbing(g, 12, np.random.default_rng(2))
+        rep = verify_hidden_sufficiency(g, 12, np.random.default_rng(2))
+        assert not rep.ok
+        assert sorted(f["trial"] for f in rep.failures) == list(range(12))
+        assert {f["scrub_time"] for f in rep.failures} == {1, 2, 3}
+        assert rep.failures == sorted(
+            rep.failures, key=lambda f: (f["scrub_time"], f["trial"])
+        )
+        assert all(f["diverged_at"] == f["scrub_time"] + 1 for f in rep.failures)
 
 
 class TestTokenAlphabet:

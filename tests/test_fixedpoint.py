@@ -100,6 +100,16 @@ class TestErrorBounds:
         with pytest.raises(PreconditionError):
             fraction_error_bound(0.8, 0.5, 0.1, 0.4)  # y < x
 
+    @pytest.mark.parametrize("bound", ["product_error_bound", "fraction_error_bound"])
+    def test_verify_fuzz_catches_a_bound_that_is_too_tight(self, monkeypatch, bound):
+        from ntpboost import verify
+
+        monkeypatch.setattr(verify, bound, lambda *args: 0.0)
+        ok, detail = verify.check_error_bounds()
+        count, word = detail.split()
+        assert (bool(ok), word) == (False, "violations")
+        assert int(count) > 0
+
 
 class TestBoostedLowerBound:
     def test_zero_distinguisher(self):

@@ -47,19 +47,6 @@ class TestSchedule:
         assert s == Schedule("plain", 7, 2, 3, 0.05, B2)
         assert hash(s) == hash(Schedule("plain", 7, 2, 3, 0.05, B2))
 
-    def test_bits_floor_example(self):
-        s = Schedule("bits", 2, 1, 3, 0.5, B2, b_d=4)
-        assert s.floor(3) == 0.99 / (2 * 16) == 0.0309375
-
-    def test_bits_budget_grows(self):
-        s = Schedule("bits", 2, 2, 3, 0.5, B2, b_d=4)
-        assert s.bits(2) > s.bits(1) > 0
-
-    def test_plain_has_no_bits(self):
-        s = Schedule("plain", 2, 1, 3, 0.5, B2)
-        with pytest.raises(PreconditionError):
-            s.bits(1)
-
     def test_stop_thresholds(self):
         p = Schedule("plain", 2, 2, 3, 0.4, B2)
         b = Schedule("bits", 2, 2, 3, 0.4, B2, b_d=4)
