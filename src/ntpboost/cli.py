@@ -224,7 +224,8 @@ def cmd_selfboost(args) -> int:
     dist_path = get("distribution_file", str)
     epsilon = get("epsilon", float, allowed=nio.Between(0, 1, open=True))
     seed, tau = get("seed", int, args.seed), get("tau", int, 3, allowed=positive)
-    d_bound, b_d = get("d_bound", int, 7, allowed=positive), get("b_d", int, 0)
+    d_bound = get("d_bound", int, 7, allowed=positive)
+    get("b_d", int, 0)  # read only to check it: no schedule reads it
     want_compile = get("compile", bool, False)
     variant = get("variant", str, PLAIN, allowed=(PLAIN, BITS))
     family = get("family", dict, {})  # read only to check it: one kind exists
@@ -245,7 +246,6 @@ def cmd_selfboost(args) -> int:
         tau,
         d_bound,
         random.Random(seed),
-        b_d=b_d,
         compile_hook=compile_hook,
     )
     payload = _trace_payload(trace)

@@ -330,19 +330,3 @@ def max_advantage_oracle(
     if best_d is None:
         raise PreconditionError("empty distinguisher family")
     return best_d, best_val
-
-
-def max_window_predicate_advantage(
-    p: TextDistribution, q: TextDistribution, k: int
-) -> float:
-    """Largest |advantage| over all per-position window predicates.
-
-    The family of d with d_i(x) = phi_i(window) factorizes over positions,
-    so the extreme advantage is a sum of per-position extremes: for each
-    position take the windows whose aggregated p-weighted gap is positive
-    (for the max) or negative (for the min).
-    """
-    cols = [g.sum(axis=0) for g in position_gaps(p, q, k)]
-    hi = sum(c[c > 0].sum() for c in cols)
-    lo = sum(c[c < 0].sum() for c in cols)
-    return max(abs(hi), abs(lo)) / p.n

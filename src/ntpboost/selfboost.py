@@ -20,8 +20,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .boosting import boost_text
 from .dist import Alphabet, TextDistribution, kl, next_token_loss, text_to_lm, uniform_text
 from .distinguishers import flat, position_gaps
@@ -46,7 +44,6 @@ class Schedule:
     tau: int
     epsilon: float
     alphabet: Alphabet
-    b_d: int = 0
     _times: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,10 +76,7 @@ class Schedule:
 
     def j0_range(self) -> tuple[int, int]:
         """Integer sampling range for the starting index, [ceil, floor]."""
-        scale = 4.0 if self.variant == PLAIN else 16.0
-        lo = scale * self.k * math.log(self.alphabet.size) / self.epsilon**2
-        hi = 11.0 * lo
-        return math.ceil(lo), math.floor(hi)
+        return math.ceil(self.round_bound), math.floor(11.0 * self.round_bound)
 
     @property
     def round_bound(self) -> float:
@@ -163,19 +157,17 @@ def best_member(
 ) -> tuple[int, float]:
     """Index and signed advantage of the member with largest |advantage|.
 
-    The family's bit matrix is multiplied once by the flattened gaps;
-    ties go to the lowest index.
+    ``Family.best`` finds it in closed form from the flattened gaps: the
+    member holding exactly the keys of positive gap sum, or exactly those
+    of negative sum, with an exact tie going to the positive one.
     """
-    if not family:
-        raise PreconditionError("empty distinguisher family")
     if family.n != p.n or family.size != p.alphabet.size:
         raise PreconditionError(
             f"family has n={family.n} and |Sigma|={family.size}, "
             f"distribution n={p.n} and |Sigma|={p.alphabet.size}"
         )
-    values = family.bits @ flat(position_gaps(p, q, family.k)) / p.n
-    best = int(np.argmax(np.abs(values)))
-    return best, float(values[best])
+    idx, total = family.best(flat(position_gaps(p, q, family.k)))
+    return idx, total / p.n
 
 
 def minimize_loss_constrained(
@@ -261,7 +253,6 @@ def run_algorithm(
     tau: int,
     d_bound: int,
     rng: random.Random,
-    b_d: int = 0,
     compile_hook=None,
 ) -> tuple[TextDistribution, SelfBoostTrace]:
     """Iterate schedule indices from j0 + 1 until the loss stops dropping.
@@ -273,7 +264,7 @@ def run_algorithm(
     """
     if family.k != k:
         raise PreconditionError(f"family has k={family.k}, the loop k={k}")
-    schedule = Schedule(variant, d_bound, k, tau, epsilon, p.alphabet, b_d)
+    schedule = Schedule(variant, d_bound, k, tau, epsilon, p.alphabet)
     j0 = sample_j0(schedule, rng)
     trace = SelfBoostTrace(variant=variant, j0=j0, epsilon=epsilon, k=k)
     limit = math.ceil(schedule.round_bound + 1) + 2

@@ -111,18 +111,16 @@ def advantage_double_enumeration(d, p_probs, q_probs, size: int, n: int) -> floa
     return total
 
 
-def one_prefix_advantages(p_probs, q_probs, size: int, n: int, k: int) -> np.ndarray:
-    """Signed advantage of every one-prefix table member, by member number.
+def one_prefix_key_gaps(p_probs, q_probs, size: int, n: int, k: int) -> np.ndarray:
+    """Gap sum of every one-prefix table key, by key number.
 
-    Member m holds key (prev, w) when bit prev * size^k + index(w) of m
-    is set, where prev is the last prefix token (0 at position 1) and w
-    the window zero-padded to length k.  Each gap
-    p(s) * (q(w | s) - p(w | s)) is found by summing documents, with the
-    uniform completion where q gives s no mass, and added to its key; a
-    member's advantage is the sum over its keys, over n.
+    Key prev * size^k + index(w) is (prev, w), where prev is the last
+    prefix token (0 at position 1) and w the window zero-padded to
+    length k.  Each gap p(s) * (q(w | s) - p(w | s)) is found by summing
+    documents, with the uniform completion where q gives s no mass, and
+    added to its key.
     """
-    keys = size ** (k + 1)
-    per_key = np.zeros(keys)
+    per_key = np.zeros(size ** (k + 1))
     for i in range(1, n + 1):
         kc = min(k, n - i + 1)
         p_joint, q_joint = {}, {}
@@ -142,8 +140,18 @@ def one_prefix_advantages(p_probs, q_probs, size: int, n: int, k: int) -> np.nda
                 gap = p_mass * (q_cond - p_joint[x] / p_mass)
                 padded = x[i - 1 :] + (0,) * (k - kc)
                 per_key[prev * size**k + doc_index(padded, size)] += gap
-    members = np.arange(2**keys)
-    held = (members[:, None] >> np.arange(keys)) & 1
+    return per_key
+
+
+def one_prefix_advantages(p_probs, q_probs, size: int, n: int, k: int) -> np.ndarray:
+    """Signed advantage of every one-prefix table member, by member number.
+
+    Member m holds key j when bit j of m is set; its advantage is the sum
+    of ``one_prefix_key_gaps`` over its keys, over n.
+    """
+    per_key = one_prefix_key_gaps(p_probs, q_probs, size, n, k)
+    members = np.arange(2 ** len(per_key))
+    held = (members[:, None] >> np.arange(len(per_key))) & 1
     return held @ per_key / n
 
 

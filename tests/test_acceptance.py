@@ -27,12 +27,12 @@ from ntpboost.dist import (
     next_token_loss,
     text_to_lm,
 )
-from ntpboost.distinguishers import (
-    advantage,
-    max_window_predicate_advantage,
-    pinsker_bound,
+from ntpboost.distinguishers import advantage, pinsker_bound
+from ntpboost.families import (
+    one_prefix_table_family,
+    product_window_family,
+    single_position_window_subsets,
 )
-from ntpboost.families import one_prefix_table_family, single_position_window_subsets
 from ntpboost.fixedpoint import (
     FixedPointFormat,
     build_boosted_rnn_quantized,
@@ -65,6 +65,7 @@ from ntpboost.rnn.expr import (
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from ntpboost.selfboost import (
     Schedule,
+    best_member,
     empirical_bad_set,
     reference_trajectory,
     run_algorithm,
@@ -199,6 +200,7 @@ def test_criterion_4_cross_construction(compiled_matrix):
 
 def test_criterion_5_window_predicate_bound():
     n = 4
+    families = {k: product_window_family(B2, n, k) for k in (1, 2)}
     worst_margin = float("inf")
     for idx in range(50):
         rng = rng_for(30_000 + idx)
@@ -206,8 +208,8 @@ def test_criterion_5_window_predicate_bound():
         q = random_text(B2, n, rng)
         for k in (1, 2):
             bound = pinsker_bound(p, q, k)
-            best = max_window_predicate_advantage(p, q, k)
-            worst_margin = min(worst_margin, bound - best)
+            _, best = best_member(families[k], p, q)
+            worst_margin = min(worst_margin, bound - abs(best))
     # anchor the decomposition against explicit subset enumeration
     rng = rng_for(30_999)
     p = random_text(B2, n, rng)

@@ -17,9 +17,9 @@ from ntpboost.distinguishers import (
     constant_distinguisher,
     flat,
     max_advantage_oracle,
-    max_window_predicate_advantage,
     offset_decomposition,
     pinsker_bound,
+    position_gaps,
     table_distinguisher,
     table_shapes,
 )
@@ -29,6 +29,7 @@ from ntpboost.families import (
     one_prefix_table_family,
     product_window_family,
     single_position_window_subsets,
+    trivial_family,
 )
 from ntpboost.instances import (
     random_prefix_window_distinguisher,
@@ -38,7 +39,12 @@ from ntpboost.instances import (
 )
 from ntpboost.selfboost import best_member
 
-from oracles import advantage_double_enumeration, one_prefix_advantages
+from oracles import (
+    advantage_double_enumeration,
+    one_prefix_advantages,
+    one_prefix_key_gaps,
+)
+from reference_families import matrix_best, member_matrix
 
 B2 = Alphabet(2)
 
@@ -192,7 +198,8 @@ class TestPinsker:
                 bound = pinsker_bound(p, q, k)
                 d = random_prefix_window_distinguisher(B2, n, k, rng)
                 assert abs(advantage(d, p, q)) <= bound + 1e-12
-                assert max_window_predicate_advantage(p, q, k) <= bound + 1e-12
+                _, best = best_member(product_window_family(B2, n, k), p, q)
+                assert abs(best) <= bound + 1e-12
 
 
 class TestMaxAdvantageOracle:
@@ -211,7 +218,7 @@ class TestMaxAdvantageOracle:
         assert val < 1e-14
 
     def test_decomposed_max_matches_product_family(self):
-        # production decomposition vs exhaustive product-family enumeration
+        # closed-form search vs exhaustive product-family enumeration
         rng = rng_for(137)
         n = 3
         p = random_text(B2, n, rng)
@@ -219,7 +226,7 @@ class TestMaxAdvantageOracle:
         for k in (1, 2):
             fam = product_window_family(B2, n, k)
             _, val = max_advantage_oracle(p, q, fam)
-            assert abs(val - max_window_predicate_advantage(p, q, k)) < 1e-12
+            assert abs(val - abs(best_member(fam, p, q)[1])) < 1e-12
 
     def test_single_position_subset_enumeration_vs_tv_form(self):
         # best single-position subset advantage = TV-style positive part
@@ -244,7 +251,8 @@ class TestMaxAdvantageOracle:
             for i in range(1, n + 1)
         )
         expected = max(best, -worst)
-        assert abs(max_window_predicate_advantage(p, q, k) - expected) < 1e-12
+        _, val = best_member(product_window_family(B2, n, k), p, q)
+        assert abs(abs(val) - expected) < 1e-12
 
     def test_family_cap(self):
         with pytest.raises(SizingError):
@@ -256,17 +264,19 @@ class TestOnePrefixFamily:
         fam = one_prefix_table_family(B2, 3, 1)
         assert len(fam) == 2 ** (2 * 2)
 
-    def test_family_is_one_read_only_bit_matrix(self):
+    def test_family_is_one_read_only_key_map(self):
         fam = one_prefix_table_family(Alphabet(3), 3, 1)
         cells = sum(r * c for r, c in table_shapes(1, 3, 3))
-        assert fam.bits.shape == (len(fam), cells) and fam.bits.dtype == np.uint8
-        assert not fam.bits.flags.writeable
-        members = list(fam)
+        assert fam.keys == 9 and len(fam) == 2**9
+        assert fam.cell_keys.shape == (cells,) and fam.cell_keys.dtype == np.int64
+        assert not fam.cell_keys.flags.writeable
+        members, bits = list(fam), member_matrix(fam)
         assert len(members) == len(fam)
         for j in (0, 1, 100, len(fam) - 1):
-            assert np.array_equal(flat(members[j].tables(3)), fam.bits[j])
-        with pytest.raises(IndexError):
-            fam[len(fam)]
+            assert np.array_equal(flat(members[j].tables(3)), bits[j])
+        for j in (len(fam), -1):
+            with pytest.raises(IndexError):
+                fam[j]
 
     def test_family_respects_enumeration_cap(self, monkeypatch):
         # each member's tables stay under the cap, as Distinguisher.tables does
@@ -275,12 +285,14 @@ class TestOnePrefixFamily:
             one_prefix_table_family(B2, 3, 1)
 
     @pytest.mark.parametrize(
-        "bits", [np.full((2, 6), 2), np.zeros((2, 5)), np.zeros(6)],
-        ids=["not-bits", "cells", "one-dimensional"],
+        "cell_keys",
+        [np.full(6, 2), np.full(6, -2), np.zeros(5, int), np.zeros((2, 6), int),
+         np.zeros(6)],
+        ids=["not-a-key", "below-minus-one", "cells", "two-dimensional", "not-integers"],
     )
-    def test_family_rejects_a_bad_matrix(self, bits):
+    def test_family_rejects_bad_cell_keys(self, cell_keys):
         with pytest.raises(ValidationError):
-            Family(1, 2, 2, bits)
+            Family(1, 2, 2, 2, cell_keys)
 
     def test_members_satisfy_window_property(self):
         rng = rng_for(149)
@@ -422,13 +434,14 @@ class TestAdvantageDifferential:
                 assert abs(a - sum(terms[j::k]) / w) < 1e-12
 
             bits = np.stack([flat(d.tables(size)) for d in family])
-            idx, val = best_member(Family(k, n, size, bits), p, q)
+            idx, val = matrix_best(bits, flat(position_gaps(p, q, k)))
+            val /= n
             assert abs(val - expected[idx]) < 1e-12
             assert abs(val) >= max(abs(e) for e in expected) - 1e-12
 
 
 class TestFamilySearch:
-    """``best_member`` over one-prefix families vs per-key gap sums."""
+    """``best_member`` vs per-key gap sums and the materialized search."""
 
     @pytest.mark.parametrize("size,n,k", [(2, 5, 3), (3, 3, 1), (2, 4, 2)])
     def test_against_per_key_oracle(self, size, n, k):
@@ -445,3 +458,52 @@ class TestFamilySearch:
             # index itself is not asserted
             assert abs(abs(val) - np.max(np.abs(want))) < 1e-12
             assert abs(want[idx] - val) < 1e-12
+
+    @pytest.mark.parametrize("size,n,k", [(3, 4, 2), (3, 4, 3)])
+    def test_beyond_a_member_matrix(self, size, n, k):
+        # 2^27 and 2^81 members: only the per-key sums can be enumerated
+        alphabet = Alphabet(size)
+        rng = rng_for(5500 + 10 * size + n + k)
+        fam = one_prefix_table_family(alphabet, n, k)
+        assert fam.keys == size ** (k + 1)
+        for _ in range(2):
+            p = _zero_prefix_text(alphabet, n, rng)
+            q = _zero_prefix_text(alphabet, n, rng)
+            per_key = one_prefix_key_gaps(p.probs, q.probs, size, n, k)
+            idx, val = best_member(fam, p, q)
+            extreme = max(per_key[per_key > 0].sum(), -per_key[per_key < 0].sum())
+            assert abs(abs(val) - extreme / n) < 1e-12
+            held = [j for j in range(fam.keys) if idx >> j & 1]
+            assert abs(per_key[held].sum() / n - val) < 1e-12
+            assert abs(advantage(fam[idx], p, q) - val) < 1e-12
+
+    @pytest.mark.parametrize(
+        "size,build",
+        [
+            (2, lambda a: one_prefix_table_family(a, 4, 2)),
+            (3, lambda a: one_prefix_table_family(a, 3, 1)),
+            (2, lambda a: product_window_family(a, 3, 2)),
+            (3, lambda a: product_window_family(a, 2, 1)),
+            (2, lambda a: single_position_window_subsets(a, 3, 2, position=2)),
+            (3, lambda a: single_position_window_subsets(a, 3, 2, position=2)),
+            (2, lambda a: trivial_family(a, 3, 2)),
+            (3, lambda a: trivial_family(a, 3, 2)),
+        ],
+        ids=[f"{name}-{size}" for name in ("one-prefix", "product-window",
+             "single-position", "trivial") for size in (2, 3)],
+    )
+    def test_against_member_matrix(self, size, build):
+        alphabet = Alphabet(size)
+        fam = build(alphabet)
+        bits = member_matrix(fam)
+        rng = rng_for(5600 + size + fam.keys)
+        for _ in range(3):
+            p = _zero_prefix_text(alphabet, fam.n, rng)
+            q = _zero_prefix_text(alphabet, fam.n, rng)
+            gaps = flat(position_gaps(p, q, fam.k))
+            _, want = matrix_best(bits, gaps)
+            idx, val = best_member(fam, p, q)
+            # a member and its complement tie up to rounding, so only the
+            # value and the chosen member's own total are compared
+            assert abs(abs(val) - abs(want) / fam.n) < 1e-12
+            assert abs(bits[idx] @ gaps / fam.n - val) < 1e-12

@@ -12,7 +12,7 @@ from ntpboost import cli
 from ntpboost import io as nio
 from ntpboost.cli import main
 from ntpboost.construct import lm_to_rnn
-from ntpboost.dist import Alphabet, text_to_lm
+from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
 from ntpboost.distinguishers import advantage
 from ntpboost.errors import FormatError, NtpboostError, ValidationError
 from ntpboost.families import one_prefix_table_family
@@ -160,6 +160,23 @@ def decimal_digits(value):
         if not value:
             break
     return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+def selfboost_twice(tmp_path, cfg):
+    """The selfboost artifacts of two runs of one config, as bytes."""
+    cfg_path = str(tmp_path / "cfg.json")
+    nio.write_json_atomic(cfg_path, cfg)
+    outs = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / tag)
+        assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
+        outs.append(
+            tuple(
+                open(os.path.join(out, name), "rb").read()
+                for name in ("selfboost_trace.json", "rounds.csv", "final_model.json")
+            )
+        )
+    return outs
 
 
 class TestCli:
@@ -315,19 +332,24 @@ class TestCli:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = json.load(open(fixture("selfboost_config.json")))
         cfg["distribution_file"] = fixture("train_n4.json")
-        cfg_path = str(tmp_path / "cfg.json")
-        nio.write_json_atomic(cfg_path, cfg)
-        outs = []
-        for tag in ("a", "b"):
-            out = str(tmp_path / tag)
-            assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
-            outs.append(
-                tuple(
-                    open(os.path.join(out, name), "rb").read()
-                    for name in ("selfboost_trace.json", "rounds.csv", "final_model.json")
-                )
-            )
+        outs = selfboost_twice(tmp_path, cfg)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("k", [2, 3], ids=["2^27-members", "2^81-members"])
+    def test_ternary_selfboost_beyond_a_member_matrix(self, tmp_path, k):
+        # |Sigma|=3: a one-prefix family of 2^(3^(k+1)) members
+        dist_path = str(tmp_path / "train.json")
+        raw = rng_for(89).random(3**4) ** 4 + 1e-3
+        p = TextDistribution(Alphabet(3), 4, raw / raw.sum())
+        nio.write_json_atomic(dist_path, nio.distribution_to_json(p))
+        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg.update(distribution_file=dist_path, k=k, epsilon=0.1)
+        outs = selfboost_twice(tmp_path, cfg)
+        assert outs[0] == outs[1]
+        trace = json.loads(outs[0][0])
+        assert trace["termination"] == "loss_plateau"
+        assert trace["rounds"][0]["boosts"] > 0
+        assert trace["final_advantage"] <= cfg["epsilon"]
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         rc = run_cli(

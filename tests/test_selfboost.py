@@ -49,7 +49,7 @@ class TestSchedule:
 
     def test_stop_thresholds(self):
         p = Schedule("plain", 2, 2, 3, 0.4, B2)
-        b = Schedule("bits", 2, 2, 3, 0.4, B2, b_d=4)
+        b = Schedule("bits", 2, 2, 3, 0.4, B2)
         assert p.stop_threshold == 0.4**2 / 8
         assert b.stop_threshold == 0.4**2 / 16
 
@@ -60,6 +60,14 @@ class TestSampleJ0:
         s = Schedule("plain", 1, 1, 1, 0.999999, B2)
         lo, hi = s.j0_range()
         assert (lo, hi) == (3, 30)
+
+    @pytest.mark.parametrize("variant,scale", [("plain", 4.0), ("bits", 16.0)])
+    def test_range_spans_one_to_eleven_round_bounds(self, variant, scale):
+        for k, size, eps in [(1, 2, 0.999999), (2, 2, 0.02), (2, 3, 0.3), (3, 3, 0.05)]:
+            s = Schedule(variant, 7, k, 3, eps, Alphabet(size))
+            lo = scale * k * math.log(size) / eps**2
+            assert s.round_bound == lo
+            assert s.j0_range() == (math.ceil(lo), math.floor(11.0 * lo))
 
     def test_reproducible(self):
         s = Schedule("plain", 2, 2, 3, 0.35, B2)
@@ -185,7 +193,7 @@ class TestRunAlgorithm:
         p = random_text(B2, 3, rng)
         fam = one_prefix_table_family(B2, 3, 1)
         model, trace = run_algorithm(
-            "bits", p, fam, 0.4, 1, 3, 7, random.Random(3), b_d=4
+            "bits", p, fam, 0.4, 1, 3, 7, random.Random(3)
         )
         assert trace.termination == "loss_plateau"
         assert trace.final_advantage <= 0.4 + 1e-9
