@@ -110,11 +110,12 @@ def check_pinsker() -> tuple[bool, str]:
     rng = rng_for(1013)
     margin = float("inf")
     for k in (1, 2):
+        family = product_window_family(B2, 4, k)
         for _ in range(5):
             p = random_text(B2, 4, rng)
             q = random_text(B2, 4, rng)
             bound = pinsker_bound(p, q, k)
-            _, best = best_member(product_window_family(B2, 4, k), p, q)
+            _, best = best_member(family, p, q)
             margin = min(margin, bound - abs(best))
     return margin >= -1e-12, f"min margin {margin:.2e}"
 
