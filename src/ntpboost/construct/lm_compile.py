@@ -13,12 +13,23 @@ k-token window of whatever it has consumed: after m >= k tokens the
 output is d(m-k+1, x_{:m+1}) with the window clipped at the document
 end.  That positional convention is what the synchronized enumerator
 expects when it replays anchor prefixes extended with candidate windows.
+
+A model term matches every latch below its position.  A distinguisher
+term matches only the tokens its table reads: the window and the
+shortest suffix of the prefix that D_i depends on, so a predicate of the
+previous token and the window costs at most |Sigma|^(1+k) terms per
+position, not |Sigma|^(i-1+k).  That is exact on a valid stream (one token per
+``rnn_time`` steps from time 1): when a position's gate fires, every
+latch below the counter holds its token, so the one term that matches
+the suffix and window is the one cell the full prefix would have read.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..dist import Alphabet, LanguageModel, token_strings
-from ..distinguishers import Distinguisher, set_keys
+from ..distinguishers import Distinguisher
 from ..errors import PreconditionError
 from ..rnn.expr import (
     case_select,
@@ -54,8 +65,22 @@ def _latch(i: int):
     )
 
 
-def _prefix_match(s) -> list:
-    return [ind_eq(f"p{j + 1}", float(tok + 1)) for j, tok in enumerate(s)]
+def _prefix_match(s, first: int = 1) -> list:
+    """Indicators that latches p_first, p_first+1, ... hold the tokens of s."""
+    return [ind_eq(f"p{first + j}", float(tok + 1)) for j, tok in enumerate(s)]
+
+
+def _suffix_length(table, size: int) -> int:
+    """Least L such that the rows of D_i that share their last L prefix
+    tokens agree.  Rows are prefixes in lexicographic order, so that holds
+    when every block of |Sigma|^L consecutive rows equals the first."""
+    rows, cols = table.shape
+    length, span = 0, 1
+    while span < rows and not (
+        table.reshape(-1, span * cols) == table[:span].reshape(1, -1)
+    ).all():
+        length, span = length + 1, span * size
+    return length
 
 
 def _table_circuit(n: int, cap: int, rnn_time: int, out, meta: dict) -> RnnGraph:
@@ -112,19 +137,33 @@ def distinguisher_to_rnn(
     The position counter runs to n + k so anchors stay resolvable while
     the enumerator feeds candidate windows past the document end; window
     tokens beyond position n are ignored (the clipping convention).
+
+    Position i's table D_i is compiled over the shortest prefix suffix it
+    depends on, of length L (``_suffix_length``): one indicator product
+    per set cell of the |Sigma|^L x |Sigma|^kc sub-table, in table order,
+    matching the gate, then ``in`` for the last window token when the
+    window is not clipped, then latches p_{i-L} onward for the rest, so
+    a table that reads the whole prefix gets one term per set cell of
+    D_i.  The output is exact on a valid stream only (see the module
+    docstring): a term does not look at the latches below p_{i-L}.
     """
     n, k, size = d.n, d.k, alphabet.size
     # d(i, .) is read once its window is consumed, at counter value
     # m = i - 1 + k; a window clipped at the document end ends before m,
     # so those terms match on the latches alone
     terms = []
-    for i, joint in set_keys(d, size):
+    for i, table in enumerate(d.tables(size), 1):
         gate_m = ind_eq("c", float(i - 1 + k))
-        if len(joint) == i - 1 + k:
-            *s, a = joint
-            terms.append((1.0, prod(gate_m, ind_eq("in", float(a)), *_prefix_match(s))))
-        else:
-            terms.append((1.0, prod(gate_m, *_prefix_match(joint))))
+        length = _suffix_length(table, size)
+        kc, first = min(k, n - i + 1), i - length
+        cells = np.flatnonzero(table[: size**length])
+        for joint in token_strings(size, length + kc)[:, cells].T.tolist():
+            if kc == k:
+                *s, a = joint
+                factors = (ind_eq("in", float(a)), *_prefix_match(s, first))
+            else:
+                factors = _prefix_match(joint, first)
+            terms.append((1.0, prod(gate_m, *factors)))
     out = relu(0.0, *terms) if terms else const(0.0)
     meta = {
         "kind": "table_distinguisher",

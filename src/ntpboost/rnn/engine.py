@@ -32,8 +32,8 @@ earlier level.  ``Schedule`` reports the cost: ``levels``,
 ``reductions`` (numpy reductions per update), ``term_cells`` (terms and
 factors on the tape) and ``padded_cells`` (cells gathered per column
 and update).  On one n=6, k=2 boosted circuit of the ``sweep``
-benchmark, 1,777 tape slots give 8 levels and 27 reductions, gathering
-6,397 cells for 5,815 terms.  ``_schedule`` reads the tape once into
+benchmark, 1,629 tape slots give 8 levels and 28 reductions, gathering
+5,131 cells for 4,607 terms.  ``_schedule`` reads the tape once into
 flat arrays (each slot's operator, each term's parent, place, child and
 coefficient) and derives levels, rows, buckets and padded cells from
 them with numpy index arithmetic; ``tests/reference_schedule.py`` keeps

@@ -1,0 +1,37 @@
+"""The full-prefix distinguisher compiler: a test reference.
+
+``construct.distinguisher_to_rnn`` compiles each table D_i over the
+shortest prefix suffix it depends on.  ``reference_distinguisher_to_rnn``
+compiles every set cell of the dense D_i, each term matching every latch
+below its position, the way distinguisher tables were first compiled, so
+the differential tests in ``test_construction`` can check the suffix
+circuits against it node by node and step by step.
+"""
+
+from __future__ import annotations
+
+from ntpboost.construct.lm_compile import MIN_RNN_TIME, _prefix_match, _table_circuit
+from ntpboost.distinguishers import set_keys
+from ntpboost.rnn.expr import const, ind_eq, prod, relu
+
+
+def reference_distinguisher_to_rnn(d, alphabet, rnn_time: int = MIN_RNN_TIME):
+    """Trailing-window circuit with one term per set cell of each D_i."""
+    n, k, size = d.n, d.k, alphabet.size
+    terms = []
+    for i, joint in set_keys(d, size):
+        gate_m = ind_eq("c", float(i - 1 + k))
+        if len(joint) == i - 1 + k:
+            *s, a = joint
+            terms.append((1.0, prod(gate_m, ind_eq("in", float(a)), *_prefix_match(s))))
+        else:
+            terms.append((1.0, prod(gate_m, *_prefix_match(joint))))
+    out = relu(0.0, *terms) if terms else const(0.0)
+    meta = {
+        "kind": "table_distinguisher",
+        "schedule": "window",
+        "n": n,
+        "k": k,
+        "alphabet_size": size,
+    }
+    return _table_circuit(n, n + k, rnn_time, out, meta)

@@ -37,22 +37,31 @@ from ntpboost.dist import (
     text_to_lm,
     uniform_lm,
 )
-from ntpboost.distinguishers import anchor_of, constant_distinguisher
+from ntpboost.distinguishers import (
+    anchor_of,
+    complement,
+    constant_distinguisher,
+    from_tables,
+    table_shapes,
+)
 from ntpboost.errors import PreconditionError, ValidationError
 from ntpboost.fixedpoint import (
     FixedPointFormat,
     build_boosted_rnn_quantized,
     minimal_fraction_bits,
 )
+from ntpboost.families import one_prefix_table_family, product_window_family
 from ntpboost.instances import (
     dyadic_lm,
     random_prefix_window_distinguisher,
     random_text,
+    random_window_table_distinguisher,
     rng_for,
 )
 from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
+from reference_tables import reference_distinguisher_to_rnn
 
 B2 = Alphabet(2)
 
@@ -108,6 +117,106 @@ class TestCompiledTables:
         lm = uniform_lm(B2, 2)
         with pytest.raises(PreconditionError):
             lm_to_rnn(lm, rnn_time=1)
+
+
+def random_member(family, rng):
+    """A member number with each of the family's keys held at random."""
+    return sum(1 << int(j) for j in np.flatnonzero(rng.integers(0, 2, family.keys)))
+
+
+def table_kinds(alphabet, n, k, rng):
+    """One seeded distinguisher of each kind the repo builds."""
+    size = alphabet.size
+    prefix_window = random_prefix_window_distinguisher(alphabet, n, k, rng)
+    one_prefix = one_prefix_table_family(alphabet, n, k)
+    product_window = product_window_family(alphabet, n, k)
+    tables = [rng.integers(0, 2, shape) for shape in table_shapes(k, n, size)]
+    return {
+        "prefix_window": prefix_window,
+        "window": random_window_table_distinguisher(alphabet, n, k, rng),
+        "one_prefix": one_prefix[random_member(one_prefix, rng)],
+        "product_window": product_window[random_member(product_window, rng)],
+        "from_tables": from_tables(k, n, size, tables),
+        "constant_0": constant_distinguisher(k, n, 0),
+        "constant_1": constant_distinguisher(k, n, 1),
+        "complement": complement(prefix_window),
+    }
+
+
+class TestSuffixTables:
+    """Each D_i compiles over the prefix suffix it reads, with the same bits
+    as the full-prefix compiler of ``tests/reference_tables.py``."""
+
+    @pytest.mark.parametrize(
+        "size,n,k",
+        [(s, n, k) for s in (2, 3) for n in range(1, 6) for k in range(1, 4) if k <= n],
+    )
+    def test_every_node_and_step_matches_the_full_prefix_reference(self, size, n, k):
+        # strings of n + k - 1 tokens also feed the windows past the
+        # document end, as the enumerator does
+        alphabet = Alphabet(size)
+        streams = all_docs(n + k - 1, size)
+        for kind, d in table_kinds(alphabet, n, k, rng_for(700 + 10 * n + k)).items():
+            got = full_run(distinguisher_to_rnn(d, alphabet, 2), streams)
+            want = full_run(reference_distinguisher_to_rnn(d, alphabet, 2), streams)
+            assert got.node_index == want.node_index, kind
+            assert got.values.tobytes() == want.values.tobytes(), kind
+
+    @pytest.mark.parametrize("size,n,k", [(2, 4, 2), (2, 5, 3), (3, 3, 1), (3, 4, 2)])
+    def test_full_prefix_tables_compile_as_before(self, size, n, k):
+        # D_i[0] and the row that differs from it in the first prefix token
+        # disagree, so every D_i depends on its whole prefix
+        alphabet = Alphabet(size)
+        rng = rng_for(720 + n)
+        tables = [rng.integers(0, 2, shape) for shape in table_shapes(k, n, size)]
+        for i, table in enumerate(tables[1:], 2):
+            table[size ** (i - 2), 0] = 1 - table[0, 0]
+        d = from_tables(k, n, size, tables)
+        got = nio.graph_to_json(distinguisher_to_rnn(d, alphabet, 3))
+        want = nio.graph_to_json(reference_distinguisher_to_rnn(d, alphabet, 3))
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_prefix_members_grow_linearly_in_n(self, k):
+        # at n = 10 the full-prefix compiler gives these members 6,109 to
+        # 47,316 term cells; member numbers mean the same keys at every n
+        family = one_prefix_table_family(B2, 4, k)
+        for m in (1, 2**family.keys - 1, random_member(family, rng_for(740 + k))):
+            cells = []
+            for n in (4, 6, 8, 10):
+                member = one_prefix_table_family(B2, n, k)[m]
+                circuit = distinguisher_to_rnn(member, B2, 2)
+                cells.append(compile_graph(circuit).schedule.term_cells)
+            steps = np.diff(cells)
+            assert cells[-1] < 1_000, (m, cells)
+            assert (steps <= steps[0]).all(), (m, cells)
+
+
+class TestSuffixTablesInBoostedCircuits:
+    @pytest.mark.parametrize("seed,size,n,k", [(731, 2, 6, 2), (733, 3, 3, 2)])
+    def test_same_outputs_and_report_with_fewer_cells(self, seed, size, n, k):
+        # (731, 2, 6, 2) has the shape of the sweep benchmark's instances
+        alphabet = Alphabet(size)
+        rng = rng_for(seed)
+        p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+        res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
+        q = lm_to_rnn(text_to_lm(qt), 2)
+        docs = all_docs(n, size)
+        built = {}
+        for name, compiler in (
+            ("suffix", distinguisher_to_rnn),
+            ("reference", reference_distinguisher_to_rnn),
+        ):
+            D = compiler(res.applied, alphabet, 2)
+            args = (q, D, k, res.alpha, res.offset, size)
+            built[name] = build_boosted_rnn(*args), build_boosted_rnn_simple(*args)
+        (Qp, report), Qs = built["suffix"]
+        (Qp_ref, report_ref), Qs_ref = built["reference"]
+        assert report == report_ref
+        for graph, ref in ((Qp, Qp_ref), (Qs, Qs_ref)):
+            assert run(graph, docs).values.tobytes() == run(ref, docs).values.tobytes()
+            cells = compile_graph(graph).schedule.padded_cells
+            assert cells < compile_graph(ref).schedule.padded_cells
 
 
 def symbolic_loop_position(t, period, tau, k, B):
@@ -486,20 +595,25 @@ class TestHiddenSufficiency:
 # sha256 of the sorted-key graph JSON followed by the repr of the compiled
 # tape, for seeded instances of every builder.  A change to the compile
 # layer (expressions, renaming, lowering) must leave all of them as they are.
+# The distinguisher_to_rnn, build_boosted_rnn, build_boosted_rnn_simple and
+# build_boosted_rnn_quantized digests were re-pinned once when D's tables
+# began to compile over the prefix suffix they read: the graphs hold fewer
+# terms, with the same outputs (TestSuffixTables).  The lm_to_rnn digests
+# did not move.
 BUILD_DIGESTS = {
     (601, "lm_to_rnn"): "b453ff1339a8e358f217409f4464a50e9e12d62e7f13fd1b31cd18adb10f477c",
-    (601, "distinguisher_to_rnn"): "a9cc489fde5ee2706af2213bda2f9d4c8075319201b7c0883825a51e13bfa5f5",
-    (601, "build_boosted_rnn"): "e4f8ec1d3175cbd56251ed99bf60c4bfc43470db81e4573e850c46741680676e",
-    (601, "build_boosted_rnn_simple"): "6c489335cf6bc9cd2967cff7e5feebf02b26b06f9dcf43efa64fb8bc7954cfc4",
+    (601, "distinguisher_to_rnn"): "b82cfc7ff6c4ac5e4640a0263e82c87a411f009530350776eb7640419c89667a",
+    (601, "build_boosted_rnn"): "30433b7a92648fe62361ac5075be828ccfa573a6812cb92324e62fbee29be3f5",
+    (601, "build_boosted_rnn_simple"): "74d313175d754f7a1164a2606b34bb85a2ed7c876ff30b7468fa01a5655009d7",
     (602, "lm_to_rnn"): "76c177d45ded0a81ecbf5fffcf2098cd0c174465fb2f19410ce64bb82e678758",
-    (602, "distinguisher_to_rnn"): "eaa9be929bc536f33bc4bab21f689c7ab9ec25a631b0a9ecd96d17d60188d590",
-    (602, "build_boosted_rnn"): "918dd60784911b5e68f2f8394b78f64cb563e314624ad9a3ccd73acad354ea0a",
-    (602, "build_boosted_rnn_simple"): "17d5ba8ca5cdf84d8e06cf3392ec7daeae9eed04d5381459d04a4c4f50ef0a6e",
+    (602, "distinguisher_to_rnn"): "0089c24c8e98e12aa8f977030d1fabaff4f3c15390f87f93bcd657cffbf35410",
+    (602, "build_boosted_rnn"): "9244c97320e616cc5b3794efd33c346873c4f858564dcb07727e9a9c626494b4",
+    (602, "build_boosted_rnn_simple"): "f247562dcd9e5d274af2b82ba1e47e31e53efadb47dfb414241279a69859ede7",
     (605, "lm_to_rnn"): "2dc25b4a66f2ddc68f26a1bdd3a6258827988c9cfe46cebc698ccb94f131d964",
-    (605, "distinguisher_to_rnn"): "109257348c0ae865e45ebac533e0edff0b6bb259e21e467f67187794bc0c0c56",
-    (605, "build_boosted_rnn"): "e66aa25dded0efeed7086823e4323375d69727c2e75f365f99462f276dd2d067",
-    (605, "build_boosted_rnn_simple"): "4215a61e3c17789738e04a33e145c221f38d6c0877febe4d6edb7948ee7e945a",
-    (1061, "build_boosted_rnn_quantized"): "d96e046f947d6d6d852d0acac48426ee6188d4339504a852e30907bc514525bf",
+    (605, "distinguisher_to_rnn"): "bb62c7f5b0ce2350715c94df9f4d4e49d759403ec986cf9e628c6e3cc086a58d",
+    (605, "build_boosted_rnn"): "8ab97ad984bf6c3bcffc973cc084b7177042db58e98c6237c6d984b5ce1f3825",
+    (605, "build_boosted_rnn_simple"): "a5918303fc6d86593413faf42d13a9133173225dadabad7961692b511d8d7280",
+    (1061, "build_boosted_rnn_quantized"): "cb7c2a127a439d9ead21794cd33a6986743a3a69928af7e40608620af3b50130",
 }
 
 

@@ -270,9 +270,12 @@ class TestCli:
         )
 
     def test_selfboost_with_compile_flag(self, tmp_path):
+        # at eps=0.02, k=2 the first round boosts (8 times), so the compile
+        # hook builds and checks its circuits through the CLI
         cfg = json.load(open(fixture("selfboost_config.json")))
-        cfg["distribution_file"] = fixture("train_n4.json")
-        cfg["compile"] = True
+        cfg.update(
+            distribution_file=fixture("train_n4.json"), epsilon=0.02, k=2, compile=True
+        )
         cfg_path = str(tmp_path / "cfg.json")
         nio.write_json_atomic(cfg_path, cfg)
         out = str(tmp_path / "sbc")
@@ -280,6 +283,7 @@ class TestCli:
         assert rc == 0
         trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
         boosted_rounds = [r for r in trace["rounds"] if r["boosts"] > 0]
+        assert boosted_rounds
         assert all(r["compiled"] for r in boosted_rounds)
 
     def test_selfboost_writes_budget_times_of_any_size(self, tmp_path):
