@@ -1,13 +1,13 @@
 """Next-k-token distinguishers and the advantage functional.
 
-A distinguisher is a binary predicate d(i, x) that may read the prefix
-x_{:i} and the window x_{i:i+k} (clipped at the document end).  At a
-fixed alphabet size it is a finite table: ``Distinguisher.tables``
-holds one bit array D_i per position, with a row per prefix and a
-column per clipped window.  The advantage measures, averaged over
-positions and true-data prefixes, how differently the predicate behaves
-on q's window completions versus p's; on tables it is a dot product
-with the gaps G_i = p(prefix) * (q(window | prefix) - p(window | prefix)).
+A distinguisher d(i, x) may read the prefix x_{:i} and the window
+x_{i:i+k} (clipped at the document end).  At a fixed alphabet size it
+is exactly its bit tables: ``Distinguisher.tables`` holds one array D_i
+per position, with a row per prefix and a column per clipped window.
+The advantage measures, averaged over positions and true-data
+prefixes, how differently d behaves on q's window completions versus
+p's; it is a dot product of the tables with the gaps
+G_i = p(prefix) * (q(window | prefix) - p(window | prefix)).
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (
-    Document,
-    TextDistribution,
-    enumeration_cap,
-    kl,
-    lex_index,
-    token_strings,
-)
+from .dist import TextDistribution, enumeration_cap, kl, lex_index, token_strings
 from .errors import PreconditionError, SizingError, ValidationError
 
-Predicate = Callable[[int, Document, Document], int]
 Tables = tuple[np.ndarray, ...]
 ORACLE_CAP = 1 << 20  # most members ``max_advantage_oracle`` enumerates
 
@@ -49,39 +41,22 @@ def table_cells(k: int, n: int, size: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distinguisher:
-    """Binary predicate d(i, prefix, window) with the window property.
+    """A next-k-token distinguisher on documents of length n, as its tables.
 
-    ``predicate`` receives the 1-based position i, the prefix x_{:i}
-    (i-1 tokens) and the window x_{i:i+k} clipped at the document end.
-    ``tabulate``, when given, builds the tables of ``tables`` for an
-    alphabet size directly; otherwise they are read off the predicate.
+    ``tabulate(size)`` builds D_1..D_n at alphabet size ``size``;
+    ``tables`` checks and caches them.
     """
 
     k: int
     n: int
-    predicate: Predicate
-    tabulate: Callable[[int], Sequence[np.ndarray]] | None = field(
-        default=None, compare=False, repr=False
-    )
-    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    tabulate: Callable[[int], Sequence[np.ndarray]] = field(repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise PreconditionError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def window(self, x: Document, i: int) -> Document:
-        return tuple(x[i - 1 : min(i - 1 + self.k, self.n)])
-
-    def value(self, i: int, prefix: Document, window: Document) -> int:
-        out = self.predicate(i, tuple(prefix), tuple(window))
-        if out not in (0, 1):
-            raise ValidationError(f"distinguisher output {out!r} is not a bit")
-        return out
-
-    def value_on_document(self, i: int, x: Document) -> int:
-        return self.value(i, tuple(x[: i - 1]), self.window(x, i))
 
     def tables(self, size: int) -> Tables:
         """Read-only bit tables D_1..D_n at alphabet size ``size``.
@@ -95,7 +70,7 @@ class Distinguisher:
             return cached
         table_cells(self.k, self.n, size)
         shapes = table_shapes(self.k, self.n, size)
-        raw = list(self.tabulate(size) if self.tabulate else self._read_predicate(size))
+        raw = list(self.tabulate(size))
         if len(raw) != self.n:
             raise ValidationError(f"need {self.n} tables, got {len(raw)}")
         out = []
@@ -113,14 +88,6 @@ class Distinguisher:
             out.append(arr)
         cached = self._tables[size] = tuple(out)
         return cached
-
-    def _read_predicate(self, size: int) -> list[np.ndarray]:
-        out = []
-        for i, (rows, cols) in enumerate(table_shapes(self.k, self.n, size), 1):
-            strings = token_strings(size, i - 1 + min(self.k, self.n - i + 1))
-            bits = [self.value(i, x[: i - 1], x[i - 1 :]) for x in strings.T.tolist()]
-            out.append(np.array(bits, dtype=np.uint8).reshape(rows, cols))
-        return out
 
 
 def flat(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -140,12 +107,7 @@ def from_tables(
             )
         return tables
 
-    def lookup(i, prefix, window):
-        table = d.tables(size)[i - 1]
-        return int(table[lex_index(prefix, size), lex_index(window, size)])
-
-    d = Distinguisher(k, n, lookup, tabulate)
-    return d
+    return Distinguisher(k, n, tabulate)
 
 
 def set_keys(d: Distinguisher, size: int):
@@ -157,21 +119,12 @@ def set_keys(d: Distinguisher, size: int):
 
 
 def complement(d: Distinguisher) -> Distinguisher:
-    pred = d.predicate
-    return Distinguisher(
-        d.k,
-        d.n,
-        lambda i, s, w: 1 - pred(i, s, w),
-        lambda size: [1 - t for t in d.tables(size)],
-    )
+    return Distinguisher(d.k, d.n, lambda size: [1 - t for t in d.tables(size)])
 
 
 def constant_distinguisher(k: int, n: int, bit: int = 0) -> Distinguisher:
     return Distinguisher(
-        k,
-        n,
-        lambda i, s, w: bit,
-        lambda size: [np.full(shape, bit) for shape in table_shapes(k, n, size)],
+        k, n, lambda size: [np.full(shape, bit) for shape in table_shapes(k, n, size)]
     )
 
 
@@ -182,26 +135,38 @@ def table_distinguisher(
     default: int = 0,
     keyed_on: str = "full",
 ) -> Distinguisher:
-    """Distinguisher backed by an explicit table.
+    """Distinguisher backed by an explicit table; unnamed cells hold ``default``.
 
-    keyed_on selects the lookup key: "full" uses (i, x_{:i+k}) exactly as
-    in the file format; "window" uses (i, window); "prev_window" uses
-    (i, last prefix token or 0, window).
+    keyed_on selects the key and the cells of D_i it sets: "full" keys
+    (i, x_{:i-1+kc}) as in the file format set one cell; "window" keys
+    (i, window) set a column; "prev_window" keys (i, last prefix token or
+    0 at i = 1, window) set a column on the rows whose prefix ends in
+    that token.  Building the tables refuses a key that names no cell.
     """
-    table = {key: int(bit) for key, bit in entries.items()}
-    if keyed_on == "full":
-        def pred(i, s, w):
-            return table.get((i, tuple(s) + tuple(w)), default)
-    elif keyed_on == "window":
-        def pred(i, s, w):
-            return table.get((i, tuple(w)), default)
-    elif keyed_on == "prev_window":
-        def pred(i, s, w):
-            prev = s[-1] if len(s) >= 1 else 0
-            return table.get((i, prev, tuple(w)), default)
-    else:
+    if keyed_on not in ("full", "window", "prev_window"):
         raise ValidationError(f"unknown table keying {keyed_on!r}")
-    return Distinguisher(k, n, pred)
+
+    def tabulate(size: int) -> list[np.ndarray]:
+        tables = [np.full(shape, default) for shape in table_shapes(k, n, size)]
+        for key, bit in entries.items():
+            i, *prev, tokens = key
+            lead = i - 1 if keyed_on == "full" else 0
+            if not (
+                len(key) == (3 if keyed_on == "prev_window" else 2)
+                and 1 <= i <= n
+                and len(tokens) == lead + min(k, n - i + 1)
+                and (i > 1 or not any(prev))
+                and all(0 <= t < size for t in (*prev, *tokens))
+            ):
+                raise ValidationError(f"table key {key!r} names no cell")
+            if keyed_on == "full":
+                rows = lex_index(tokens[:lead], size)
+            else:
+                rows = slice(prev[0], None, size) if prev else slice(None)
+            tables[i - 1][rows, lex_index(tokens[lead:], size)] = bit
+        return tables
+
+    return Distinguisher(k, n, tabulate)
 
 
 # ---------------------------------------------------------------------------

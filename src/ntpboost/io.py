@@ -256,6 +256,10 @@ def _parse_entry_key(key: str, location: str) -> tuple[int, tuple[int, ...]]:
 
 def distinguisher_to_json(d: Distinguisher, alphabet: Alphabet) -> dict:
     """Write the set bits of d's tables over (i, x_{:i+k}) in the file format."""
+    if alphabet.size > 10:  # a key spells each token as one digit
+        raise ValidationError(
+            f"table-form tokens are single digits; |Sigma| = {alphabet.size} > 10"
+        )
     entries = {_entry_key(i, joint): 1 for i, joint in set_keys(d, alphabet.size)}
     return {"kind": "table", "k": d.k, "n": d.n, "default": 0, "entries": entries}
 
@@ -284,46 +288,46 @@ def distinguisher_from_json(obj, alphabet: Alphabet, location: str = "") -> Dist
             entries[(i, tokens)] = bit
         return table_distinguisher(k, n, entries, default=default, keyed_on="full")
     if kind == "rnn":
-        graph = graph_from_json(field(obj, "graph", dict, location), location + "/graph")
+        where = location + "/graph"
+        graph = graph_from_json(field(obj, "graph", dict, location), where)
+        for key, want in (("k", k), ("n", n), ("alphabet_size", alphabet.size)):
+            got = field(graph.meta, key, int, where + "/meta", want)
+            if got != want:
+                raise FormatError(
+                    f"circuit has {key} {got}, not {want}", f"{where}/meta/{key}"
+                )
         return distinguisher_from_graph(graph, k, n)
     raise FormatError(f"unknown distinguisher kind {kind!r}", location + "/kind")
 
 
 def distinguisher_from_graph(graph: RnnGraph, k: int, n: int) -> Distinguisher:
-    """Evaluate a trailing-window circuit as an analytic distinguisher.
+    """Tabulate a trailing-window circuit as a distinguisher.
 
-    d(i, x) feeds x_{:i-1+k} (zero-padded past the document end, which a
-    clipping-aware circuit ignores) and reads the output after the last
-    token's window.  The tables take one batched run per position.
+    D_i[x_{:i-1+kc}] feeds x_{:i-1+k} (zero-padded past the document end,
+    which a clipping-aware circuit ignores) and reads the output after
+    the last token's window: one batched run per position.
     """
     from .rnn.engine import compile_graph, run
 
     program = compile_graph(graph)
 
-    def bits(i: int, streams: np.ndarray) -> np.ndarray:
-        """d(i, .) on each column of ``streams``, the strings x_{:i-1+kc}."""
-        m = i - 1 + k
-        padded = np.zeros((m, streams.shape[1]))
-        padded[: len(streams)] = streams
-        tr = run(graph, padded, program=program)
-        out = tr.value(graph.output_id, m * graph.rnn_time)
-        bad = (out != 0.0) & (out != 1.0)
-        if bad.any():
-            j = int(np.argmax(bad))
-            stream = tuple(int(t) for t in padded[:, j])
-            raise FormatError(
-                f"circuit distinguisher emitted non-bit {out[j]} on {stream}"
-            )
-        return out.astype(np.uint8)
-
-    def pred(i, prefix, window):
-        stream = np.array(tuple(prefix) + tuple(window), dtype=float)
-        return int(bits(i, stream[:, None])[0])
-
     def tabulate(size: int) -> list[np.ndarray]:
-        return [
-            bits(i, token_strings(size, i - 1 + min(k, n - i + 1))).reshape(shape)
-            for i, shape in enumerate(table_shapes(k, n, size), 1)
-        ]
+        tables = []
+        for i, shape in enumerate(table_shapes(k, n, size), 1):
+            m = i - 1 + k
+            strings = token_strings(size, i - 1 + min(k, n - i + 1))
+            padded = np.zeros((m, strings.shape[1]))
+            padded[: len(strings)] = strings
+            tr = run(graph, padded, program=program)
+            out = tr.value(graph.output_id, m * graph.rnn_time)
+            bad = (out != 0.0) & (out != 1.0)
+            if bad.any():
+                j = int(np.argmax(bad))
+                stream = tuple(int(t) for t in padded[:, j])
+                raise FormatError(
+                    f"circuit distinguisher emitted non-bit {out[j]} on {stream}"
+                )
+            tables.append(out.reshape(shape))
+        return tables
 
-    return Distinguisher(k, n, pred, tabulate)
+    return Distinguisher(k, n, tabulate)

@@ -78,12 +78,24 @@ def conditional_by_sums(probs, size: int, n: int, s, y) -> float:
     return num / den
 
 
-def advantage_double_enumeration(d, p_probs, q_probs, size: int, n: int) -> float:
-    """Advantage by enumerating (y, x) document pairs directly.
+def table_bit(tables, i: int, x, size: int, k: int) -> int:
+    """D_i at the string x: row x_{:i-1}, column the window x_{i:i+k} as clipped."""
+    row = doc_index(x[: i - 1], size)
+    return int(tables[i - 1][row, doc_index(x[i - 1 : i - 1 + k], size)])
+
+
+def advantage_double_enumeration(
+    tables, p_probs, q_probs, size: int, n: int, k: int
+) -> float:
+    """Advantage of the bit tables D_1..D_n by enumerating (y, x) document pairs.
 
     Zero-probability prefixes under q use the uniform completion for the
     conditional expectation (they only matter where p gives them mass).
     """
+
+    def bit(i, x):
+        return table_bit(tables, i, x, size, k)
+
     total = 0.0
     for y in docs(size, n):
         py = p_probs[doc_index(y, size)]
@@ -100,13 +112,13 @@ def advantage_double_enumeration(d, p_probs, q_probs, size: int, n: int) -> floa
                         continue
                     qx = q_probs[doc_index(x, size)]
                     if qx > 0:
-                        cond += qx / pref_mass * d.value_on_document(i, x)
+                        cond += qx / pref_mass * bit(i, x)
             else:
                 tail = n - (i - 1)
                 for z in product(range(size), repeat=tail):
                     x = prefix + z
-                    cond += d.value_on_document(i, x) / size**tail
-            inner += cond - d.value_on_document(i, y)
+                    cond += bit(i, x) / size**tail
+            inner += cond - bit(i, y)
         total += py * inner / n
     return total
 
@@ -155,10 +167,10 @@ def one_prefix_advantages(p_probs, q_probs, size: int, n: int, k: int) -> np.nda
     return held @ per_key / n
 
 
-def boosted_table_blockwise(q_probs, d, alpha, i0_star, size: int, n: int, k: int):
+def boosted_table_blockwise(q_probs, tables, alpha, i0_star, size: int, n: int, k: int):
     """Blockwise-reweighted table computed document by document.
 
-    For each document, multiply q(x) by exp(-alpha d_{i+1}(x)) / Z(x_{:i+1})
+    For each document, multiply q(x) by exp(-alpha D_{i+1}(x)) / Z(x_{:i+1})
     over block anchors i = i0*, i0*+k, ... < n, computing each Z by direct
     conditional enumeration under q.
     """
@@ -179,10 +191,9 @@ def boosted_table_blockwise(q_probs, d, alpha, i0_star, size: int, n: int, k: in
                     marginal_by_suffix_enumeration(q_probs, size, n, prefix + w)
                     / pref_mass
                 )
-                z += cond * math.exp(-alpha * d.value(anchor + 1, prefix, w))
-            num = math.exp(
-                -alpha * d.value(anchor + 1, prefix, doc[anchor : anchor + kc])
-            )
+                bit = table_bit(tables, anchor + 1, prefix + w, size, k)
+                z += cond * math.exp(-alpha * bit)
+            num = math.exp(-alpha * table_bit(tables, anchor + 1, doc, size, k))
             val *= num / z
         out[doc_index(doc, size)] = val
     return out

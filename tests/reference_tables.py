@@ -1,4 +1,9 @@
-"""The full-prefix distinguisher compiler: a test reference.
+"""Test references for distinguisher tables and their circuits.
+
+``bit`` reads one cell of a ``table_distinguisher`` the way its tables
+were first read, by looking up the one key each keying names for the
+cell, so ``test_distinguishers`` can check the tables built entry by
+entry against it.
 
 ``construct.distinguisher_to_rnn`` compiles each table D_i over the
 shortest prefix suffix it depends on.  ``reference_distinguisher_to_rnn``
@@ -13,6 +18,23 @@ from __future__ import annotations
 from ntpboost.construct.lm_compile import MIN_RNN_TIME, _prefix_match, _table_circuit
 from ntpboost.distinguishers import set_keys
 from ntpboost.rnn.expr import const, ind_eq, prod, relu
+
+
+def bit(keyed_on: str, entries: dict, default: int, i: int, prefix, window) -> int:
+    """d(i, prefix, window) of ``table_distinguisher`` with these arguments.
+
+    "full" looks up (i, prefix + window), "window" (i, window) and
+    "prev_window" (i, last prefix token or 0, window); a missing key
+    reads ``default``.
+    """
+    prefix, window = tuple(prefix), tuple(window)
+    if keyed_on == "full":
+        key = (i, prefix + window)
+    elif keyed_on == "window":
+        key = (i, window)
+    else:
+        key = (i, prefix[-1] if prefix else 0, window)
+    return int(entries.get(key, default))
 
 
 def reference_distinguisher_to_rnn(d, alphabet, rnn_time: int = MIN_RNN_TIME):

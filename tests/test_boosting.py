@@ -22,7 +22,7 @@ from ntpboost.instances import (
     rng_for,
 )
 
-from oracles import boosted_table_blockwise
+from oracles import boosted_table_blockwise, table_bit
 
 B2 = Alphabet(2)
 
@@ -48,12 +48,7 @@ class TestBoostText:
         d = random_window_table_distinguisher(B2, n, n, rng)
         res = boost_text(p, q, d)
         if res.offset == 0 and res.alpha > 0:
-            weights = np.array(
-                [
-                    math.exp(-res.alpha * res.applied.value(1, (), doc))
-                    for doc in product(range(2), repeat=n)
-                ]
-            )
+            weights = np.exp(-res.alpha * res.applied.tables(2)[0][0])  # D_1's one row
             expected = q.probs * weights
             expected /= expected.sum()
             assert np.max(np.abs(res.q_boosted.probs - expected)) < 1e-12
@@ -67,7 +62,7 @@ class TestBoostText:
             if res.alpha == 0:
                 continue
             expected = boosted_table_blockwise(
-                q.probs, res.applied, res.alpha, res.offset, 2, n, k
+                q.probs, res.applied.tables(2), res.alpha, res.offset, 2, n, k
             )
             assert np.max(np.abs(res.q_boosted.probs - expected)) < 1e-12
 
@@ -130,9 +125,7 @@ class TestNormalizationZ:
     def test_constant_one_distinguisher(self):
         rng = rng_for(257)
         q = random_text(B2, 4, rng)
-        d = constant_distinguisher(2, 4)
-        d_one = type(d)(2, 4, lambda i, s, w: 1)
-        z = normalization_Z(q, d_one, 0.7, (0, 1))
+        z = normalization_Z(q, constant_distinguisher(2, 4, 1), 0.7, (0, 1))
         assert abs(z - math.exp(-0.7)) < 1e-12
 
     def test_matches_enumeration(self):
@@ -145,7 +138,8 @@ class TestNormalizationZ:
         expected = 0.0
         for w in product(range(2), repeat=2):
             num = q.marginal(s + w)
-            expected += num / q.marginal(s) * math.exp(-alpha * d.value(3, s, w))
+            bit = table_bit(d.tables(2), 3, s + w, 2, 2)
+            expected += num / q.marginal(s) * math.exp(-alpha * bit)
         assert abs(z - expected) < 1e-12
         assert math.exp(-alpha) - 1e-12 <= z <= 1 + 1e-12
 

@@ -61,6 +61,7 @@ from ntpboost.instances import (
 from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
+from oracles import table_bit
 from reference_tables import reference_distinguisher_to_rnn
 
 B2 = Alphabet(2)
@@ -109,8 +110,7 @@ class TestCompiledTables:
         for col in range(docs.shape[1]):
             doc = doc_tuple(docs, col)
             for m in range(k, n + 1):
-                anchor = m - k + 1
-                want = float(d.value(anchor, doc[: anchor - 1], doc[anchor - 1 : m]))
+                want = float(table_bit(d.tables(2), m - k + 1, doc, 2, k))
                 assert tr.value("out", m * 2)[col] == want
 
     def test_rnn_time_floor(self):
@@ -368,7 +368,8 @@ class TestComponents:
                 kc = min(k, n - a)
                 for j, z in enumerate(strings, start=1):
                     tt = (i - 1) * sc.period + j * k * tau - 1
-                    want = math.exp(-alpha * d.value(a + 1, doc[:a], z[:kc]))
+                    bit = table_bit(d.tables(2), a + 1, doc[:a] + z[:kc], 2, k)
+                    want = math.exp(-alpha * bit)
                     assert tr.value(f2.output_id, tt)[col] == want
 
     def test_f2_constant_distinguishers(self):

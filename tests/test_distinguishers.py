@@ -45,41 +45,34 @@ from oracles import (
     one_prefix_key_gaps,
 )
 from reference_families import matrix_best, member_matrix
+from reference_tables import bit
 
 B2 = Alphabet(2)
 
 
 class TestDistinguisherBasics:
-    def test_output_must_be_bit(self):
-        d = Distinguisher(1, 3, lambda i, s, w: 2)
+    @pytest.mark.parametrize(
+        "tables",
+        [[np.zeros((1, 2))] * 2, [np.zeros((1, 2))] * 3],
+        ids=["too-few", "wrong-shape"],
+    )
+    def test_tabulate_must_give_n_tables_of_their_shapes(self, tables):
         with pytest.raises(ValidationError):
-            d.value(1, (), (0,))
+            Distinguisher(1, 3, lambda size: tables).tables(2)
 
     def test_window_clipping(self):
+        # D_i has a column per window x_{i:i+k} clipped at the document end
         d = constant_distinguisher(3, 4)
-        assert d.window((0, 1, 0, 1), 3) == (0, 1)
-        assert d.window((0, 1, 0, 1), 4) == (1,)
-        assert d.window((0, 1, 0, 1), 1) == (0, 1, 0)
-
-    def test_window_property_fuzz(self):
-        # outputs agree whenever documents agree on x_{:i+k}
-        rng = rng_for(71)
-        n, k = 5, 2
-        d = random_prefix_window_distinguisher(B2, n, k, rng)
-        for _ in range(1000):
-            i = int(rng.integers(1, n + 1))
-            shared = tuple(rng.integers(0, 2, size=min(i - 1 + k, n)))
-            x = shared + tuple(rng.integers(0, 2, size=n - len(shared)))
-            y = shared + tuple(rng.integers(0, 2, size=n - len(shared)))
-            assert d.value_on_document(i, x) == d.value_on_document(i, y)
+        assert [t.shape for t in d.tables(2)] == [(1, 8), (2, 8), (4, 4), (8, 2)]
 
     def test_table_distinguisher_full_keys(self):
+        # position 1 with k = 1 reads one token, so a two-token key names no cell
         d = table_distinguisher(1, 2, {(1, (0, 1)): 1}, keyed_on="full")
-        # position 1: prefix empty, window (0,); full string x_{:1+1}=(0,?)
-        assert d.value_on_document(1, (0, 1)) == 0  # key is x_{:i+k}=(0,)... no match
+        with pytest.raises(ValidationError, match="names no cell"):
+            d.tables(2)
         d2 = table_distinguisher(1, 2, {(1, (0,)): 1}, keyed_on="full")
-        assert d2.value_on_document(1, (0, 1)) == 1
-        assert d2.value_on_document(1, (1, 1)) == 0
+        assert d2.tables(2)[0].tolist() == [[1, 0]]
+        assert not d2.tables(2)[1].any()
 
 
 class TestAdvantage:
@@ -101,7 +94,7 @@ class TestAdvantage:
         p = random_text(B2, n, rng)
         q = random_text(B2, n, rng)
         d = random_prefix_window_distinguisher(B2, n, k, rng)
-        expected = advantage_double_enumeration(d, p.probs, q.probs, 2, n)
+        expected = advantage_double_enumeration(d.tables(2), p.probs, q.probs, 2, n, k)
         assert abs(advantage(d, p, q) - expected) < 1e-12
 
     def test_oracle_agreement_with_zero_mass_prefixes(self):
@@ -110,7 +103,7 @@ class TestAdvantage:
         p = random_text(B2, n, rng)
         q = point_mass_text(B2, n, (0, 1, 0))  # many zero-marginal prefixes
         d = random_window_table_distinguisher(B2, n, k, rng)
-        expected = advantage_double_enumeration(d, p.probs, q.probs, 2, n)
+        expected = advantage_double_enumeration(d.tables(2), p.probs, q.probs, 2, n, k)
         assert abs(advantage(d, p, q) - expected) < 1e-12
 
     def test_complement_negates(self):
@@ -122,7 +115,7 @@ class TestAdvantage:
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(PreconditionError):
-            Distinguisher(5, 4, lambda i, s, w: 0)
+            constant_distinguisher(5, 4)
 
 
 class TestOffsetDecomposition:
@@ -294,17 +287,6 @@ class TestOnePrefixFamily:
         with pytest.raises(ValidationError):
             Family(1, 2, 2, 2, cell_keys)
 
-    def test_members_satisfy_window_property(self):
-        rng = rng_for(149)
-        fam = one_prefix_table_family(B2, 4, 1)
-        d = fam[rng.integers(0, len(fam))]
-        for _ in range(200):
-            i = int(rng.integers(1, 5))
-            shared = tuple(rng.integers(0, 2, size=min(i, 4)))
-            x = shared + tuple(rng.integers(0, 2, size=4 - len(shared)))
-            y = shared + tuple(rng.integers(0, 2, size=4 - len(shared)))
-            assert d.value_on_document(i, x) == d.value_on_document(i, y)
-
 
 def _lex(tokens, size):
     return sum(t * size ** (len(tokens) - 1 - j) for j, t in enumerate(tokens))
@@ -321,23 +303,49 @@ def _zero_prefix_text(alphabet, n, rng):
 
 
 class TestDenseTables:
-    def test_tables_match_predicate(self):
+    @pytest.mark.parametrize("default", [0, 1])
+    @pytest.mark.parametrize("keyed_on", ["full", "window", "prev_window"])
+    def test_tables_match_reference(self, keyed_on, default):
         rng = rng_for(161)
-        for size, n, k in [(2, 4, 2), (3, 3, 3), (3, 3, 1)]:
-            alphabet = Alphabet(size)
-            for make in (
-                random_prefix_window_distinguisher,
-                random_window_table_distinguisher,
-            ):
-                d = make(alphabet, n, k, rng)
-                tables = d.tables(size)
-                assert [t.shape for t in tables] == table_shapes(k, n, size)
-                for i, table in enumerate(tables, 1):
-                    kc = min(k, n - i + 1)
-                    joints = product(range(size), repeat=i - 1 + kc)
-                    want = [d.value(i, x[: i - 1], x[i - 1 :]) for x in joints]
-                    assert table.ravel().tolist() == want
-                    assert not table.flags.writeable
+        # (2, 6, 2) is the benchmark's sweep shape
+        for size, n, k in [(2, 4, 2), (3, 3, 3), (3, 3, 1), (2, 6, 2)]:
+            entries = {}
+            for i in range(1, n + 1):
+                for x in product(range(size), repeat=i - 1 + min(k, n - i + 1)):
+                    prev = x[i - 2] if i > 1 else 0
+                    key = {"full": (i, x), "window": (i, x[i - 1 :]),
+                           "prev_window": (i, prev, x[i - 1 :])}[keyed_on]
+                    if rng.random() < 0.5:
+                        entries[key] = int(rng.integers(0, 2))
+            assert set(entries.values()) == {0, 1}
+            tables = table_distinguisher(k, n, entries, default, keyed_on).tables(size)
+            assert [t.shape for t in tables] == table_shapes(k, n, size)
+            for i, table in enumerate(tables, 1):
+                joints = product(range(size), repeat=i - 1 + min(k, n - i + 1))
+                want = [
+                    bit(keyed_on, entries, default, i, x[: i - 1], x[i - 1 :])
+                    for x in joints
+                ]
+                assert table.ravel().tolist() == want
+                assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "keyed_on,key",
+        [
+            ("full", (1, (0, 1))),  # position 1 with k = 1 reads one token
+            ("full", (4, (0, 0, 0))),  # position outside [1, 3]
+            ("window", (0, (0,))),
+            ("window", (3, (0, 1))),  # position 3's window is clipped to one token
+            ("window", (2, (2,))),  # token outside the alphabet
+            ("prev_window", (1, 1, (0,))),  # position 1 has no previous token
+            ("prev_window", (2, 2, (0,))),  # previous token outside the alphabet
+            ("prev_window", (2, (0,))),  # no previous token in the key
+        ],
+    )
+    def test_unreadable_key_rejected(self, keyed_on, key):
+        d = table_distinguisher(1, 3, {key: 1}, keyed_on=keyed_on)
+        with pytest.raises(ValidationError, match="names no cell"):
+            d.tables(2)
 
     def test_tables_cached_per_size(self):
         d = constant_distinguisher(1, 3, 1)
@@ -345,7 +353,8 @@ class TestDenseTables:
         assert d.tables(3)[2].shape == (9, 3)
 
     def test_non_bit_table_rejected(self):
-        d = Distinguisher(1, 3, lambda i, s, w: 2)
+        twos = [np.full(shape, 2) for shape in table_shapes(1, 3, 2)]
+        d = Distinguisher(1, 3, lambda size: twos)
         with pytest.raises(ValidationError, match="not a bit"):
             d.tables(2)
 
@@ -414,21 +423,21 @@ class TestAdvantageDifferential:
                 constant_distinguisher(k, n, 1),
             ]
             expected = [
-                advantage_double_enumeration(d, p.probs, q.probs, size, n)
+                advantage_double_enumeration(
+                    d.tables(size), p.probs, q.probs, size, n, k
+                )
                 for d in family
             ]
             for d, want in zip(family, expected):
                 assert abs(advantage(d, p, q) - want) < 1e-12
 
             d = family[0]
+            tables = d.tables(size)
             terms = []
             for i in range(1, n + 1):
-                only_i = Distinguisher(
-                    k, n, lambda j, s, w, i=i: d.value(j, s, w) if j == i else 0
-                )
-                terms.append(
-                    n * advantage_double_enumeration(only_i, p.probs, q.probs, size, n)
-                )
+                only_i = [t if j == i else 0 * t for j, t in enumerate(tables, 1)]
+                adv = advantage_double_enumeration(only_i, p.probs, q.probs, size, n, k)
+                terms.append(n * adv)
             rep = offset_decomposition(d, p, q)
             for j, w, a in rep.offsets:
                 assert abs(a - sum(terms[j::k]) / w) < 1e-12

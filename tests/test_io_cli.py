@@ -2,7 +2,6 @@
 
 import json
 import os
-from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +12,7 @@ from ntpboost import io as nio
 from ntpboost.cli import main
 from ntpboost.construct import lm_to_rnn
 from ntpboost.dist import Alphabet, TextDistribution, text_to_lm
-from ntpboost.distinguishers import advantage
+from ntpboost.distinguishers import advantage, constant_distinguisher
 from ntpboost.errors import FormatError, NtpboostError, ValidationError
 from ntpboost.families import one_prefix_table_family
 from ntpboost.instances import (
@@ -74,12 +73,8 @@ class TestDistinguisherFormat:
         path = tmp_path / "d.json"
         nio.write_json_atomic(str(path), payload)
         back = nio.distinguisher_from_json(nio.read_json(str(path)), B2)
-        for i in range(1, 5):
-            kc = min(2, 4 - i + 1)
-            for joint in product(range(2), repeat=i - 1 + kc):
-                assert back.value(i, joint[: i - 1], joint[i - 1 :]) == d.value(
-                    i, joint[: i - 1], joint[i - 1 :]
-                )
+        for a, b in zip(back.tables(2), d.tables(2)):
+            assert np.array_equal(a, b)
 
     def test_table_round_trip_ternary(self, tmp_path):
         b3 = Alphabet(3)
@@ -114,6 +109,28 @@ class TestDistinguisherFormat:
         p = random_text(B2, 3, rng)
         q = random_text(B2, 3, rng)
         assert abs(advantage(back, p, q) - advantage(d, p, q)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "key,file_k,file_n,size",
+        [("k", 1, 4, 2), ("n", 2, 5, 2), ("alphabet_size", 2, 4, 3)],
+    )
+    def test_rnn_kind_meta_must_agree(self, key, file_k, file_n, size):
+        # the circuit is compiled for k = 2, n = 4 and |Sigma| = 2
+        from ntpboost.construct import distinguisher_to_rnn
+
+        d = random_prefix_window_distinguisher(B2, 4, 2, rng_for(913))
+        graph = nio.graph_to_json(distinguisher_to_rnn(d, B2, 2))
+        payload = {"kind": "rnn", "k": file_k, "n": file_n, "graph": graph}
+        with pytest.raises(FormatError) as err:
+            nio.distinguisher_from_json(payload, Alphabet(size), "d.json")
+        assert err.value.location == f"d.json/graph/meta/{key}"
+
+    def test_table_writer_refuses_alphabets_over_ten(self):
+        # token 10 would be written as two digits, which the reader refuses
+        d = constant_distinguisher(1, 1, 1)
+        assert nio.distinguisher_to_json(d, Alphabet(10))["entries"]["1:9"] == 1
+        with pytest.raises(ValidationError, match="single digits"):
+            nio.distinguisher_to_json(d, Alphabet(11))
 
 
 class TestGraphFormat:
@@ -203,6 +220,28 @@ class TestCli:
             result["kl_after"]
             <= result["kl_before"] - result["guaranteed_drop"] + 1e-9
         )
+
+    def test_boost_refuses_circuit_with_another_k(self, tmp_path, capsys):
+        # a k = 2 circuit saved as k = 1 would boost with another predicate
+        from ntpboost.construct import distinguisher_to_rnn
+
+        d = nio.distinguisher_from_json(
+            nio.read_json(fixture("distinguisher_n4_k2.json")), B2
+        )
+        graph = nio.graph_to_json(distinguisher_to_rnn(d, B2, 2))
+        path = str(tmp_path / "d.json")
+        nio.write_json_atomic(path, {"kind": "rnn", "k": 1, "n": 4, "graph": graph})
+        rc = run_cli(
+            "boost",
+            "--out", str(tmp_path / "o"),
+            "--train", fixture("train_n4.json"),
+            "--model", fixture("model_n4.json"),
+            "--distinguisher", path,
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"].endswith(f"(at {path}/graph/meta/k)")
+        assert not os.path.exists(str(tmp_path / "o"))
 
     def test_construct_then_simulate_matches_boost(self, tmp_path):
         # cross-command consistency: compile circuits for the fixture pair,
