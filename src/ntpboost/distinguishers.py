@@ -128,6 +128,32 @@ def constant_distinguisher(k: int, n: int, bit: int = 0) -> Distinguisher:
     )
 
 
+def table_key_fault(key, k: int, n: int, size: int, keyed_on: str = "full") -> str | None:
+    """Why ``key`` names no cell of ``table_distinguisher``'s tables, or None.
+
+    A "full" key is (i, x_{:i-1+kc}), a "window" key (i, window) and a
+    "prev_window" key (i, last prefix token or 0 at i = 1, window), with
+    1 <= i <= n and every token in [0, size).
+    """
+    parts = 3 if keyed_on == "prev_window" else 2
+    if len(key) != parts:
+        return f"a {keyed_on} key has {parts} parts, not {len(key)}"
+    i, *prev, tokens = key
+    if not 1 <= i <= n:
+        return f"position {i} outside [1, {n}]"
+    if keyed_on == "full":
+        want, spelled = min(i - 1 + k, n), "|x_(:i+k)|"
+    else:
+        want, spelled = min(k, n - i + 1), "|x_(i:i+k)|"
+    if len(tokens) != want:
+        return f"key length {len(tokens)} != {spelled} = {want}"
+    if i == 1 and any(prev):
+        return f"previous token {prev[0]} at position 1, which has none"
+    if not all(0 <= t < size for t in (*prev, *tokens)):
+        return "token outside alphabet"
+    return None
+
+
 def table_distinguisher(
     k: int,
     n: int,
@@ -149,16 +175,11 @@ def table_distinguisher(
     def tabulate(size: int) -> list[np.ndarray]:
         tables = [np.full(shape, default) for shape in table_shapes(k, n, size)]
         for key, bit in entries.items():
+            fault = table_key_fault(key, k, n, size, keyed_on)
+            if fault is not None:
+                raise ValidationError(f"table key {key!r} names no cell: {fault}")
             i, *prev, tokens = key
             lead = i - 1 if keyed_on == "full" else 0
-            if not (
-                len(key) == (3 if keyed_on == "prev_window" else 2)
-                and 1 <= i <= n
-                and len(tokens) == lead + min(k, n - i + 1)
-                and (i > 1 or not any(prev))
-                and all(0 <= t < size for t in (*prev, *tokens))
-            ):
-                raise ValidationError(f"table key {key!r} names no cell")
             if keyed_on == "full":
                 rows = lex_index(tokens[:lead], size)
             else:

@@ -36,6 +36,7 @@ from .distinguishers import (
     Distinguisher,
     set_keys,
     table_distinguisher,
+    table_key_fault,
     table_shapes,
 )
 from .errors import FormatError, NtpboostError, ValidationError
@@ -275,17 +276,11 @@ def distinguisher_from_json(obj, alphabet: Alphabet, location: str = "") -> Dist
             loc = f"{location}/entries/{key}"
             if checked(bit, int, loc) not in (0, 1):
                 raise FormatError(f"entry value {bit!r} is not a bit", loc)
-            i, tokens = _parse_entry_key(key, loc)
-            if not 1 <= i <= n:
-                raise FormatError(f"position {i} outside [1, {n}]", loc)
-            if len(tokens) != min(i - 1 + k, n):
-                raise FormatError(
-                    f"key length {len(tokens)} != |x_(:i+k)| = {min(i - 1 + k, n)}",
-                    loc,
-                )
-            if any(not 0 <= t < alphabet.size for t in tokens):
-                raise FormatError("token outside alphabet", loc)
-            entries[(i, tokens)] = bit
+            entry = _parse_entry_key(key, loc)
+            fault = table_key_fault(entry, k, n, alphabet.size)
+            if fault is not None:
+                raise FormatError(fault, loc)
+            entries[entry] = bit
         return table_distinguisher(k, n, entries, default=default, keyed_on="full")
     if kind == "rnn":
         where = location + "/graph"

@@ -20,35 +20,48 @@ bucket is padded to its longest term list from one shared pad row:
 -0.0 with weight 1 for sums and 1.0 for products, each the exact
 identity.  Every update evaluates a level for the whole batch with a
 fixed set of numpy calls: one ``take`` of every term into a scratch
-buffer, one coefficient multiply, one reduction per bucket, one bias
-add, one ``maximum`` over the relu rows, and one zero check and divide
-over the reciprocal rows.  The scratch is allocated once per
-``_advance``, for the widest level at the full batch, and the views
-each level uses are bound once per batch width.  The gather uses
-``take``'s ``"clip"`` mode, which writes into the scratch without
+buffer, one coefficient multiply, one call per bucket, one bias add,
+one ``maximum`` over the relu rows, and one zero check and divide over
+the reciprocal rows.  A bucket's call depends only on its padded arity:
+arity 1 is a copy of its one term, arity 2 one ``np.add`` or
+``np.multiply`` of its two terms, and only from arity 3 is it a
+reduction over the term axis.  At the batch sizes the programs run (a
+few columns), a call's cost is mostly numpy's fixed overhead, so a copy
+or a binary op is cheaper than a reduction of one or two terms.  The
+scratch is allocated once per ``_advance``, for the widest level at the
+full batch, and ``_bind`` binds the views each level uses once per
+batch width, with the level's coefficient and bias columns expanded to
+contiguous (cells, width) and (sums, width) arrays: numpy then runs one
+flat loop over them rather than one short loop per row.  The gather
+uses ``take``'s ``"clip"`` mode, which writes into the scratch without
 buffering but would clamp a bad row silently, so ``_schedule`` checks
 that every row a level reads belongs to the state, a constant or an
 earlier level.  ``Schedule`` reports the cost: ``levels``,
-``reductions`` (numpy reductions per update), ``term_cells`` (terms and
-factors on the tape) and ``padded_cells`` (cells gathered per column
-and update).  On one n=6, k=2 boosted circuit of the ``sweep``
-benchmark, 1,629 tape slots give 8 levels and 28 reductions, gathering
-5,131 cells for 4,607 terms.  ``_schedule`` reads the tape once into
-flat arrays (each slot's operator, each term's parent, place, child and
-coefficient) and derives levels, rows, buckets and padded cells from
-them with numpy index arithmetic; ``tests/reference_schedule.py`` keeps
-the slot-by-slot layout it must reproduce field for field.
-Every update of ``run``, ``step`` and the scrubbing harness goes
-through the one step function ``_advance``.
+``reductions`` (buckets, each one call per update), ``term_cells``
+(terms and factors on the tape) and ``padded_cells`` (cells gathered
+per column and update).  On one n=6, k=2 boosted circuit of the
+``sweep`` benchmark, 1,629 tape slots give 8 levels and 28 buckets, 10
+of them of arity 1 or 2, gathering 5,131 cells for 4,607 terms.
+``_schedule`` reads the tape once into flat arrays (each slot's
+operator, each term's parent, place, child and coefficient) and
+derives levels, rows, buckets and padded cells from them with numpy
+index arithmetic; ``tests/reference_schedule.py`` keeps the
+slot-by-slot layout it must reproduce field for field.  Every update
+of ``run`` and the scrubbing harness goes through the one step function
+``_advance``.
 
 The schedule gives the same bytes as evaluating the tape slot by slot
 with a left-to-right sum:
 
 * terms are added in tape order, ``((c1 x1 + c2 x2) + c3 x3) + ...``:
-  numpy reduces the term axis of a bucket's (arity, slots, batch)
-  block elementwise, starting from -0.0, and a batch of one (where
-  numpy would switch to pairwise summation) accumulates instead.
-  ``np.add.reduceat`` is not used: it does not add left to right;
+  from arity 3, numpy reduces the term axis of a bucket's (arity,
+  slots, batch) block elementwise, starting from -0.0, and a batch of
+  one (where numpy would switch to pairwise summation) accumulates
+  instead.  ``np.add.reduceat`` is not used: it does not add left to
+  right.  Arity 2 adds ``x1 + x2``, the same bytes as ``(-0.0 + x1) +
+  x2``, and arity 1 copies ``x1``, which is ``-0.0 + x1``: adding -0.0
+  leaves every value, -0.0 and NaN included, as it is, and a product
+  of one factor is that factor;
 * pads come after a slot's own terms, and adding -0.0 (or multiplying
   by 1.0) leaves every value, -0.0, infinities and NaN included, as it
   is;
@@ -98,8 +111,8 @@ column alone:
 * bits are compared, not values, so a ``0.0`` and a ``-0.0`` token (or
   state) stay apart.
 
-When every column is its own group (a batch of one, ``step``, resumed
-runs from distinct garbage) the schedule runs on the batch as it is,
+When every column is its own group (a batch of one, resumed runs from
+distinct garbage) the schedule runs on the batch as it is,
 without any gather.  ``ExecutionTrace.evaluated_columns`` counts the
 columns evaluated, summed over updates: (total_steps - 1) * batch when
 nothing is shared.
@@ -109,6 +122,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,9 +211,10 @@ class Schedule:
     (-0.0, then 1.0), and the rest the levels in order.  ``next_rows``
     is the row each node's new value is read from (its own row for input
     nodes, which the stream then overwrites).  ``reductions`` counts the
-    buckets (numpy reductions per update); ``term_cells`` the terms and
-    factors on the tape and ``padded_cells`` the cells gathered per
-    column and update, pads included.
+    buckets, each one numpy call per update (a copy at arity 1, a binary
+    op at arity 2, a reduction only from arity 3); ``term_cells`` the
+    terms and factors on the tape and ``padded_cells`` the cells
+    gathered per column and update, pads included.
     """
 
     num_rows: int
@@ -423,8 +438,27 @@ def _runs(*keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def _bind(sched: Schedule, S: np.ndarray, scratch: np.ndarray) -> list:
-    """The views of ``S`` and ``scratch`` each level uses at S's width."""
+class Bound(NamedTuple):
+    """One level's arrays at one batch width (see ``_bind``)."""
+
+    level: Level
+    cells: np.ndarray  # (src.size, width) gather target
+    sum_cells: np.ndarray  # its first ``sum_cells`` rows
+    coef: np.ndarray | None  # (sum_cells, width), contiguous
+    buckets: list[tuple[bool, np.ndarray, np.ndarray]]  # (is_prod, terms, dst)
+    sums: np.ndarray  # the relu and reciprocal rows of S
+    bias: np.ndarray | None  # (sums, width), contiguous
+    relu: np.ndarray | None
+    recip: np.ndarray | None
+
+
+def _bind(sched: Schedule, S: np.ndarray, scratch: np.ndarray) -> list[Bound]:
+    """The views of ``S`` and ``scratch`` each level uses at S's width.
+
+    Each level's coefficients and biases are expanded to contiguous
+    (cells, width) and (sums, width) arrays, so numpy multiplies and adds
+    them in one flat loop rather than one short loop per row.
+    """
     width = S.shape[1]
     bound = []
     for lv in sched.levels:
@@ -435,20 +469,22 @@ def _bind(sched: Schedule, S: np.ndarray, scratch: np.ndarray) -> list:
         ]
         relu, recip = S[lv.relu], S[lv.recip]
         bound.append(
-            (
-                lv,
-                cells,
-                cells[: lv.sum_cells],
-                buckets,
-                S[lv.relu.start : lv.recip.stop],
-                relu if relu.size else None,
-                recip if recip.size else None,
+            Bound(
+                level=lv,
+                cells=cells,
+                sum_cells=cells[: lv.sum_cells],
+                coef=None if lv.coef is None else np.repeat(lv.coef, width, axis=1),
+                buckets=buckets,
+                sums=S[lv.relu.start : lv.recip.stop],
+                bias=None if lv.bias is None else np.repeat(lv.bias, width, axis=1),
+                relu=relu if relu.size else None,
+                recip=recip if recip.size else None,
             )
         )
     return bound
 
 
-def _evaluate(bound: list, S: np.ndarray) -> int | None:
+def _evaluate(bound: list[Bound], S: np.ndarray) -> int | None:
     """Fill the level rows of ``S`` from its state and constant rows.
 
     ``bound`` is ``_bind`` of ``S``.  Returns the lowest tape slot whose
@@ -459,13 +495,19 @@ def _evaluate(bound: list, S: np.ndarray) -> int | None:
     """
     single = S.shape[1] == 1
     zero_slot = None
-    for lv, cells, sum_cells, buckets, sums, relu, recip in bound:
+    for lv, cells, sum_cells, coef, buckets, sums, bias, relu, recip in bound:
         # "clip" does not buffer the copy into ``out``; _schedule checked the rows
         S.take(lv.src, axis=0, out=cells, mode="clip")
-        if lv.coef is not None:
-            np.multiply(sum_cells, lv.coef, out=sum_cells)
+        if coef is not None:
+            np.multiply(sum_cells, coef, out=sum_cells)
         for is_prod, terms, dst in buckets:
-            if is_prod:
+            arity = len(terms)
+            if arity == 1:
+                # -0.0 + x, and a product of the one factor x, are x
+                dst[...] = terms[0]
+            elif arity == 2:
+                (np.multiply if is_prod else np.add)(terms[0], terms[1], out=dst)
+            elif is_prod:
                 np.multiply.reduce(terms, axis=0, out=dst)
             elif single:
                 # numpy would sum one value per term pairwise
@@ -473,8 +515,8 @@ def _evaluate(bound: list, S: np.ndarray) -> int | None:
                 dst[...] = terms[-1]
             else:
                 np.add.reduce(terms, axis=0, out=dst, initial=-0.0)
-        if lv.bias is not None:
-            sums += lv.bias
+        if bias is not None:
+            sums += bias
         if relu is not None:
             np.maximum(relu, 0.0, out=relu)
         if recip is not None:
@@ -712,13 +754,3 @@ def _run_checks(prog: Program, state: np.ndarray, t: int) -> None:
                     f"allowed values {sorted(allowed)}"
                 )
 
-
-def step(graph: RnnGraph, state: dict[str, float], current_input: float) -> dict:
-    """One synchronous update from a named state (single-step primitive).
-
-    The update is time step 2 of a one-token stream, so no reset fires.
-    """
-    prog = compile_graph(graph)
-    old = np.array([[state[n.name]] for n in graph.nodes], dtype=np.float64)
-    _, new, _, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2, [])
-    return {n.name: float(new[j, 0]) for j, n in enumerate(graph.nodes)}

@@ -3,7 +3,7 @@
 ``engine.run`` keeps only the output at the multiples of ``rnn_time``.
 ``full_run`` starts and advances the streams through the same
 ``engine._start`` and ``engine._advance`` as ``run`` does, recording
-every row at every step.
+every row at every step.  ``step`` is one update from a named state.
 """
 
 from __future__ import annotations
@@ -48,3 +48,14 @@ def full_run(graph, stream, fixed_point=None) -> FullTrace:
     rows = np.arange(len(graph.nodes))
     values, _, sat, evaluated = _advance(prog, state, arr, 1, total, rows, fixed_point)
     return FullTrace(values, prog.node_index, saturation + sat, evaluated)
+
+
+def step(graph, state: dict[str, float], current_input: float) -> dict[str, float]:
+    """One synchronous update from a named state.
+
+    The update is time step 2 of a one-token stream, so no reset fires.
+    """
+    prog = compile_graph(graph)
+    old = np.array([[state[n.name]] for n in graph.nodes], dtype=np.float64)
+    _, new, _, _ = _advance(prog, old, np.array([[float(current_input)]]), 1, 2, [])
+    return {n.name: float(new[j, 0]) for j, n in enumerate(graph.nodes)}

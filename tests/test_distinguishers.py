@@ -21,6 +21,7 @@ from ntpboost.distinguishers import (
     pinsker_bound,
     position_gaps,
     table_distinguisher,
+    table_key_fault,
     table_shapes,
 )
 from ntpboost.errors import PreconditionError, SizingError, ValidationError
@@ -346,6 +347,37 @@ class TestDenseTables:
         d = table_distinguisher(1, 3, {key: 1}, keyed_on=keyed_on)
         with pytest.raises(ValidationError, match="names no cell"):
             d.tables(2)
+
+    @pytest.mark.parametrize(
+        "keyed_on,key,fault",
+        [
+            ("full", (1, (0, 1)), "key length 2 != |x_(:i+k)| = 1"),
+            ("full", (4, (0, 0, 0)), "position 4 outside [1, 3]"),
+            ("full", (2, (0, 2)), "token outside alphabet"),
+            ("window", (0, (0,)), "position 0 outside [1, 3]"),
+            ("window", (2, (0, 1)), "key length 2 != |x_(i:i+k)| = 1"),
+            ("window", (1, 0, (0,)), "a window key has 2 parts, not 3"),
+            ("prev_window", (1, 1, (0,)), "previous token 1 at position 1, which has none"),
+            ("prev_window", (2, 2, (0,)), "token outside alphabet"),
+            ("prev_window", (2, (0,)), "a prev_window key has 3 parts, not 2"),
+        ],
+    )
+    def test_each_key_fault_is_named(self, keyed_on, key, fault):
+        assert table_key_fault(key, 1, 3, 2, keyed_on) == fault
+        d = table_distinguisher(1, 3, {key: 1}, keyed_on=keyed_on)
+        with pytest.raises(ValidationError) as err:
+            d.tables(2)
+        assert str(err.value) == f"table key {key!r} names no cell: {fault}"
+
+    def test_every_readable_key_has_no_fault(self):
+        for keyed_on, key in [
+            ("full", (1, (1,))),
+            ("full", (3, (0, 1, 1))),
+            ("window", (3, (1,))),
+            ("prev_window", (1, 0, (1,))),
+            ("prev_window", (2, 1, (0,))),
+        ]:
+            assert table_key_fault(key, 1, 3, 2, keyed_on) is None
 
     def test_tables_cached_per_size(self):
         d = constant_distinguisher(1, 3, 1)

@@ -35,7 +35,6 @@ from ntpboost.rnn.engine import (
     compile_graph,
     quantize_array,
     run,
-    step,
 )
 from ntpboost.rnn.expr import (
     Const,
@@ -56,7 +55,7 @@ from ntpboost.rnn.expr import (
 from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.rnn import sufficiency
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
-from full_trace import full_run
+from full_trace import full_run, step
 from reference_schedule import reference_schedule
 from test_expr import distinct_objects
 
@@ -1202,6 +1201,133 @@ class TestLevelKernel:
         node_index = {"in": 0, "out": 1}
         with pytest.raises(ValidationError, match="tape slot"):
             _schedule(tape, graph, node_index, {"out": len(tape) - 1})
+
+
+# -- arity-1 and arity-2 buckets against the reduction they replace ---------
+
+
+def reduced_update(sched, S):
+    """Fill the level rows of ``S`` by reducing every bucket over its term
+    axis (sums from -0.0, a width of one by accumulating), with the
+    coefficient and bias columns broadcast: the reference for the
+    kernel's arity-1 copies, arity-2 binary ops and expanded operands."""
+    width = S.shape[1]
+    for lv in sched.levels:
+        cells = S.take(lv.src, axis=0)
+        if lv.coef is not None:
+            cells[: lv.sum_cells] *= lv.coef
+        for op, c, arity, r, n in lv.buckets:
+            terms = cells[c : c + arity * n].reshape(arity, n, width)
+            if op == _PROD:
+                np.multiply.reduce(terms, axis=0, out=S[r : r + n])
+            elif width == 1:
+                S[r : r + n] = np.add.accumulate(terms, axis=0)[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=S[r : r + n], initial=-0.0)
+        if lv.bias is not None:
+            S[lv.relu.start : lv.recip.stop] += lv.bias
+        np.maximum(S[lv.relu], 0.0, out=S[lv.relu])
+        recip = S[lv.recip]
+        recip[recip == 0.0] = 1.0
+        np.divide(1.0, recip, out=recip)
+
+
+def slot_rows(sched, states):
+    """The slot array with ``states`` and the constants filled in."""
+    num_nodes, width = states.shape
+    S = np.empty((sched.num_rows, width))
+    S[:num_nodes] = states
+    S[num_nodes : num_nodes + len(sched.const_values)] = sched.const_values[:, None]
+    return S
+
+
+def assert_kernel_matches_reduction(graph, states):
+    sched = compile_graph(graph).schedule
+    got, want = slot_rows(sched, states), slot_rows(sched, states)
+    scratch = np.empty(max(lv.src.size for lv in sched.levels) * states.shape[1])
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        assert engine._evaluate(engine._bind(sched, got, scratch), got) is None
+        reduced_update(sched, want)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBucketCalls:
+    NAMES = ["a", "b", "c"]
+    # the hardware's NaN (inf - inf) and numpy's, both zeros and both
+    # infinities, subnormals, and terms whose sums round
+    VALUES = [
+        0.0,
+        -0.0,
+        np.inf,
+        -np.inf,
+        float("inf") - float("inf"),
+        np.nan,
+        5e-324,
+        -1e-310,
+        1.0,
+        -3.0,
+        0.1,
+        2.0**60,
+    ]
+
+    def low_arity_graph(self):
+        """Relu, reciprocal and product slots of arity 0-2 only, on two levels."""
+        coefs = [1.0, -3.0, 0.5, 2.0**-30]
+        exprs = []
+        for j, (bias, c) in enumerate(product([0.0, -0.0, 0.5, -1.5], coefs)):
+            x, y = self.NAMES[j % 3], self.NAMES[(j + 1) % 3]
+            exprs += [relu(bias, (c, x)), relu(bias, (c, x), (coefs[j % 4 - 1], y))]
+        exprs += [Relu(b, ()) for b in (0.0, -0.0, 2.0)] + [Recip(-2.0, ())]
+        # no sum of these terms is -pi, so no denominator is zero
+        exprs += [recip(np.pi, (0.5, "a")), recip(np.pi, (-3.0, "b"), (1.0, "c"))]
+        exprs += [Prod((node("a"),)), prod("b", "a"), prod("c", "c")]
+        exprs.append(relu(0.25, (-1.0, prod("a", "b")), (1.0, relu(-0.0, (2.0, "c")))))
+        return node_graph(self.NAMES, exprs)
+
+    def test_low_arity_graph_has_only_copies_and_binary_ops(self):
+        sched = compile_graph(self.low_arity_graph()).schedule
+        kinds = {(op == _PROD, arity) for lv in sched.levels for op, _, arity, _, _ in lv.buckets}
+        assert kinds == {(False, 1), (False, 2), (True, 1), (True, 2)}
+        assert len(sched.levels) == 2 and sched.padded_cells > sched.term_cells
+        assert all(lv.coef is not None and lv.bias is not None for lv in sched.levels)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64])
+    def test_low_arities_match_the_reduction_bytewise(self, width):
+        graph = self.low_arity_graph()
+        for seed in range(4):
+            assert_kernel_matches_reduction(
+                graph, start_states(graph, self.VALUES, width, seed)
+            )
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64])
+    def test_mixed_arities_match_the_reduction_bytewise(self, width):
+        graph = TestLevelKernel().mixed_arity_graph(width)
+        assert_kernel_matches_reduction(graph, start_states(graph, self.VALUES, width, 7))
+
+    def test_bound_operands_equal_the_broadcast_columns(self, sweep_circuit, monkeypatch):
+        graph, prog, docs = sweep_circuit
+        bind, widths = engine._bind, []
+
+        def checked_bind(sched, S, scratch):
+            bound = bind(sched, S, scratch)
+            width = S.shape[1]
+            widths.append(width)
+            for b in bound:
+                for got, column in ((b.coef, b.level.coef), (b.bias, b.level.bias)):
+                    if column is None:
+                        assert got is None
+                        continue
+                    assert got.flags.c_contiguous and got.shape == (len(column), width)
+                    assert got.tobytes() == np.broadcast_to(column, got.shape).tobytes()
+            return bound
+
+        monkeypatch.setattr(engine, "_bind", checked_bind)
+        shared = run(graph, docs, program=prog)
+        # the start state holds the first token, and each token read
+        # after it splits every group in two
+        assert widths == [2, 4, 8, 16, 32, 64]
+        assert shared.evaluated_columns < (shared.total_steps - 1) * docs.shape[1]
+        assert any(lv.coef is not None and lv.bias is not None for lv in prog.schedule.levels)
 
 
 # -- recorded outputs: a run keeps the output at the multiples of rnn_time --

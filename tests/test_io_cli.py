@@ -96,6 +96,25 @@ class TestDistinguisherFormat:
         with pytest.raises(FormatError, match="key length"):
             nio.distinguisher_from_json(nio.read_json(str(path)), B2)
 
+    @pytest.mark.parametrize(
+        "key,bit,message",
+        [
+            ("1:0", 2, "entry value 2 is not a bit"),
+            ("1-0", 1, "bad entry key '1-0'"),
+            ("3:000", 1, "position 3 outside [1, 2]"),
+            ("0:", 1, "position 0 outside [1, 2]"),
+            ("1:011", 1, "key length 3 != |x_(:i+k)| = 1"),
+            ("2:0", 1, "key length 1 != |x_(:i+k)| = 2"),
+            ("2:02", 1, "token outside alphabet"),
+        ],
+    )
+    def test_each_bad_entry_is_located_at_its_key(self, key, bit, message):
+        obj = {"kind": "table", "k": 1, "n": 2, "entries": {"1:1": 1, key: bit}}
+        with pytest.raises(FormatError) as err:
+            nio.distinguisher_from_json(obj, B2, "d.json")
+        assert str(err.value) == f"{message} (at d.json/entries/{key})"
+        assert err.value.location == f"d.json/entries/{key}"
+
     def test_rnn_kind_evaluates_through_engine(self, tmp_path):
         rng = rng_for(911)
         d = random_prefix_window_distinguisher(B2, 3, 1, rng)
