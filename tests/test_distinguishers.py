@@ -369,16 +369,6 @@ class TestDenseTables:
             d.tables(2)
         assert str(err.value) == f"table key {key!r} names no cell: {fault}"
 
-    def test_every_readable_key_has_no_fault(self):
-        for keyed_on, key in [
-            ("full", (1, (1,))),
-            ("full", (3, (0, 1, 1))),
-            ("window", (3, (1,))),
-            ("prev_window", (1, 0, (1,))),
-            ("prev_window", (2, 1, (0,))),
-        ]:
-            assert table_key_fault(key, 1, 3, 2, keyed_on) is None
-
     def test_tables_cached_per_size(self):
         d = constant_distinguisher(1, 3, 1)
         assert d.tables(2) is d.tables(2)
