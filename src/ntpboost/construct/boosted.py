@@ -28,6 +28,7 @@ from ..rnn.expr import (
     case_select,
     const,
     exp_binary,
+    free_nodes,
     ind_eq,
     ind_ge,
     ind_le,
@@ -116,6 +117,21 @@ def _combiner_nodes(
     return nodes + [NodeSpec("out", 0.0, case_select(cases, node("out")))]
 
 
+def _check_readout(graph: RnnGraph, role: str) -> None:
+    """Refuse a graph with a node outside its hidden and input sets that
+    reads another such node: that node carries state within a token, and
+    the enumerator copies hidden sets only."""
+    inner = set(graph.input_ids) | set(graph.hidden_ids)
+    for spec in graph.nodes:
+        if spec.name not in inner and not free_nodes(spec.expr) <= inner:
+            outer = sorted(free_nodes(spec.expr) - inner)
+            raise PreconditionError(
+                f"{role} node {spec.name!r} is neither hidden nor input and reads "
+                f"{outer}, which are neither: the efficient construction needs "
+                f"every such node to read only hidden and input nodes"
+            )
+
+
 def build_boosted_rnn(
     q_graph: RnnGraph,
     d_graph: RnnGraph,
@@ -126,8 +142,13 @@ def build_boosted_rnn(
 ) -> tuple[RnnGraph, ConstructionReport]:
     """Efficient boosted circuit; output at i*T is the boosted conditional.
 
-    tau is pinned at max(T_Q, T_D) + 4 so the accounting is exact.
+    tau is pinned at max(T_Q, T_D) + 4 so the accounting is exact.  Every
+    node of Q and D outside its hidden and input sets must read only hidden
+    and input nodes (a ``PreconditionError`` names the first that does
+    not); the table circuits are such readouts, boosted circuits are not.
     """
+    _check_readout(q_graph, "Q")
+    _check_readout(d_graph, "D")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
     f1, sc1 = build_f1(q_graph, k, i0_star, tau, base, prefix="f1.")
     f2, _ = build_f2(d_graph, k, i0_star, alpha, tau, base, prefix="f2.")

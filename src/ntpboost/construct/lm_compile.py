@@ -14,19 +14,17 @@ output is d(m-k+1, x_{:m+1}) with the window clipped at the document
 end.  That positional convention is what the synchronized enumerator
 expects when it replays anchor prefixes extended with candidate windows.
 
-A model term matches every latch below its position.  A distinguisher
-term matches only the tokens its table reads: the window and the
-shortest suffix of the prefix that D_i depends on, so a predicate of the
-previous token and the window costs at most |Sigma|^(1+k) terms per
-position, not |Sigma|^(i-1+k).  That is exact on a valid stream (one token per
+Both compile by one rule, ``_table_terms``: a term matches only what its
+table reads, the newest token on the input and the shortest prefix
+suffix the table depends on on the latches.  A model whose conditionals
+read the last M tokens costs at most |Sigma|^(M+1) terms per position,
+not |Sigma|^i.  That is exact on a valid stream (one token per
 ``rnn_time`` steps from time 1): when a position's gate fires, every
-latch below the counter holds its token, so the one term that matches
-the suffix and window is the one cell the full prefix would have read.
+latch below the counter holds its token, so the one term that matches is
+the one cell the full prefix would have read.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..dist import Alphabet, LanguageModel, token_strings
 from ..distinguishers import Distinguisher
@@ -65,13 +63,13 @@ def _latch(i: int):
     )
 
 
-def _prefix_match(s, first: int = 1) -> list:
+def _prefix_match(s, first: int) -> list:
     """Indicators that latches p_first, p_first+1, ... hold the tokens of s."""
     return [ind_eq(f"p{first + j}", float(tok + 1)) for j, tok in enumerate(s)]
 
 
 def _suffix_length(table, size: int) -> int:
-    """Least L such that the rows of D_i that share their last L prefix
+    """Least L such that the rows of a table that share their last L prefix
     tokens agree.  Rows are prefixes in lexicographic order, so that holds
     when every block of |Sigma|^L consecutive rows equals the first."""
     rows, cols = table.shape
@@ -81,6 +79,32 @@ def _suffix_length(table, size: int) -> int:
     ).all():
         length, span = length + 1, span * size
     return length
+
+
+def _table_terms(tables, size: int, k: int, n: int):
+    """(value, gate, factors) of each nonzero cell of each table, in order.
+
+    Table i (rows: prefixes of i - 1 tokens; columns: the kc = min(k,
+    n - i + 1) tokens after them) is read when the gate c == i - 1 + k
+    fires, over its prefix suffix of length L = ``_suffix_length``: ``in``
+    holds the last token unless the window is clipped at the document end
+    (it then ends before the gate), and latches p_{i-L} onward the rest.
+    """
+    for i, table in enumerate(tables, 1):
+        gate = ind_eq("c", float(i - 1 + k))
+        length = _suffix_length(table, size)
+        kc, first = min(k, n - i + 1), i - length
+        on_in = kc == k
+        # one row per latch string, one column per token on ``in``
+        rows = table[: size**length].reshape(-1, size if on_in else 1).tolist()
+        for s, row in zip(token_strings(size, length + kc - on_in).T.tolist(), rows):
+            if any(row):
+                match = _prefix_match(s, first)
+                for a, value in enumerate(row):
+                    if value:
+                        yield value, gate, (
+                            (ind_eq("in", float(a)), *match) if on_in else match
+                        )
 
 
 def _table_circuit(n: int, cap: int, rnn_time: int, out, meta: dict) -> RnnGraph:
@@ -112,18 +136,10 @@ def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
     Size n + 4 with hidden set {step counter, position counter, latches}.
     """
     n, size = lm.n, lm.alphabet.size
-    terms = []
-    for m in range(1, n + 1):
-        gate_m = ind_eq("c", float(m))
-        prefixes = token_strings(size, m - 1).T.tolist()
-        for s, row in zip(prefixes, lm.levels[m - 1].tolist()):
-            matches = _prefix_match(s)
-            for a, qv in enumerate(row):
-                if qv == 0.0:
-                    continue
-                terms.append(
-                    (1.0, prod(const(qv), gate_m, ind_eq("in", float(a)), *matches))
-                )
+    terms = [
+        (1.0, prod(const(qv), gate, *factors))
+        for qv, gate, factors in _table_terms(lm.levels, size, 1, n)
+    ]
     terms.append((1.0 / size, ind_ge("c", float(n + 1))))
     meta = {"kind": "table_lm", "schedule": "multiples", "n": n, "alphabet_size": size}
     return _table_circuit(n, n + 1, rnn_time, relu(0.0, *terms), meta)
@@ -138,32 +154,15 @@ def distinguisher_to_rnn(
     the enumerator feeds candidate windows past the document end; window
     tokens beyond position n are ignored (the clipping convention).
 
-    Position i's table D_i is compiled over the shortest prefix suffix it
-    depends on, of length L (``_suffix_length``): one indicator product
-    per set cell of the |Sigma|^L x |Sigma|^kc sub-table, in table order,
-    matching the gate, then ``in`` for the last window token when the
-    window is not clipped, then latches p_{i-L} onward for the rest, so
-    a table that reads the whole prefix gets one term per set cell of
-    D_i.  The output is exact on a valid stream only (see the module
-    docstring): a term does not look at the latches below p_{i-L}.
+    One indicator product per set cell of each D_i, compiled over the
+    prefix suffix it reads (``_table_terms``); exact on a valid stream
+    only (see the module docstring).
     """
     n, k, size = d.n, d.k, alphabet.size
-    # d(i, .) is read once its window is consumed, at counter value
-    # m = i - 1 + k; a window clipped at the document end ends before m,
-    # so those terms match on the latches alone
-    terms = []
-    for i, table in enumerate(d.tables(size), 1):
-        gate_m = ind_eq("c", float(i - 1 + k))
-        length = _suffix_length(table, size)
-        kc, first = min(k, n - i + 1), i - length
-        cells = np.flatnonzero(table[: size**length])
-        for joint in token_strings(size, length + kc)[:, cells].T.tolist():
-            if kc == k:
-                *s, a = joint
-                factors = (ind_eq("in", float(a)), *_prefix_match(s, first))
-            else:
-                factors = _prefix_match(joint, first)
-            terms.append((1.0, prod(gate_m, *factors)))
+    terms = [
+        (1.0, prod(gate, *factors))
+        for _, gate, factors in _table_terms(d.tables(size), size, k, n)
+    ]
     out = relu(0.0, *terms) if terms else const(0.0)
     meta = {
         "kind": "table_distinguisher",

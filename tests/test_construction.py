@@ -32,6 +32,7 @@ from ntpboost.construct import (
 from ntpboost.construct.enumerator import build_scaffold
 from ntpboost.dist import (
     Alphabet,
+    LanguageModel,
     extended_block_distribution,
     lm_to_text,
     text_to_lm,
@@ -62,7 +63,7 @@ from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
 from oracles import table_bit
-from reference_tables import reference_distinguisher_to_rnn
+from reference_tables import reference_distinguisher_to_rnn, reference_lm_to_rnn
 
 B2 = Alphabet(2)
 
@@ -143,9 +144,30 @@ def table_kinds(alphabet, n, k, rng):
     }
 
 
+def order_lm(alphabet, n, order, rng):
+    """Random model whose conditionals read the last ``order`` tokens: the
+    rows of a level that share that suffix are equal, the others differ."""
+    size, levels = alphabet.size, []
+    for i in range(n):
+        raw = rng.random((size ** min(i, order), size)) + 0.05
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        levels.append(np.tile(rows, (size ** max(i - order, 0), 1)))
+    return LanguageModel(alphabet, n, tuple(levels))
+
+
+def model_kinds(alphabet, n, rng):
+    """One seeded model of each order the differential tests cover."""
+    return {
+        "full_order": text_to_lm(random_text(alphabet, n, rng)),
+        "order_1": order_lm(alphabet, n, 1, rng),
+        "order_2": order_lm(alphabet, n, 2, rng),
+        "uniform": uniform_lm(alphabet, n),
+    }
+
+
 class TestSuffixTables:
-    """Each D_i compiles over the prefix suffix it reads, with the same bits
-    as the full-prefix compiler of ``tests/reference_tables.py``."""
+    """Each table compiles over the prefix suffix it reads, with the same
+    bits as the full-prefix compilers of ``tests/reference_tables.py``."""
 
     @pytest.mark.parametrize(
         "size,n,k",
@@ -153,12 +175,22 @@ class TestSuffixTables:
     )
     def test_every_node_and_step_matches_the_full_prefix_reference(self, size, n, k):
         # strings of n + k - 1 tokens also feed the windows past the
-        # document end, as the enumerator does
+        # document end, as the enumerator does, and reach a model's uniform
+        # tail when k > 1
         alphabet = Alphabet(size)
         streams = all_docs(n + k - 1, size)
-        for kind, d in table_kinds(alphabet, n, k, rng_for(700 + 10 * n + k)).items():
-            got = full_run(distinguisher_to_rnn(d, alphabet, 2), streams)
-            want = full_run(reference_distinguisher_to_rnn(d, alphabet, 2), streams)
+        rng = rng_for(700 + 10 * n + k)
+        pairs = [
+            (kind, distinguisher_to_rnn(d, alphabet, 2),
+             reference_distinguisher_to_rnn(d, alphabet, 2))
+            for kind, d in table_kinds(alphabet, n, k, rng).items()
+        ]
+        pairs += [
+            (kind, lm_to_rnn(lm, 2), reference_lm_to_rnn(lm, 2))
+            for kind, lm in model_kinds(alphabet, n, rng).items()
+        ]
+        for kind, circuit, reference in pairs:
+            got, want = full_run(circuit, streams), full_run(reference, streams)
             assert got.node_index == want.node_index, kind
             assert got.values.tobytes() == want.values.tobytes(), kind
 
@@ -172,9 +204,14 @@ class TestSuffixTables:
         for i, table in enumerate(tables[1:], 2):
             table[size ** (i - 2), 0] = 1 - table[0, 0]
         d = from_tables(k, n, size, tables)
-        got = nio.graph_to_json(distinguisher_to_rnn(d, alphabet, 3))
-        want = nio.graph_to_json(reference_distinguisher_to_rnn(d, alphabet, 3))
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        lm = text_to_lm(random_text(alphabet, n, rng))
+        for compiler, reference, table in (
+            (distinguisher_to_rnn, reference_distinguisher_to_rnn, (d, alphabet)),
+            (lm_to_rnn, reference_lm_to_rnn, (lm,)),
+        ):
+            got = nio.graph_to_json(compiler(*table, 3))
+            want = nio.graph_to_json(reference(*table, 3))
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_one_prefix_members_grow_linearly_in_n(self, k):
@@ -191,23 +228,49 @@ class TestSuffixTables:
             assert cells[-1] < 1_000, (m, cells)
             assert (steps <= steps[0]).all(), (m, cells)
 
+    @pytest.mark.parametrize(
+        "order,cells",
+        [(0, (157, 195, 233)), (1, (257, 335, 413)), (2, (369, 503, 637))],
+    )
+    def test_order_m_models_grow_linearly_in_n(self, order, cells):
+        # each step of 2 in n adds the same cells; at n = 6 / 8 / 10 the
+        # full-prefix compiler gives each of these models 1,169 / 5,303 /
+        # 24,797 term cells
+        got = []
+        for n in (6, 8, 10):
+            lm = order_lm(B2, n, order, rng_for(750 + n))
+            circuit = lm_to_rnn(lm, 2)
+            got.append(compile_graph(circuit).schedule.term_cells)
+            outs = run(circuit, all_docs(n)).output_at_multiples()
+            want = lm.conditionals()
+            for i in range(1, n + 1):
+                assert outs[i].tobytes() == want[i - 1].tobytes(), (n, i)
+        assert tuple(got) == cells
+
 
 class TestSuffixTablesInBoostedCircuits:
-    @pytest.mark.parametrize("seed,size,n,k", [(731, 2, 6, 2), (733, 3, 3, 2)])
-    def test_same_outputs_and_report_with_fewer_cells(self, seed, size, n, k):
-        # (731, 2, 6, 2) has the shape of the sweep benchmark's instances
+    @pytest.mark.parametrize(
+        "seed,size,n,k,order",
+        [(731, 2, 6, 2, None), (733, 3, 3, 2, None), (735, 2, 5, 2, 1)],
+        ids=["731-2-6-2", "733-3-3-2", "735-2-5-2-order_1"],
+    )
+    def test_same_outputs_and_report_with_fewer_cells(self, seed, size, n, k, order):
+        # (731, 2, 6, 2) has the shape of the sweep benchmark's instances;
+        # Q is full-order unless an order is given
         alphabet = Alphabet(size)
         rng = rng_for(seed)
         p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+        if order is not None:
+            qt = lm_to_text(order_lm(alphabet, n, order, rng))
         res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
-        q = lm_to_rnn(text_to_lm(qt), 2)
+        lm = text_to_lm(qt)
         docs = all_docs(n, size)
         built = {}
-        for name, compiler in (
-            ("suffix", distinguisher_to_rnn),
-            ("reference", reference_distinguisher_to_rnn),
+        for name, lm_compiler, d_compiler in (
+            ("suffix", lm_to_rnn, distinguisher_to_rnn),
+            ("reference", reference_lm_to_rnn, reference_distinguisher_to_rnn),
         ):
-            D = compiler(res.applied, alphabet, 2)
+            q, D = lm_compiler(lm, 2), d_compiler(res.applied, alphabet, 2)
             args = (q, D, k, res.alpha, res.offset, size)
             built[name] = build_boosted_rnn(*args), build_boosted_rnn_simple(*args)
         (Qp, report), Qs = built["suffix"]
@@ -499,6 +562,19 @@ class TestBoostedRnn:
             doc = doc_tuple(docs, col)
             for i in range(1, n + 1):
                 assert abs(outs[i][col] - lm.prob(doc[i - 1], doc[: i - 1])) < 1e-12
+
+    def test_boosted_circuits_are_refused_as_q_or_d(self):
+        # their non-hidden clocks and latches read themselves, so they carry
+        # state within a token that copied hidden sets would lose
+        p, qt, res, q, D = build_instance(7, 3, 2)
+        args = (2, res.alpha, res.offset, 2)
+        Qp, _ = build_boosted_rnn(q, D, *args)
+        Qs = build_boosted_rnn_simple(q, D, *args)
+        for graph, first in ((Qp, "f1.Ht.w"), (Qs, "qs.w")):
+            with pytest.raises(PreconditionError, match=f"Q node '{first}'"):
+                build_boosted_rnn(graph, D, *args)
+            with pytest.raises(PreconditionError, match=f"D node '{first}'"):
+                build_boosted_rnn(q, graph, *args)
 
     def test_loss_certificate_through_rnn_outputs(self):
         # read the compiled conditionals back off the circuit and verify

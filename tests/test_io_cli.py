@@ -165,6 +165,15 @@ class TestGraphFormat:
         b = full_run(back, stream)
         assert np.array_equal(a.values, b.values)
 
+    def test_model_circuit_fixture_is_the_compiled_model(self, tmp_path):
+        # fixtures/README.md: model_circuit_n4 is model_n4 compiled by
+        # lm_to_rnn at two steps per token
+        model = nio.distribution_from_json(nio.read_json(fixture("model_n4.json")))
+        path = str(tmp_path / "circuit.json")
+        nio.write_json_atomic(path, nio.graph_to_json(lm_to_rnn(text_to_lm(model), 2)))
+        with open(path, "rb") as got, open(fixture("model_circuit_n4.json"), "rb") as want:
+            assert got.read() == want.read()
+
     def test_hidden_invariant_checked_at_load(self, tmp_path):
         payload = {
             "nodes": [

@@ -41,3 +41,23 @@ def test_doubling_construction_builds_no_enumerated_component():
                 names.add(name)
     assert "_combiner_nodes" in names  # the walk follows module helpers
     assert names.isdisjoint({"build_sync_enumerator", "build_f1", "build_f2"})
+
+
+def test_table_compilers_share_one_term_rule():
+    # which cells become terms and which latches a term matches is written
+    # once, in _table_terms; a compiler that matched latches itself would
+    # fork the rule again
+    import inspect
+
+    from ntpboost.construct import lm_compile
+
+    tree = ast.parse(inspect.getsource(lm_compile))
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for root in ("lm_to_rnn", "distinguisher_to_rnn"):
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(defs[root])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert "_table_terms" in names, root
+        assert names.isdisjoint({"token_strings", "_prefix_match"}), root
