@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
     case_select,
+    collector_paused,
     const,
     exp_binary,
     free_nodes,
@@ -132,6 +133,7 @@ def _check_readout(graph: RnnGraph, role: str) -> None:
             )
 
 
+@collector_paused
 def build_boosted_rnn(
     q_graph: RnnGraph,
     d_graph: RnnGraph,
@@ -263,6 +265,7 @@ def _full_copy_scratch(
     return nodes
 
 
+@collector_paused
 def build_boosted_rnn_simple(
     q_graph: RnnGraph,
     d_graph: RnnGraph,

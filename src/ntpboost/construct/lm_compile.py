@@ -31,6 +31,7 @@ from ..distinguishers import Distinguisher
 from ..errors import PreconditionError
 from ..rnn.expr import (
     case_select,
+    collector_paused,
     const,
     ind_eq,
     ind_ge,
@@ -130,6 +131,7 @@ def _table_circuit(n: int, cap: int, rnn_time: int, out, meta: dict) -> RnnGraph
     )
 
 
+@collector_paused
 def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
     """Token-per-T circuit whose output at time i*T is q(x_i | x_{:i}).
 
@@ -145,6 +147,7 @@ def lm_to_rnn(lm: LanguageModel, rnn_time: int = MIN_RNN_TIME) -> RnnGraph:
     return _table_circuit(n, n + 1, rnn_time, relu(0.0, *terms), meta)
 
 
+@collector_paused
 def distinguisher_to_rnn(
     d: Distinguisher, alphabet: Alphabet, rnn_time: int = MIN_RNN_TIME
 ) -> RnnGraph:

@@ -48,7 +48,9 @@ derives levels, rows, buckets and padded cells from them with numpy
 index arithmetic; ``tests/reference_schedule.py`` keeps the
 slot-by-slot layout it must reproduce field for field.  Every update
 of ``run`` and the scrubbing harness goes through the one step function
-``_advance``.
+``_advance``.  ``compile_graph`` keeps the lowering's state in
+arguments, so the program it builds holds no cycle, and runs under
+``expr.collector_paused`` (see ``expr`` for the acyclicity invariant).
 
 The schedule gives the same bytes as evaluating the tape slot by slot
 with a left-to-right sum:
@@ -128,7 +130,7 @@ import numpy as np
 
 from ..dist import enumeration_cap
 from ..errors import ReciprocalZeroError, SizingError, ValidationError
-from .expr import Const, Node, Prod, Recip, Relu
+from .expr import Const, Node, Prod, Recip, Relu, collector_paused
 from .graph import RnnGraph
 
 
@@ -244,39 +246,18 @@ class Program:
         return state
 
 
+@collector_paused
 def compile_graph(graph: RnnGraph) -> Program:
     node_index = {n.name: j for j, n in enumerate(graph.nodes)}
     tape: list = []
     slot_of: dict = {}  # tape entry -> its slot
     lowered: dict[int, int] = {}  # id(expr) -> slot; the graph keeps each alive
-    get = lowered.get
-
-    def lower(expr) -> int:
-        # a child already lowered is looked up here, not in a call
-        kind = type(expr)
-        if kind is Relu or kind is Recip:
-            terms = [(c, s if (s := get(id(e))) is not None else lower(e)) for c, e in expr.terms]
-            entry = (_RELU if kind is Relu else _RECIP, expr.bias, tuple(terms))
-        elif kind is Prod:
-            fs = [s if (s := get(id(f))) is not None else lower(f) for f in expr.factors]
-            entry = (_PROD, tuple(fs))
-        elif kind is Const:
-            entry = (_CONST, expr.value)
-        elif kind is Node:
-            entry = (_NODE, node_index[expr.name])
-        else:
-            raise ValidationError(f"unknown expression {expr!r}")
-        slot = slot_of.setdefault(entry, len(tape))
-        if slot == len(tape):
-            tape.append(entry)
-        lowered[id(expr)] = slot
-        return slot
-
+    walk = (node_index, tape, slot_of, lowered, lowered.get)
     node_slot = {}
     for spec in graph.nodes:
         if spec.expr is not None:
             e = spec.expr
-            node_slot[spec.name] = lowered[id(e)] if id(e) in lowered else lower(e)
+            node_slot[spec.name] = lowered[id(e)] if id(e) in lowered else _lower(e, walk)
 
     checks = [
         (node_index[name], name, frozenset(values))
@@ -292,6 +273,43 @@ def compile_graph(graph: RnnGraph) -> Program:
         checks=checks,
         schedule=_schedule(tape, graph, node_index, node_slot),
     )
+
+
+def _lower(expr, walk: tuple) -> int:
+    """The tape slot of ``expr``, appending its entry and its children's
+    entries to the tape as needed.
+
+    ``walk`` is ``compile_graph``'s (node_index, tape, slot_of, lowered,
+    lowered.get): ``slot_of`` maps each entry and ``lowered`` each
+    expression's id to its slot.  A child already lowered is looked up
+    here, not in a call, and the loops are plain loops: before Python
+    3.12 a comprehension is a function call of its own.
+    """
+    node_index, tape, slot_of, lowered, get = walk
+    kind = type(expr)
+    if kind is Relu or kind is Recip:
+        terms = []
+        for c, e in expr.terms:
+            s = get(id(e))
+            terms.append((c, s if s is not None else _lower(e, walk)))
+        entry = (_RELU if kind is Relu else _RECIP, expr.bias, tuple(terms))
+    elif kind is Prod:
+        fs = []
+        for f in expr.factors:
+            s = get(id(f))
+            fs.append(s if s is not None else _lower(f, walk))
+        entry = (_PROD, tuple(fs))
+    elif kind is Const:
+        entry = (_CONST, expr.value)
+    elif kind is Node:
+        entry = (_NODE, node_index[expr.name])
+    else:
+        raise ValidationError(f"unknown expression {expr!r}")
+    slot = slot_of.setdefault(entry, len(tape))
+    if slot == len(tape):
+        tape.append(entry)
+    lowered[id(expr)] = slot
+    return slot
 
 
 def _schedule(tape, graph, node_index, node_slot) -> Schedule:

@@ -38,14 +38,26 @@ their arguments, then call the same two.
 Case selectors (sums of value*condition products) assume nonnegative
 branch values, which holds for every graph this package constructs;
 relu of such a sum is then exact.
+
+Everything the compile layer builds is acyclic: a node refers only to
+its children, which exist before it, and the walks that build or read
+the DAG (``substitute``, ``from_sexpr``, ``engine.compile_graph``) keep
+their state in arguments or objects, never in a closure that refers to
+itself.  So reference counting alone frees a dropped circuit, its
+expressions, their intern entries and its compiled program.  The
+cyclic collector would find nothing there, but a build's thousands of
+new objects trigger its walks over the live DAG, so the builders and
+``compile_graph`` run under ``collector_paused``, which disables it for
+the call.  The analytic and loop layers keep the collector's default.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import struct
 import weakref
-from functools import partial
+from functools import partial, wraps
 
 from ..errors import ValidationError
 
@@ -77,6 +89,29 @@ def _drop(table: dict, key, ref) -> None:
 def _bits(*xs: float) -> bytes:
     """Bit-exact key of float fields: 0.0 and -0.0 differ."""
     return struct.pack(f"{len(xs)}d", *xs)
+
+
+def collector_paused(fn):
+    """``fn`` run with CPython's cyclic collector disabled.
+
+    For the builders and the compiler, which allocate thousands of
+    acyclic objects: reference counting frees all of them, so the
+    collector's walks over the live DAG would find nothing.  The
+    collector is enabled again afterwards only if it was enabled on
+    entry, so nested calls and callers that disabled it keep their state.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class Expr:
@@ -406,24 +441,36 @@ def substitute(expr: Expr, mapping: dict[str, str]) -> Expr:
     constructors: its floats were converted and checked when it was built.
     """
     kept = frozenset(mapping).isdisjoint  # of the free names of a node kept as it is
+    if kept(expr._free):
+        return expr
     memo: dict[int, Expr] = {}  # by identity: ``expr`` keeps its nodes alive
-    renamed = memo.get
+    return _rename(expr, (mapping, kept, memo, memo.get))
 
-    def rename(e: Expr) -> Expr:
-        # children kept or renamed before are looked up here, not in a call
-        kind = type(e)
-        if kind is Node:
-            out = Node(mapping[e.name])
-        elif kind is Prod:
-            fs = [f if kept(f._free) else renamed(id(f)) or rename(f) for f in e.factors]
-            out = _prod(tuple(fs))
-        else:
-            terms = [(c, x if kept(x._free) else renamed(id(x)) or rename(x)) for c, x in e.terms]
-            out = _sum(kind, e.bias, tuple(terms), e._packed)
-        memo[id(e)] = out
-        return out
 
-    return expr if kept(expr._free) else rename(expr)
+def _rename(e: Expr, walk: tuple) -> Expr:
+    """``e`` renamed; ``walk`` is ``substitute``'s (mapping, kept, memo,
+    memo.get), and memo maps the id of each node renamed so far to its copy.
+
+    A child kept or renamed before is looked up here, not in a call, and
+    the loops are plain loops: before Python 3.12 a comprehension is a
+    function call of its own.
+    """
+    mapping, kept, memo, renamed = walk
+    kind = type(e)
+    if kind is Node:
+        out = Node(mapping[e.name])
+    elif kind is Prod:
+        fs = []
+        for f in e.factors:
+            fs.append(f if kept(f._free) else renamed(id(f)) or _rename(f, walk))
+        out = _prod(tuple(fs))
+    else:
+        terms = []
+        for c, x in e.terms:
+            terms.append((c, x if kept(x._free) else renamed(id(x)) or _rename(x, walk)))
+        out = _sum(kind, e.bias, tuple(terms), e._packed)
+    memo[id(e)] = out
+    return out
 
 
 def evaluate(expr: Expr, values: dict[str, float]) -> float:
@@ -477,28 +524,30 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def from_sexpr(text: str) -> Expr:
-    """Parse ``to_sexpr`` output; malformed text raises ValidationError.
+class _Reader:
+    """A cursor over the tokens of one s-expression.
 
-    One walk over the token list by index: linear in the text's length.
+    Its methods call each other through ``self``, so parsing builds no
+    closure that refers to itself (see the module docstring).
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"expression must be a string, got {text!r}")
-    tokens = _tokenize(text)
-    pos = 0
 
-    def take(want: str | None = None) -> str:
-        nonlocal pos
-        if pos == len(tokens):
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def take(self, want: str | None = None) -> str:
+        if self.pos == len(self.tokens):
             raise ValidationError(f"expression ended early, expected {want or 'a token'}")
-        tok = tokens[pos]
+        tok = self.tokens[self.pos]
         if want is not None and tok != want:
             raise ValidationError(f"expected {want!r} in expression, got {tok!r}")
-        pos += 1
+        self.pos += 1
         return tok
 
-    def number() -> float:
-        tok = take()
+    def number(self) -> float:
+        tok = self.take()
         try:
             value = float(tok)
         except ValueError:
@@ -507,34 +556,45 @@ def from_sexpr(text: str) -> Expr:
             raise ValidationError(f"non-finite number {tok!r}")
         return value
 
-    def expr() -> Expr:
-        take("(")
-        head = take()
+    def expr(self) -> Expr:
+        self.take("(")
+        head = self.take()
         if head == "const":
-            out = Const(number())
+            out = Const(self.number())
         elif head == "node":
-            name = take()
+            name = self.take()
             if name in ("(", ")"):
                 raise ValidationError(f"expected a node name, got {name!r}")
             out = Node(name)
         elif head in ("relu", "recip"):
-            bias, terms = number(), []
-            while tokens[pos : pos + 1] == ["("]:  # weighted terms (coef expr)
-                take("(")
-                terms.append((number(), expr()))
-                take(")")
+            bias, terms = self.number(), []
+            while self.tokens[self.pos : self.pos + 1] == ["("]:  # weighted terms (coef expr)
+                self.take("(")
+                terms.append((self.number(), self.expr()))
+                self.take(")")
             out = (Relu if head == "relu" else Recip)(bias, terms)
         elif head == "prod":
             factors = []
-            while tokens[pos : pos + 1] == ["("]:
-                factors.append(expr())
+            while self.tokens[self.pos : self.pos + 1] == ["("]:
+                factors.append(self.expr())
             out = Prod(factors)
         else:
             raise ValidationError(f"unknown operator {head!r}")
-        take(")")
+        self.take(")")
         return out
 
-    out = expr()
-    if pos < len(tokens):
-        raise ValidationError(f"trailing tokens in expression: {tokens[pos:pos + 5]}")
+
+def from_sexpr(text: str) -> Expr:
+    """Parse ``to_sexpr`` output; malformed text raises ValidationError.
+
+    One walk over the token list by index: linear in the text's length.
+    """
+    if not isinstance(text, str):
+        raise ValidationError(f"expression must be a string, got {text!r}")
+    reader = _Reader(_tokenize(text))
+    out = reader.expr()
+    if reader.pos < len(reader.tokens):
+        raise ValidationError(
+            f"trailing tokens in expression: {reader.tokens[reader.pos:reader.pos + 5]}"
+        )
     return out

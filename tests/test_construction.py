@@ -29,6 +29,7 @@ from ntpboost.construct import (
     lm_to_rnn,
     window_sample_time,
 )
+from ntpboost.construct.boosted import _check_readout
 from ntpboost.construct.enumerator import build_scaffold
 from ntpboost.dist import (
     Alphabet,
@@ -59,6 +60,7 @@ from ntpboost.instances import (
     random_window_table_distinguisher,
     rng_for,
 )
+from ntpboost.rnn import engine
 from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
@@ -666,6 +668,78 @@ class TestHiddenSufficiency:
         rep = verify_hidden_sufficiency(broken, trials=30, rng=rng)
         assert not rep.ok
 
+
+
+def mid_token_gaps(graph, frac, n_tokens, trials, rng):
+    """Largest output change at each multiple of rnn_time after a scrub of
+    the non-hidden, non-input rows at ``frac`` of the second token period.
+
+    Baseline and scrubbed columns share one batch, advanced by
+    ``engine._start`` and ``engine._advance`` as the scrubbing harness
+    advances them; row i - 2 of the result is the output at i * rnn_time.
+    """
+    prog = compile_graph(graph)
+    period = graph.rnn_time
+    keep = set(graph.hidden_ids) | set(graph.input_ids)
+    rows = [j for j, spec in enumerate(graph.nodes) if spec.name not in keep]
+    size = graph.meta["alphabet_size"]
+    streams = rng.choice(size, size=(n_tokens, trials)).astype(float)
+    both = np.concatenate([streams, streams], axis=1)
+    t_scrub = period + int(frac * period)
+    assert period < t_scrub < 2 * period
+    state, _ = engine._start(prog, both, None)
+    _, state, _, _ = engine._advance(prog, state, both, 1, t_scrub, [])
+    garbage = rng.uniform(0.0, 3.0, size=(len(rows), trials))
+    state[np.ix_(rows, range(trials, 2 * trials))] = garbage
+    out_row = prog.node_index[graph.output_id]
+    out, _, _, _ = engine._advance(
+        prog, state, both, t_scrub, n_tokens * period, [out_row], every=period
+    )
+    return np.abs(out[:, 0, :trials] - out[:, 0, trials:]).max(axis=1)
+
+
+class TestMidTokenScrub:
+    """The semantic twin of ``build_boosted_rnn``'s readout check: a
+    scrub inside a token leaves the outputs of the circuits it accepts as
+    Q and D unchanged, and moves those of the boosted circuits it refuses.
+    The token-boundary harness (``verify_hidden_sufficiency``) cannot
+    tell them apart."""
+
+    FRACTIONS = (0.25, 0.5, 0.9)
+
+    @pytest.mark.parametrize("seed,size", [(7, 2), (11, 3), (1049, 2)])
+    def test_table_circuits_ignore_the_scrub(self, seed, size):
+        alphabet = Alphabet(size)
+        rng = rng_for(seed)
+        n, k = 3, 2
+        p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+        res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
+        for graph in (
+            lm_to_rnn(text_to_lm(qt), 10),
+            distinguisher_to_rnn(res.applied, alphabet, 10),
+        ):
+            _check_readout(graph, "Q")
+            for frac in self.FRACTIONS:
+                gaps = mid_token_gaps(graph, frac, n, 20, rng_for(seed + 1))
+                assert gaps.max() <= 1e-12, (graph.meta["kind"], frac, gaps)
+
+    @pytest.mark.parametrize("seed,size", [(7, 2), (11, 3), (1049, 2)])
+    def test_boosted_circuits_follow_the_scrub(self, seed, size):
+        alphabet = Alphabet(size)
+        rng = rng_for(seed)
+        n, k = 3, 2
+        p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+        res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
+        q = lm_to_rnn(text_to_lm(qt), 2)
+        d = distinguisher_to_rnn(res.applied, alphabet, 2)
+        args = (q, d, k, res.alpha, res.offset, size)
+        for graph in (build_boosted_rnn(*args)[0], build_boosted_rnn_simple(*args)):
+            with pytest.raises(PreconditionError):
+                _check_readout(graph, "Q")
+            assert verify_hidden_sufficiency(graph, trials=20, rng=rng_for(seed + 2)).ok
+            for frac in self.FRACTIONS:
+                gaps = mid_token_gaps(graph, frac, n, 20, rng_for(seed + 1))
+                assert gaps[0] > 1e-12, (graph.meta["kind"], frac, gaps)
 
 # -- pinned output: graphs and tapes stay byte-identical ----------------------
 

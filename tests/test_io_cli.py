@@ -31,6 +31,21 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_text(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestDistributionFormat:
     def test_round_trip(self, tmp_path):
         rng = rng_for(901)
@@ -217,7 +232,7 @@ def selfboost_twice(tmp_path, cfg):
         assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
         outs.append(
             tuple(
-                open(os.path.join(out, name), "rb").read()
+                read_bytes(os.path.join(out, name))
                 for name in ("selfboost_trace.json", "rounds.csv", "final_model.json")
             )
         )
@@ -235,7 +250,7 @@ class TestCli:
             "--distinguisher", fixture("distinguisher_n4_k2.json"),
         )
         assert rc == 0
-        result = json.load(open(os.path.join(out, "boost_result.json")))
+        result = load_json(os.path.join(out, "boost_result.json"))
         boosted = nio.distribution_from_json(
             nio.read_json(os.path.join(out, "boosted_distribution.json"))
         )
@@ -297,7 +312,7 @@ class TestCli:
             "--offset", str(res.offset),
         )
         assert rc == 0
-        report = json.load(open(os.path.join(out, "construction_report.json")))
+        report = load_json(os.path.join(out, "construction_report.json"))
         assert report["built_size"] == report["formula_size"]
 
         sim_out = str(tmp_path / "s")
@@ -308,23 +323,23 @@ class TestCli:
             "--input", "0,1,1,0",
         )
         assert rc == 0
-        sim = json.load(open(os.path.join(sim_out, "simulation.json")))
+        sim = load_json(os.path.join(sim_out, "simulation.json"))
         doc = (0, 1, 1, 0)
         for i in range(1, 5):
             want = res.lm_boosted.prob(doc[i - 1], doc[: i - 1])
             assert abs(sim["outputs"][str(i)] - want) < 1e-9
 
     def test_selfboost_and_report(self, tmp_path):
-        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg = load_json(fixture("selfboost_config.json"))
         cfg["distribution_file"] = fixture("train_n4.json")
         cfg_path = str(tmp_path / "cfg.json")
         nio.write_json_atomic(cfg_path, cfg)
         out = str(tmp_path / "sb")
         rc = run_cli("selfboost", "--out", out, "--config", cfg_path)
         assert rc == 0
-        trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
+        trace = load_json(os.path.join(out, "selfboost_trace.json"))
         assert trace["termination"] == "loss_plateau"
-        csv_text = open(os.path.join(out, "rounds.csv")).read()
+        csv_text = read_text(os.path.join(out, "rounds.csv"))
         assert csv_text.splitlines()[0] == "round,N_i,H_i,T_i,L_i,KL,alpha"
         rep_out = str(tmp_path / "rep")
         rc = run_cli(
@@ -333,13 +348,13 @@ class TestCli:
         )
         assert rc == 0
         assert (
-            open(os.path.join(rep_out, "rounds.csv")).read() == csv_text
+            read_text(os.path.join(rep_out, "rounds.csv")) == csv_text
         )
 
     def test_selfboost_with_compile_flag(self, tmp_path):
         # at eps=0.02, k=2 the first round boosts (8 times), so the compile
         # hook builds and checks its circuits through the CLI
-        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg = load_json(fixture("selfboost_config.json"))
         cfg.update(
             distribution_file=fixture("train_n4.json"), epsilon=0.02, k=2, compile=True
         )
@@ -348,7 +363,7 @@ class TestCli:
         out = str(tmp_path / "sbc")
         rc = run_cli("selfboost", "--out", out, "--config", cfg_path)
         assert rc == 0
-        trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
+        trace = load_json(os.path.join(out, "selfboost_trace.json"))
         boosted_rounds = [r for r in trace["rounds"] if r["boosts"] > 0]
         assert boosted_rounds
         assert all(r["compiled"] for r in boosted_rounds)
@@ -356,14 +371,14 @@ class TestCli:
     def test_selfboost_writes_budget_times_of_any_size(self, tmp_path):
         # at eps=0.05, k=2 the starting index is in the thousands, and the
         # time budget (8k|Sigma|^k)^(i-1) tau has tens of thousands of digits
-        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg = load_json(fixture("selfboost_config.json"))
         cfg.update(distribution_file=fixture("train_n4.json"), epsilon=0.05, k=2)
         cfg_path = str(tmp_path / "cfg.json")
         nio.write_json_atomic(cfg_path, cfg)
         out = str(tmp_path / "sb")
         assert run_cli("selfboost", "--out", out, "--config", cfg_path) == 0
-        trace = json.load(open(os.path.join(out, "selfboost_trace.json")))
-        rows = open(os.path.join(out, "rounds.csv")).read().splitlines()[1:]
+        trace = load_json(os.path.join(out, "selfboost_trace.json"))
+        rows = read_text(os.path.join(out, "rounds.csv")).splitlines()[1:]
         schedule = Schedule("plain", 7, 2, 3, 0.05, B2)
         assert len(rows) == len(trace["rounds"]) >= 1
         for r, row in zip(trace["rounds"], rows):
@@ -401,7 +416,7 @@ class TestCli:
             hook(None, None, [step])
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg = load_json(fixture("selfboost_config.json"))
         cfg["distribution_file"] = fixture("train_n4.json")
         outs = selfboost_twice(tmp_path, cfg)
         assert outs[0] == outs[1]
@@ -413,7 +428,7 @@ class TestCli:
         raw = rng_for(89).random(3**4) ** 4 + 1e-3
         p = TextDistribution(Alphabet(3), 4, raw / raw.sum())
         nio.write_json_atomic(dist_path, nio.distribution_to_json(p))
-        cfg = json.load(open(fixture("selfboost_config.json")))
+        cfg = load_json(fixture("selfboost_config.json"))
         cfg.update(distribution_file=dist_path, k=k, epsilon=0.1)
         outs = selfboost_twice(tmp_path, cfg)
         assert outs[0] == outs[1]
@@ -452,7 +467,7 @@ class TestCli:
         assert "NTPBOOST_MAX_ENUM" in payload["message"]
 
     def test_construct_needs_model_alphabet(self, tmp_path, capsys):
-        graph = json.load(open(fixture("model_circuit_n4.json")))
+        graph = load_json(fixture("model_circuit_n4.json"))
         del graph["meta"]["alphabet_size"]
         model = str(tmp_path / "model.json")
         nio.write_json_atomic(model, graph)
@@ -533,7 +548,7 @@ class TestCli:
             "model": fixture("model_n4.json"),
             "distinguisher": fixture("distinguisher_n4_k2.json"),
         }
-        obj = json.load(open(paths[edited]))
+        obj = load_json(paths[edited])
         paths[edited] = str(tmp_path / f"{edited}.json")
         nio.write_json_atomic(paths[edited], edit(obj))
         out = str(tmp_path / "o")
@@ -571,7 +586,7 @@ class TestCli:
         assert not os.path.exists(os.path.join(str(tmp_path), "simulation.json"))
 
     def test_simulate_rejects_empty_product(self, tmp_path, capsys):
-        graph = json.load(open(fixture("model_circuit_n4.json")))
+        graph = load_json(fixture("model_circuit_n4.json"))
         graph["nodes"][1]["expr"] = "(prod )"
         path = str(tmp_path / "g.json")
         nio.write_json_atomic(path, graph)
@@ -610,7 +625,7 @@ class TestCli:
              "alphabet_size-string", "depth_bound-string", "domain_checks-values"],
     )
     def test_simulate_rejects_non_numbers(self, tmp_path, capsys, edit, where):
-        graph = json.load(open(fixture("model_circuit_n4.json")))
+        graph = load_json(fixture("model_circuit_n4.json"))
         edit(graph)
         path = str(tmp_path / "g.json")
         nio.write_json_atomic(path, graph)
@@ -627,7 +642,7 @@ class TestCli:
     def test_simulate_rejects_non_finite_token(self, tmp_path, capsys, token):
         # without meta.alphabet_size the engine takes any float, so the
         # token must be refused before the run: NaN is not JSON
-        graph = json.load(open(fixture("model_circuit_n4.json")))
+        graph = load_json(fixture("model_circuit_n4.json"))
         del graph["meta"]["alphabet_size"]
         path = str(tmp_path / "g.json")
         nio.write_json_atomic(path, graph)
@@ -715,7 +730,7 @@ class TestCli:
             "construct": (circuit, ["construct", "--k", "2", "--alpha", "0.1",
                                     "--distinguisher", circuit, "--model"]),
         }[target]
-        obj = json.load(open(source))
+        obj = load_json(source)
         if target == "selfboost":
             obj["distribution_file"] = train
         path = str(tmp_path / "in.json")
@@ -729,7 +744,7 @@ class TestCli:
     def test_verify_runs_clean(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", str(tmp_path))
         assert rc == 0
-        matrix = json.load(open(os.path.join(str(tmp_path), "verify_matrix.json")))
+        matrix = load_json(os.path.join(str(tmp_path), "verify_matrix.json"))
         assert matrix["all_ok"] is True
 
 
