@@ -92,12 +92,9 @@ def _bits(*xs: float) -> bytes:
 
 
 def collector_paused(fn):
-    """``fn`` run with CPython's cyclic collector disabled.
+    """``fn`` run with CPython's cyclic collector disabled (see above).
 
-    For the builders and the compiler, which allocate thousands of
-    acyclic objects: reference counting frees all of them, so the
-    collector's walks over the live DAG would find nothing.  The
-    collector is enabled again afterwards only if it was enabled on
+    The collector is enabled again afterwards only if it was enabled on
     entry, so nested calls and callers that disabled it keep their state.
     """
 

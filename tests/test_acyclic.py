@@ -233,9 +233,7 @@ class TestCollectorPaused:
             compile_graph(lm_to_rnn(uniform_model(), 2))
             return gc.isenabled()
 
-        assert gc.isenabled()
         assert outer() is False
-        assert gc.isenabled()
 
     def test_no_collection_inside_the_builders(self):
         # a collection counts as inside a function while its frame is on the
@@ -259,9 +257,13 @@ class TestCollectorPaused:
                 frame = sys._getframe(1)
                 while frame is not None and frame.f_code not in codes:
                     frame = frame.f_back
-                (outside if frame is None else inside).append(codes.get(getattr(frame, "f_code", None)))
+                if frame is None:
+                    outside.append(info["generation"])
+                else:
+                    inside.append(codes[frame.f_code])
 
-        threshold = gc.get_threshold()
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        gc.enable()
         gc.set_threshold(1)
         gc.callbacks.append(hook)
         try:
@@ -271,5 +273,7 @@ class TestCollectorPaused:
         finally:
             gc.callbacks.remove(hook)
             gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
         assert inside == []
         assert outside  # the hook sees the collections the threshold triggers
