@@ -17,23 +17,30 @@ their bits and the children by identity, so ``0.0`` and ``-0.0`` stay
 two objects and ``to_sexpr`` prints each as it was built.  The intern
 table holds its nodes weakly: an expression nothing else refers to is
 freed.  Each node caches its depth, its free node names (a frozenset)
-and its hash, all computed from its children when it is built, so
-``depth``, ``free_nodes`` and ``hash`` cost O(1).  Equality stays
-structural, with floats compared by value: ``Relu(0.0, t) ==
-Relu(-0.0, t)``.
+and its hash, all computed from its children's cached facts when it is
+built, so ``depth``, ``free_nodes`` and ``hash`` cost O(1).  Equality
+stays structural, with floats compared by value: ``Relu(0.0, t) ==
+Relu(-0.0, t)``, and the hash reads floats by value too.
 
-The intern table maps each key to a weak reference whose callback
-drops the entry when its expression is freed.  The indicator gadgets
-are interned the same way: ``ind_eq``, ``ind_le`` and ``ind_ge`` look
-their result up in a second weak table keyed by the gadget, x by
-identity and c by its bits (by identity when c is a node), so a table
-compiler that asks for ``ind_eq("p1", 2.0)`` once per prefix builds its
-three relus once.  ``c`` is converted to a float first: an int and an
-equal float give one gadget, ``0.0`` and ``-0.0`` two.
-``substitute`` rebuilds renamed sums and products through the internal
-constructors ``_sum`` and ``_prod``, reusing the source node's converted
-floats and their packed bits; the public constructors convert and check
-their arguments, then call the same two.
+Construction is one pass per expression.  The helpers (``node``,
+``relu``, ``recip``, ``prod``) and the class constructors walk their
+arguments once, converting each float, checking each child (a helper
+also takes a node by its name: a ``str``) and collecting the intern key
+as they go; the floats are packed by a ``struct.Struct`` made once per
+count.  Only on a miss is a node built, in one more loop over its
+children that reads their cached depth, hash and free names.
+``substitute`` rebuilds renamed sums and products through the same
+lookup, ``_sum`` and ``_prod``, reusing the source node's converted
+floats and their packed bits.
+
+Each table entry is a weak reference that carries its key, and one
+callback per table drops the entry when its expression is freed.  The
+indicator gadgets are interned the same way: ``ind_eq``, ``ind_le`` and
+``ind_ge`` look their result up in a second weak table keyed by the
+gadget, x by identity and c by its bits (by identity when c is a node),
+so a table compiler that asks for ``ind_eq("p1", 2.0)`` once per prefix
+builds its three relus once.  ``c`` is converted to a float first: an
+int and an equal float give one gadget, ``0.0`` and ``-0.0`` two.
 
 Case selectors (sums of value*condition products) assume nonnegative
 branch values, which holds for every graph this package constructs;
@@ -48,7 +55,10 @@ expressions, their intern entries and its compiled program.  The
 cyclic collector would find nothing there, but a build's thousands of
 new objects trigger its walks over the live DAG, so the builders and
 ``compile_graph`` run under ``collector_paused``, which disables it for
-the call.  The analytic and loop layers keep the collector's default.
+the call, and so do the ``verify`` checks that build and run circuits,
+whose collections would otherwise walk a circuit right after its
+builder returns.  The analytic and loop layers keep the collector's
+default.
 """
 
 from __future__ import annotations
@@ -57,38 +67,52 @@ import gc
 import math
 import struct
 import weakref
-from functools import partial, wraps
+from functools import wraps
 
 from ..errors import ValidationError
 
 MACHINE_EPS = 2.0**-32  # indicator window; inputs here are always integers
 
-# key -> weak reference to the live expression built for it
+# key -> _Entry, a weak reference to the live expression built for it
 _INTERNED: dict = {}
 _GADGETS: dict = {}
 _NO_NAMES: frozenset = frozenset()
 
-
-def _live(table: dict, key):
-    """The live expression ``table`` holds for ``key``, or None."""
-    ref = table.get(key)
-    return None if ref is None else ref()
+_new = object.__new__
+_set = object.__setattr__  # Expr.__setattr__ refuses every write
 
 
-def _hold(table: dict, key, obj):
-    """Hold ``obj`` weakly under ``key``: the entry goes when obj does."""
-    table[key] = weakref.ref(obj, partial(_drop, table, key))
-    return obj
+class _Entry(weakref.ref):
+    """A table's weak reference to an expression and the key it is under."""
+
+    __slots__ = ("key",)
 
 
-def _drop(table: dict, key, ref) -> None:
-    if table.get(key) is ref:  # not bound to a newer expression since
-        del table[key]
+def _dropper(table: dict):
+    """The one callback of ``table``'s entries: it drops an entry when its
+    expression is freed."""
+
+    def drop(entry: _Entry) -> None:
+        if table.get(entry.key) is entry:  # not bound to a newer expression since
+            del table[entry.key]
+
+    return drop
 
 
-def _bits(*xs: float) -> bytes:
-    """Bit-exact key of float fields: 0.0 and -0.0 differ."""
-    return struct.pack(f"{len(xs)}d", *xs)
+_UNINTERN = _dropper(_INTERNED)
+_UNGADGET = _dropper(_GADGETS)
+
+
+class _Packers(dict):
+    """count -> ``pack`` of a ``struct.Struct`` of that many doubles, made
+    on first use: the bit-exact key of float fields (0.0 and -0.0 differ)."""
+
+    def __missing__(self, count: int):
+        pack = self[count] = struct.Struct(f"{count}d").pack
+        return pack
+
+
+_BITS = _Packers()
 
 
 def collector_paused(fn):
@@ -145,39 +169,41 @@ class Expr:
         return f"{type(self).__name__}({fields})"
 
 
-def _child(e) -> Expr:
-    if not isinstance(e, Expr):
-        raise ValidationError(f"unknown expression {e!r}")
-    return e
+def _unknown(e) -> ValidationError:
+    return ValidationError(f"unknown expression {e!r}")
 
 
-def _union(children) -> frozenset:
-    """Free names of the children, reusing a child's set when it covers the rest.
+def _keep(obj: Expr, key: tuple, depth: int, free: frozenset, h: int) -> Expr:
+    """Cache a new node's facts and hold it weakly in the intern table."""
+    _set(obj, "_depth", depth)
+    _set(obj, "_free", free)
+    _set(obj, "_hash", h)
+    entry = _Entry(obj, _UNINTERN)
+    entry.key = key
+    _INTERNED[key] = entry
+    return obj
+
+
+def _union(frees: list) -> frozenset:
+    """The union of the children's free names, reusing a child's set when it
+    covers the rest.
 
     Nested sets are walked once; otherwise one union is taken over all of
     them, never one per child, so the cost stays linear in their names.
     """
     free = _NO_NAMES
-    for e in children:
-        if not e._free <= free:
-            if not free <= e._free:
+    for names in frees:
+        if not names <= free:
+            if not free <= names:
                 break
-            free = e._free
+            free = names
     else:
         return free
-    names = [e._free for e in children]
-    free = max(names, key=len)
-    return free if all(s <= free for s in names) else free.union(*names)
-
-
-def _intern(cls, key, fields: tuple, depth: int, free: frozenset) -> Expr:
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, fields):
-        object.__setattr__(obj, name, value)
-    object.__setattr__(obj, "_depth", depth)
-    object.__setattr__(obj, "_free", free)
-    object.__setattr__(obj, "_hash", hash((cls, *fields)))
-    return _hold(_INTERNED, key, obj)
+    union = free.union(*frees)
+    for names in frees:
+        if len(names) == len(union):
+            return names
+    return union
 
 
 class Const(Expr):
@@ -186,11 +212,13 @@ class Const(Expr):
 
     def __new__(cls, value: float):
         value = float(value)
-        key = (cls, _bits(value))
-        obj = _live(_INTERNED, key)
-        if obj is None:
-            obj = _intern(cls, key, (value,), 0, _NO_NAMES)
-        return obj
+        key = (cls, _BITS[1](value))
+        entry = _INTERNED.get(key)
+        if entry is not None and (obj := entry()) is not None:
+            return obj
+        obj = _new(cls)
+        _set(obj, "value", value)
+        return _keep(obj, key, 0, _NO_NAMES, hash((cls, value)))
 
 
 class Node(Expr):
@@ -198,17 +226,26 @@ class Node(Expr):
     __match_args__ = ("name",)
 
     def __new__(cls, name: str):
-        key = (cls, name)
-        obj = _live(_INTERNED, key)
-        if obj is None:
-            obj = _intern(cls, key, (name,), 0, frozenset((name,)))
+        return _named(name)
+
+
+def _named(name: str) -> Node:
+    """The node reading ``name``, which must be a string."""
+    if not isinstance(name, str):
+        raise _unknown(name)
+    key = (Node, name)
+    entry = _INTERNED.get(key)
+    if entry is not None and (obj := entry()) is not None:
         return obj
+    obj = _new(Node)
+    _set(obj, "name", name)
+    return _keep(obj, key, 0, frozenset((name,)), hash(key))
 
 
 class _WeightedSum(Expr):
     """bias + sum coef * child, then the subclass's activation.
 
-    ``_packed`` holds the bias and the coefficients packed by ``_bits``,
+    ``_packed`` holds the bias and the coefficients packed by ``_BITS``,
     the float part of the intern key.
     """
 
@@ -216,21 +253,46 @@ class _WeightedSum(Expr):
     __match_args__ = ("bias", "terms")
 
     def __new__(cls, bias: float, terms):
-        bias = float(bias)
-        terms = tuple((float(c), _child(e)) for c, e in terms)
-        return _sum(cls, bias, terms, _bits(bias, *(c for c, _ in terms)))
+        return _weighted(cls, bias, terms, False)
 
 
-def _sum(cls, bias: float, terms: tuple, packed: bytes) -> Expr:
-    """Intern a weighted sum of converted floats, packed in ``packed``."""
-    key = (cls, packed, *[id(e) for _, e in terms])
-    obj = _live(_INTERNED, key)
-    if obj is None:
-        children = [e for _, e in terms]
-        depth = 1 + max([e._depth for e in children], default=0)
-        obj = _intern(cls, key, (bias, terms), depth, _union(children))
-        object.__setattr__(obj, "_packed", packed)
-    return obj
+def _weighted(cls, bias: float, terms, names: bool) -> Expr:
+    """The sum of ``bias`` and ``terms`` (coef, child), each converted and
+    checked once; with ``names`` a child may be a node's name."""
+    floats = [float(bias)]
+    pairs = []
+    key = [cls, None]  # the packed floats go in second
+    for c, e in terms:
+        c = float(c)
+        if not isinstance(e, Expr):
+            if not names:
+                raise _unknown(e)
+            e = _named(e)
+        floats.append(c)
+        pairs.append((c, e))
+        key.append(id(e))
+    key[1] = packed = _BITS[len(floats)](*floats)
+    return _sum(cls, tuple(key), floats[0], tuple(pairs), packed)
+
+
+def _sum(cls, key: tuple, bias: float, terms: tuple, packed: bytes) -> Expr:
+    """The weighted sum interned under ``key``, built on a miss from
+    converted floats, packed in ``packed``, and checked children."""
+    entry = _INTERNED.get(key)
+    if entry is not None and (obj := entry()) is not None:
+        return obj
+    depth, parts, frees = 0, [cls, bias], []
+    for c, e in terms:
+        if e._depth > depth:
+            depth = e._depth
+        parts.append(c)
+        parts.append(e._hash)
+        frees.append(e._free)
+    obj = _new(cls)
+    _set(obj, "bias", bias)
+    _set(obj, "terms", terms)
+    _set(obj, "_packed", packed)
+    return _keep(obj, key, depth + 1, _union(frees), hash(tuple(parts)))
 
 
 class Relu(_WeightedSum):
@@ -252,20 +314,40 @@ class Prod(Expr):
     __match_args__ = ("factors",)
 
     def __new__(cls, factors):
-        factors = tuple(_child(f) for f in factors)
-        if not factors:
-            raise ValidationError("a product needs at least one factor")
-        return _prod(factors)
+        return _product(factors, False)
 
 
-def _prod(factors: tuple) -> Expr:
-    """Intern a product of one or more checked factors."""
-    key = (Prod, *[id(f) for f in factors])
-    obj = _live(_INTERNED, key)
-    if obj is None:
-        depth = 1 + max([f._depth for f in factors])
-        obj = _intern(Prod, key, (factors,), depth, _union(factors))
-    return obj
+def _product(factors, names: bool) -> Expr:
+    """The product of ``factors``, each checked once; with ``names`` a
+    factor may be a node's name."""
+    fs, key = [], [Prod]
+    for f in factors:
+        if not isinstance(f, Expr):
+            if not names:
+                raise _unknown(f)
+            f = _named(f)
+        fs.append(f)
+        key.append(id(f))
+    if not fs:
+        raise ValidationError("a product needs at least one factor")
+    return _prod(tuple(key), tuple(fs))
+
+
+def _prod(key: tuple, factors: tuple) -> Expr:
+    """The product interned under ``key``, built on a miss from checked
+    factors."""
+    entry = _INTERNED.get(key)
+    if entry is not None and (obj := entry()) is not None:
+        return obj
+    depth, parts, frees = 0, [Prod], []
+    for f in factors:
+        if f._depth > depth:
+            depth = f._depth
+        parts.append(f._hash)
+        frees.append(f._free)
+    obj = _new(Prod)
+    _set(obj, "factors", factors)
+    return _keep(obj, key, depth + 1, _union(frees), hash(tuple(parts)))
 
 
 # -- construction helpers ---------------------------------------------------
@@ -276,22 +358,22 @@ def const(v: float) -> Const:
 
 
 def node(name) -> Expr:
-    return name if isinstance(name, Expr) else Node(name)
+    """``name`` if it is an expression, else the node of that name."""
+    return name if isinstance(name, Expr) else _named(name)
 
 
 def relu(bias: float, *terms: tuple[float, Expr]) -> Relu:
-    return Relu(bias, [(c, node(e)) for c, e in terms])
+    return _weighted(Relu, bias, terms, True)
 
 
 def recip(bias: float, *terms: tuple[float, Expr]) -> Recip:
-    return Recip(bias, [(c, node(e)) for c, e in terms])
+    return _weighted(Recip, bias, terms, True)
 
 
 def prod(*factors) -> Expr:
-    fs = tuple(node(f) for f in factors)
-    if len(fs) == 1:
-        return fs[0]
-    return Prod(fs)
+    if len(factors) == 1:
+        return node(factors[0])
+    return _product(factors, True)
 
 
 def _gadget(build, x, c) -> Expr:
@@ -305,10 +387,13 @@ def _gadget(build, x, c) -> Expr:
         key = (build, id(x), id(c))
     else:
         c = float(c)
-        key = (build, id(x), _bits(c))
-    obj = _live(_GADGETS, key)
-    if obj is None:
-        obj = _hold(_GADGETS, key, build(x, c))
+        key = (build, id(x), _BITS[1](c))
+    entry = _GADGETS.get(key)
+    if entry is not None and (obj := entry()) is not None:
+        return obj
+    obj = build(x, c)
+    entry = _GADGETS[key] = _Entry(obj, _UNGADGET)
+    entry.key = key
     return obj
 
 
@@ -373,14 +458,12 @@ def case_select(cases: list[tuple[Expr, Expr]], default: Expr) -> Expr:
 
 def or_(*xs) -> Expr:
     """OR of bits as [sum >= 1]."""
-    total = relu(0.0, *[(1.0, node(x)) for x in xs])
-    return ind_ge(total, 1.0)
+    return ind_ge(relu(0.0, *[(1.0, x) for x in xs]), 1.0)
 
 
 def and_(*xs) -> Expr:
     """AND of bits as [sum >= count]."""
-    total = relu(0.0, *[(1.0, node(x)) for x in xs])
-    return ind_ge(total, float(len(xs)))
+    return ind_ge(relu(0.0, *[(1.0, x) for x in xs]), float(len(xs)))
 
 
 def base_c_increment(c: int, k: int, digits) -> list[Expr]:
@@ -396,14 +479,11 @@ def base_c_increment(c: int, k: int, digits) -> list[Expr]:
         raise ValidationError(f"need {k} digit nodes, got {len(digits)}")
     out = []
     for i in range(1, k + 1):
-        lower = [(1.0, node(d)) for d in digits[: i - 1]]
-        h1 = relu(float((i - 1) * (c - 1)), *[(-w, e) for w, e in lower])
-        h2 = relu(float((i - 1) * (c - 1) - 1), *[(-w, e) for w, e in lower])
-        upto = [(1.0, node(d)) for d in digits[:i]]
-        h3 = relu(float(-i * (c - 1) + 1), *upto)
-        out.append(
-            relu(1.0, (1.0, node(digits[i - 1])), (-1.0, h1), (1.0, h2), (-float(c), h3))
-        )
+        lower = [(-1.0, d) for d in digits[: i - 1]]
+        h1 = relu(float((i - 1) * (c - 1)), *lower)
+        h2 = relu(float((i - 1) * (c - 1) - 1), *lower)
+        h3 = relu(float(-i * (c - 1) + 1), *[(1.0, d) for d in digits[:i]])
+        out.append(relu(1.0, (1.0, digits[i - 1]), (-1.0, h1), (1.0, h2), (-float(c), h3)))
     return out
 
 
@@ -455,17 +535,23 @@ def _rename(e: Expr, walk: tuple) -> Expr:
     mapping, kept, memo, renamed = walk
     kind = type(e)
     if kind is Node:
-        out = Node(mapping[e.name])
+        out = _named(mapping[e.name])
     elif kind is Prod:
-        fs = []
+        fs, key = [], [Prod]
         for f in e.factors:
-            fs.append(f if kept(f._free) else renamed(id(f)) or _rename(f, walk))
-        out = _prod(tuple(fs))
+            if not kept(f._free):
+                f = renamed(id(f)) or _rename(f, walk)
+            fs.append(f)
+            key.append(id(f))
+        out = _prod(tuple(key), tuple(fs))
     else:
-        terms = []
+        terms, key = [], [kind, e._packed]
         for c, x in e.terms:
-            terms.append((c, x if kept(x._free) else renamed(id(x)) or _rename(x, walk)))
-        out = _sum(kind, e.bias, tuple(terms), e._packed)
+            if not kept(x._free):
+                x = renamed(id(x)) or _rename(x, walk)
+            terms.append((c, x))
+            key.append(id(x))
+        out = _sum(kind, tuple(key), e.bias, tuple(terms), e._packed)
     memo[id(e)] = out
     return out
 
@@ -497,7 +583,7 @@ def evaluate(expr: Expr, values: dict[str, float]) -> float:
         for f in expr.factors:
             acc *= evaluate(f, values)
         return acc
-    raise ValidationError(f"unknown expression {expr!r}")
+    raise _unknown(expr)
 
 
 # -- s-expression serialization --------------------------------------------
@@ -514,7 +600,7 @@ def to_sexpr(expr: Expr) -> str:
         return f"({head} {expr.bias!r}{' ' + parts if parts else ''})"
     if isinstance(expr, Prod):
         return "(prod " + " ".join(to_sexpr(f) for f in expr.factors) + ")"
-    raise ValidationError(f"unknown expression {expr!r}")
+    raise _unknown(expr)
 
 
 def _tokenize(text: str) -> list[str]:

@@ -4,7 +4,10 @@ Each check pits a production code path against an independent
 computation (enumeration, cross-construction, closed form) on small
 seeded instances and returns (ok, detail).  ``run_all`` turns each into
 one pass/fail row named after the check, also when the check crashes;
-the CLI collates the rows into a matrix.
+the CLI collates the rows into a matrix.  The checks that build and run
+circuits do so with the cyclic collector paused (``collector_paused``):
+its passes would otherwise walk a circuit right after its builder
+returns, and find nothing to free there.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .instances import (
     rng_for,
 )
 from .rnn.engine import compile_graph, run
-from .rnn.expr import base_c_increment, evaluate, exp_binary, ind_eq
+from .rnn.expr import base_c_increment, collector_paused, evaluate, exp_binary, ind_eq
 from .rnn.sufficiency import verify_hidden_sufficiency
 from .selfboost import best_member, run_algorithm
 
@@ -177,6 +180,7 @@ def _compiled_instance(seed, n, k):
 
 
 @_check("compiled_boost")
+@collector_paused
 def check_compiled_boost() -> tuple[bool, str]:
     """Compiled boosted circuit matches the analytic conditionals."""
     p, qt, res, q, D = _compiled_instance(1033, 4, 2)
@@ -189,6 +193,7 @@ def check_compiled_boost() -> tuple[bool, str]:
 
 
 @_check("cross_construction")
+@collector_paused
 def check_cross_construction() -> tuple[bool, str]:
     """Doubling construction is trace-equivalent to the efficient one."""
     p, qt, res, q, D = _compiled_instance(1039, 4, 2)
@@ -224,6 +229,7 @@ def check_transition_library() -> tuple[bool, str]:
 
 
 @_check("hidden_sufficiency")
+@collector_paused
 def check_hidden_sufficiency() -> tuple[bool, str]:
     """Hidden sufficiency scrubbing on constructed circuits."""
     p, qt, res, q, D = _compiled_instance(1049, 4, 2)
@@ -235,6 +241,7 @@ def check_hidden_sufficiency() -> tuple[bool, str]:
 
 
 @_check("quantized_boost")
+@collector_paused
 def check_quantized_boost() -> tuple[bool, str]:
     """Quantized boosted circuit stays within its error envelope."""
     rng = rng_for(1061)

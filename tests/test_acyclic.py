@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from ntpboost import io as nio
+from ntpboost import verify
 from ntpboost.boosting import boost_text
 from ntpboost.construct import (
     build_boosted_rnn,
@@ -150,6 +151,22 @@ class TestDroppedCircuitsAreFreed:
         use(kind, inputs)
         assert_freed(before)
 
+    def test_builds_add_their_pinned_intern_entries(self, collector_off):
+        # construction cost that does not depend on machine speed: a fast
+        # path that made extra objects would hold extra entries here
+        alphabet, lm, res = table_instance(2, 4, 2, 1039)
+        q, d = lm_to_rnn(lm, 2), distinguisher_to_rnn(res.applied, alphabet, 2)
+        args = (q, d, 2, res.alpha, res.offset, 2)
+        before = table_sizes()
+        efficient, _ = build_boosted_rnn(*args)
+        with_efficient = table_sizes()
+        doubling = build_boosted_rnn_simple(*args)
+        with_both = table_sizes()
+        assert [a - b for a, b in zip(with_efficient, before)] == [1118, 65]
+        assert [a - b for a, b in zip(with_both, with_efficient)] == [904, 24]
+        del efficient, doubling
+        assert_freed(before)
+
     def test_malformed_expression(self, collector_off):
         graph = lm_to_rnn(uniform_model(), 2)
         obj = nio.graph_to_json(graph)
@@ -277,3 +294,60 @@ class TestCollectorPaused:
                 gc.disable()
         assert inside == []
         assert outside  # the hook sees the collections the threshold triggers
+
+
+# the verify checks that build and run circuits pause the collector too
+CIRCUIT_CHECKS = [
+    verify.check_compiled_boost,
+    verify.check_cross_construction,
+    verify.check_hidden_sufficiency,
+    verify.check_quantized_boost,
+]
+
+
+class TestVerifyCircuitChecks:
+    def test_no_collection_inside_the_checks(self):
+        codes = {inspect.unwrap(fn).__code__: fn.__name__ for fn in CIRCUIT_CHECKS}
+        inside, outside = [], []
+
+        def hook(phase, info):
+            if phase == "start":
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code not in codes:
+                    frame = frame.f_back
+                if frame is None:
+                    outside.append(info["generation"])
+                else:
+                    inside.append(codes[frame.f_code])
+
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(1)
+        gc.callbacks.append(hook)
+        try:
+            rows = verify.run_all(CIRCUIT_CHECKS)
+            [[] for _ in range(10)]
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+        assert [row.ok for row in rows] == [True] * len(CIRCUIT_CHECKS)
+        assert inside == []
+        assert outside  # the hook sees the collections the threshold triggers
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_a_check_raises(self, monkeypatch, enabled):
+        def refuse(*args):
+            raise ValidationError("builder refused")
+
+        monkeypatch.setattr(verify, "lm_to_rnn", refuse)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for check in CIRCUIT_CHECKS:
+                with pytest.raises(ValidationError, match="builder refused"):
+                    check()
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -7,6 +7,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ntpboost.errors import ValidationError
 from ntpboost.rnn import expr as X
@@ -16,12 +18,15 @@ from ntpboost.rnn.expr import (
     Prod,
     Recip,
     Relu,
+    case_select,
+    const,
     depth,
     free_nodes,
     from_sexpr,
     ind_eq,
     ind_ge,
     ind_le,
+    node,
     prod,
     recip,
     relu,
@@ -229,6 +234,127 @@ class TestCachedFacts:
             Relu(0.0, ((1.0, "x"),))
         with pytest.raises(ValidationError, match="unknown expression"):
             Prod((Node("x"), 2.0))
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("bad", [None, 2.0, 3, b"x", ("x",)])
+    def test_a_node_is_a_name_or_an_expression(self, bad):
+        builds = [
+            lambda: node(bad),
+            lambda: Node(bad),
+            lambda: prod("x", bad),
+            lambda: prod(bad, "x"),
+            lambda: prod(bad),
+            lambda: relu(0.0, (1.0, "x"), (2.0, bad)),
+            lambda: recip(1.0, (1.0, bad)),
+            lambda: case_select([(bad, "x")], "y"),
+            lambda: case_select([("x", bad)], "y"),
+            lambda: case_select([("x", "y")], bad),
+            lambda: ind_eq(bad, 1.0),
+            lambda: substitute(relu(0.0, (1.0, "x")), {"x": bad}),
+        ]
+        for build in builds:
+            with pytest.raises(ValidationError, match="unknown expression"):
+                build()
+
+
+# -- the hash/eq contract, over expressions built every way -------------------
+
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
+
+
+def _extend(children):
+    terms = st.lists(st.tuples(FLOATS, children), max_size=3)
+    return st.one_of(
+        st.tuples(st.sampled_from(["relu", "recip"]), FLOATS, terms),
+        st.tuples(st.just("prod"), st.lists(children, min_size=2, max_size=3)),
+    )
+
+
+# ("const", v) | ("node", name) | (relu|recip, bias, [(coef, spec)]) |
+# ("prod", [spec, spec, ...])
+SPECS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("const"), FLOATS),
+        st.tuples(st.just("node"), st.sampled_from(["a", "b", "c"])),
+    ),
+    _extend,
+    max_leaves=12,
+)
+
+
+def by_helpers(spec, rename=str):
+    """The expression through the helpers; a node child goes in by name."""
+
+    def arg(s):
+        return rename(s[1]) if s[0] == "node" else by_helpers(s, rename)
+
+    kind = spec[0]
+    if kind == "const":
+        return const(spec[1])
+    if kind == "node":
+        return node(rename(spec[1]))
+    if kind == "prod":
+        return prod(*[arg(s) for s in spec[1]])
+    return (relu if kind == "relu" else recip)(spec[1], *[(c, arg(s)) for c, s in spec[2]])
+
+
+def by_classes(spec):
+    kind = spec[0]
+    if kind == "const":
+        return Const(spec[1])
+    if kind == "node":
+        return Node(spec[1])
+    if kind == "prod":
+        return Prod(tuple(by_classes(s) for s in spec[1]))
+    cls = Relu if kind == "relu" else Recip
+    return cls(spec[1], [(c, by_classes(s)) for c, s in spec[2]])
+
+
+def flip_zeros(spec):
+    """The spec with every 0.0 and -0.0 swapped: equal by value, not by bits."""
+
+    def f(x):
+        return -x if x == 0.0 else x
+
+    kind = spec[0]
+    if kind == "const":
+        return (kind, f(spec[1]))
+    if kind == "node":
+        return spec
+    if kind == "prod":
+        return (kind, [flip_zeros(s) for s in spec[1]])
+    return (kind, f(spec[1]), [(f(c), flip_zeros(s)) for c, s in spec[2]])
+
+
+def has_zero(spec) -> bool:
+    kind = spec[0]
+    if kind == "const":
+        return spec[1] == 0.0
+    if kind == "node":
+        return False
+    if kind == "prod":
+        return any(has_zero(s) for s in spec[1])
+    return spec[1] == 0.0 or any(c == 0.0 or has_zero(s) for c, s in spec[2])
+
+
+class TestHashEqContract:
+    @given(SPECS)
+    def test_every_construction_path_agrees(self, spec):
+        e = by_helpers(spec)
+        # equal bits give the same object, however it is built
+        assert by_classes(spec) is e
+        renamed = substitute(by_helpers(spec, str.upper), {"A": "a", "B": "b", "C": "c"})
+        assert renamed is e
+        assert from_sexpr(to_sexpr(e)) is e
+        # signed zeros: equal by value, so equal hashes; two objects iff bits differ
+        twin = by_classes(flip_zeros(spec))
+        assert twin == e and e == twin
+        assert hash(twin) == hash(e)
+        assert (twin is e) is not has_zero(spec)
+        for x in (e, twin):
+            assert depth(x) == tree_depth(x)
+            assert free_nodes(x) == tree_free(x)
 
 
 class TestSubstitute:
