@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
-    case_select,
     collector_paused,
     const,
     exp_binary,
     free_nodes,
+    hold,
     ind_eq,
     ind_ge,
     ind_le,
@@ -104,7 +104,7 @@ def _combiner_nodes(
             (sc.at_loop_end(), const(0.0)),
             (accumulate, relu(0.0, (1.0, acc), (1.0, term))),
         ]
-        nodes.append(NodeSpec(acc, 0.0, case_select(cases, node(acc))))
+        nodes.append(NodeSpec(acc, 0.0, hold(acc, cases)))
     # the ratio is computed once per loop; off the consuming instant the
     # denominator gets +1 so the reciprocal can never hit zero while the
     # selector discards the branch
@@ -115,7 +115,7 @@ def _combiner_nodes(
         (sc.in_initial_phase(), node(f1_out)),
         (before_end, prod(node("w1"), guarded)),
     ]
-    return nodes + [NodeSpec("out", 0.0, case_select(cases, node("out")))]
+    return nodes + [NodeSpec("out", 0.0, hold("out", cases))]
 
 
 def _check_readout(graph: RnnGraph, role: str) -> None:
@@ -222,13 +222,7 @@ def _full_copy_main(
                     replay,
                 )
             )
-        nodes.append(
-            NodeSpec(
-                names[spec.name],
-                spec.init,
-                case_select(cases, node(names[spec.name])),
-            )
-        )
+        nodes.append(NodeSpec(names[spec.name], spec.init, hold(names[spec.name], cases)))
     return nodes
 
 
@@ -255,13 +249,7 @@ def _full_copy_scratch(
             (prod(run_window, sc.in_enum_phase()), mirror),
             (prod(at_w_tau, sc.in_enum_phase()), mirror),
         ]
-        nodes.append(
-            NodeSpec(
-                names[spec.name],
-                spec.init,
-                case_select(cases, node(names[spec.name])),
-            )
-        )
+        nodes.append(NodeSpec(names[spec.name], spec.init, hold(names[spec.name], cases)))
     return nodes
 
 
@@ -311,7 +299,7 @@ def build_boosted_rnn_simple(
             prod(node("u1"), node(q_out_scr)),
         ),
     ]
-    nodes.append(NodeSpec("u1", 1.0, case_select(u1_cases, node("u1"))))
+    nodes.append(NodeSpec("u1", 1.0, hold("u1", u1_cases)))
     nodes.append(NodeSpec("u2", 1.0, exp_binary(-alpha, d_out_scr)))
 
     g, _ = build_g(k, i0_star, tau, base, prefix="g.")

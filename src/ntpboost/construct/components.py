@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
-    case_select,
     const,
     exp_binary,
+    hold,
     ind_eq,
     ind_ge,
     ind_le,
@@ -81,7 +81,7 @@ def build_f1(
             prod(node(acc), node(vq)),
         ),
     ]
-    out = NodeSpec(acc, 1.0, case_select(cases, node(acc)))
+    out = NodeSpec(acc, 1.0, hold(acc, cases))
     return _enumerated(q_graph, inner, sc, out, kind="f1_window_probability"), sc
 
 
@@ -149,7 +149,7 @@ def build_g(
             for l in range(1, k + 1)
         ]
         cases = [(update_gate, prod(*factors))]
-        nodes.append(NodeSpec(nm(v), 0.0, case_select(cases, node(nm(v)))))
+        nodes.append(NodeSpec(nm(v), 0.0, hold(nm(v), cases)))
 
     graph = RnnGraph(
         nodes=nodes,

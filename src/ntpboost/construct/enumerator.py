@@ -21,6 +21,10 @@ Node inventory (one namespace prefix per instantiation):
   Ht.* scratch mirror consuming emitted digits
   R.*  mirror of Q's remaining nodes, recomputed per digit loop
 
+Every node but ve is an ``rnn.expr`` gadget: w0 and w are ``cycle``s,
+u0 and u gated ``cycle``s, vc a ``saturate``, and y, e and the mirrors
+``hold``s.
+
 Sizes come out to |Q| + |H_Q| + 2k + 6 total with |H_Q| + 2k + 6 hidden,
 and both are asserted.
 """
@@ -32,14 +36,16 @@ from dataclasses import dataclass
 from ..errors import PreconditionError, ValidationError
 from ..rnn.expr import (
     base_c_increment,
-    case_select,
     const,
+    cycle,
+    hold,
     ind_eq,
     ind_ge,
     ind_le,
     node,
     prod,
     relu,
+    saturate,
     substitute,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
@@ -82,22 +88,17 @@ class EnumScaffold:
         return ind_le(self.name("vc"), float(self.i0_star))
 
     def meta(self, kind: str, **extra) -> dict:
-        """Meta of a graph clocked by this scaffold.
-
-        ``extra`` comes before ``depth_bound``, except ``alphabet_size``
-        (the boosted graphs), which follows ``base``: the key order is
-        part of the graph's JSON form.
-        """
-        meta = {
+        """Meta of a graph clocked by this scaffold, with ``extra`` added."""
+        return {
             "kind": kind,
             "schedule": "multiples",
             "k": self.k,
             "tau": self.tau,
             "base": self.base,
+            "i0_star": self.i0_star,
+            **extra,
+            "depth_bound": 20,
         }
-        if "alphabet_size" in extra:
-            meta["alphabet_size"] = extra.pop("alphabet_size")
-        return {**meta, "i0_star": self.i0_star, **extra, "depth_bound": 20}
 
 
 def timing_constants(base: int, k: int, tau: int) -> int:
@@ -131,123 +132,36 @@ def build_scaffold(
     nm = sc.name
     B = sc.strings
 
-    nodes = [NodeSpec(input_name, 0.0, None)]
-    # w0: cycles 1..T_U
-    nodes.append(
-        NodeSpec(
-            nm("w0"),
-            1.0,
-            case_select(
-                [(ind_le(nm("w0"), period - 1.0), relu(1.0, (1.0, nm("w0"))))],
-                const(1.0),
-            ),
-        )
-    )
-    # u0: offset from the anchor, bumps at loop ends, wraps at k
+    # u0 bumps at loop ends; u bumps one step before w wraps, naming the
+    # digit of the coming step
     u0_init = 1.0 if i0_star == 0 else float(k + 1 - i0_star)
-    nodes.append(
-        NodeSpec(
-            nm("u0"),
-            u0_init,
-            case_select(
-                [
-                    (
-                        prod(sc.at_loop_end(), ind_le(nm("u0"), k - 1.0)),
-                        relu(1.0, (1.0, nm("u0"))),
-                    ),
-                    (prod(sc.at_loop_end(), ind_eq(nm("u0"), float(k))), const(1.0)),
-                ],
-                node(nm("u0")),
-            ),
-        )
-    )
-    # w: cycles 1..tau
-    nodes.append(
-        NodeSpec(
-            nm("w"),
-            1.0,
-            case_select(
-                [(ind_eq(nm("w"), float(tau)), const(1.0))],
-                relu(1.0, (1.0, nm("w"))),
-            ),
-        )
-    )
-    # u: digit index for the coming step, bumps one step before w wraps
-    nodes.append(
-        NodeSpec(
-            nm("u"),
-            1.0,
-            case_select(
-                [
-                    (
-                        prod(ind_eq(nm("w"), tau - 1.0), ind_eq(nm("u"), float(k))),
-                        const(1.0),
-                    ),
-                    (
-                        prod(ind_eq(nm("w"), tau - 1.0), ind_le(nm("u"), k - 1.0)),
-                        relu(1.0, (1.0, nm("u"))),
-                    ),
-                ],
-                node(nm("u")),
-            ),
-        )
-    )
+    before_wrap = ind_eq(nm("w"), tau - 1.0)
+    nodes = [
+        NodeSpec(input_name, 0.0, None),
+        NodeSpec(nm("w0"), 1.0, cycle(nm("w0"), period)),
+        NodeSpec(nm("u0"), u0_init, cycle(nm("u0"), k, sc.at_loop_end())),
+        NodeSpec(nm("w"), 1.0, cycle(nm("w"), tau)),
+        NodeSpec(nm("u"), 1.0, cycle(nm("u"), k, before_wrap)),
+    ]
     if include_vc:
-        nodes.append(
-            NodeSpec(
-                nm("vc"),
-                1.0,
-                case_select(
-                    [
-                        (
-                            prod(sc.at_loop_end(), ind_le(nm("vc"), float(i0_star))),
-                            relu(1.0, (1.0, nm("vc"))),
-                        ),
-                        (sc.at_loop_end(), const(float(i0_star + 1))),
-                    ],
-                    node(nm("vc")),
-                ),
-            )
-        )
+        vc = saturate(nm("vc"), i0_star + 1, sc.at_loop_end())
+        nodes.append(NodeSpec(nm("vc"), 1.0, vc))
 
     # Y: tokens since the anchor; cleared when the anchor moves
+    clear = prod(sc.at_loop_end(), ind_eq(nm("u0"), float(k)))
     for j in range(1, k + 1):
-        nodes.append(
-            NodeSpec(
-                nm(f"y{j}"),
-                0.0,
-                case_select(
-                    [
-                        (
-                            prod(sc.at_loop_end(), ind_eq(nm("u0"), float(k))),
-                            const(0.0),
-                        ),
-                        (
-                            prod(ind_eq(nm("w0"), 1.0), ind_eq(nm("u0"), float(j))),
-                            node(input_name),
-                        ),
-                    ],
-                    node(nm(f"y{j}")),
-                ),
-            )
-        )
+        store = prod(ind_eq(nm("w0"), 1.0), ind_eq(nm("u0"), float(j)))
+        cases = [(clear, const(0.0)), (store, node(input_name))]
+        nodes.append(NodeSpec(nm(f"y{j}"), 0.0, hold(nm(f"y{j}"), cases)))
 
     # E: base-|Sigma| window counter, bumped at the second-to-last step of
     # each string loop, cleared at loop ends; e1 is least significant
     digits = [nm(f"e{r}") for r in range(1, k + 1)]
     inc = base_c_increment(base, k, digits)
-    bump = prod(ind_eq(nm("w"), tau - 1.0), ind_eq(nm("u"), float(k)))
+    bump = prod(before_wrap, ind_eq(nm("u"), float(k)))
     for r, inc_expr in enumerate(inc, start=1):
-        nodes.append(
-            NodeSpec(
-                nm(f"e{r}"),
-                0.0,
-                case_select(
-                    [(sc.at_loop_end(), const(0.0)), (bump, inc_expr)],
-                    node(nm(f"e{r}")),
-                ),
-            )
-        )
+        cases = [(sc.at_loop_end(), const(0.0)), (bump, inc_expr)]
+        nodes.append(NodeSpec(nm(f"e{r}"), 0.0, hold(nm(f"e{r}"), cases)))
     # ve emits the digit processed at the coming step: string character
     # r corresponds to counter digit k+1-r
     emit_terms = [
@@ -338,7 +252,7 @@ def build_sync_enumerator(
                     replay,
                 )
             )
-        nodes.append(NodeSpec(mirror_h[h], spec.init, case_select(cases, node(mirror_h[h]))))
+        nodes.append(NodeSpec(mirror_h[h], spec.init, hold(mirror_h[h], cases)))
 
     # Ht: scratch mirror consuming emitted digits
     for h in hidden_q:
@@ -352,9 +266,7 @@ def build_sync_enumerator(
             (prod(run_window, sc.in_enum_phase()), scratch),
             (prod(at_w_tau, sc.in_enum_phase()), scratch),
         ]
-        nodes.append(
-            NodeSpec(mirror_ht[h], spec.init, case_select(cases, node(mirror_ht[h])))
-        )
+        nodes.append(NodeSpec(mirror_ht[h], spec.init, hold(mirror_ht[h], cases)))
 
     # R: readout mirror, reset per string loop
     r_map = {**{x: mirror_ht[x] for x in hidden_q}, **mirror_r, q_in: nm("ve")}
@@ -371,7 +283,7 @@ def build_sync_enumerator(
             (prod(run_window, sc.in_enum_phase()), scratch),
             (prod(at_w_tau, sc.in_enum_phase()), scratch),
         ]
-        nodes.append(NodeSpec(mirror_r[r], 0.0, case_select(cases, node(mirror_r[r]))))
+        nodes.append(NodeSpec(mirror_r[r], 0.0, hold(mirror_r[r], cases)))
 
     graph = RnnGraph(
         nodes=nodes,

@@ -30,38 +30,24 @@ from ..dist import Alphabet, LanguageModel, token_strings
 from ..distinguishers import Distinguisher
 from ..errors import PreconditionError
 from ..rnn.expr import (
-    case_select,
     collector_paused,
     const,
+    cycle,
+    hold,
     ind_eq,
     ind_ge,
-    ind_le,
-    node,
     prod,
     relu,
+    saturate,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
 
 MIN_RNN_TIME = 2
 
 
-def _step_counter(period: int):
-    return case_select(
-        [(ind_le("w", period - 1.0), relu(1.0, (1.0, "w")))], const(1.0)
-    )
-
-
-def _position_counter(period: int, cap: int):
-    # increments at token boundaries, sticks at `cap`
-    bump = prod(ind_eq("w", float(period)), ind_le("c", cap - 1.0))
-    return case_select([(bump, relu(1.0, (1.0, "c")))], node("c"))
-
-
 def _latch(i: int):
     # p_i stores token+1 while the position counter sits at i
-    return case_select(
-        [(ind_eq("c", float(i)), relu(1.0, (1.0, "in")))], node(f"p{i}")
-    )
+    return hold(f"p{i}", [(ind_eq("c", float(i)), relu(1.0, (1.0, "in")))])
 
 
 def _prefix_match(s, first: int) -> list:
@@ -109,14 +95,15 @@ def _table_terms(tables, size: int, k: int, n: int):
 
 
 def _table_circuit(n: int, cap: int, rnn_time: int, out, meta: dict) -> RnnGraph:
-    """Latch skeleton plus ``out``: input, step counter, position counter
-    capped at ``cap`` and latches p1..pn, all hidden but the input."""
+    """Latch skeleton plus ``out``: input, step counter cycling
+    1..``rnn_time``, position counter stepping at token ends up to ``cap``
+    and latches p1..pn, all hidden but the input."""
     if rnn_time < MIN_RNN_TIME:
         raise PreconditionError(f"model circuits need rnn_time >= {MIN_RNN_TIME}")
     nodes = [
         NodeSpec("in", 0.0, None),
-        NodeSpec("w", 1.0, _step_counter(rnn_time)),
-        NodeSpec("c", 1.0, _position_counter(rnn_time, cap)),
+        NodeSpec("w", 1.0, cycle("w", rnn_time)),
+        NodeSpec("c", 1.0, saturate("c", cap, ind_eq("w", float(rnn_time)))),
     ]
     nodes += [NodeSpec(f"p{i}", 0.0, _latch(i)) for i in range(1, n + 1)]
     hidden = tuple(spec.name for spec in nodes[1:])

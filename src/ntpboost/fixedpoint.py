@@ -34,10 +34,6 @@ class FixedPointFormat:
         if self.integer_bits < 0 or self.fraction_bits < 0:
             raise ValidationError("bit counts must be nonnegative")
 
-    @property
-    def grid(self) -> float:
-        return 2.0**-self.fraction_bits
-
 
 def quantize(x: float, fmt: FixedPointFormat) -> float:
     """Q_b(x) = sign(x) * (min(x_I, 2^b_I) + 2^-b_F * floor(x_F / 2^-b_F))."""

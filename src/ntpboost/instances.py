@@ -8,6 +8,7 @@ import numpy as np
 
 from .dist import Alphabet, LanguageModel, TextDistribution
 from .distinguishers import Distinguisher, table_distinguisher
+from .errors import PreconditionError
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -58,7 +59,10 @@ def dyadic_lm(
     grid = 2.0**-frac_bits
     lo = int(np.ceil(min_conditional / grid))
     if lo * s * grid > 1.0:
-        raise ValueError("min_conditional too large for this grid and alphabet")
+        raise PreconditionError(
+            f"min_conditional {min_conditional} is too large for |Sigma| = {s} "
+            f"on a 2^-{frac_bits} grid: the rows would sum past 1"
+        )
     levels = []
     for i in range(n):
         rows = np.empty((s**i, s))

@@ -5,10 +5,12 @@ reciprocal of a weighted sum; leaves are constants and references to
 incoming-neighbor values at the previous time step.  Every gadget the
 constructions use is built here from these: the indicators ``ind_eq``,
 ``ind_le`` and ``ind_ge``, ``lnot``, ``or_`` and ``and_`` of bits, the
-first-match selector ``case_select``, ``base_c_increment`` and
-``exp_binary``.  Each is exact on its declared domain: indicator inputs
-are integers (the machine precision constant is a power of two),
-boolean inputs are bits and digit inputs lie in [0, c-1].
+first-match selector ``case_select``, the latch ``hold`` (a node kept
+unless a case fires), the counters ``cycle`` (1..top, wrapping, gated
+or not) and ``saturate`` (gated, stopping at a cap), ``base_c_increment``
+and ``exp_binary``.  Each is exact on its declared domain: indicator and
+counter inputs are integers (the machine precision constant is a power
+of two), boolean inputs are bits and digit inputs lie in [0, c-1].
 
 Expressions are hash-consed: building a node equal to a live one
 returns the live object, so a circuit is a DAG holding one object per
@@ -27,8 +29,10 @@ Construction is one pass per expression.  The helpers (``node``,
 arguments once, converting each float, checking each child (a helper
 also takes a node by its name: a ``str``) and collecting the intern key
 as they go; the floats are packed by a ``struct.Struct`` made once per
-count.  Only on a miss is a node built, in one more loop over its
-children that reads their cached depth, hash and free names.
+count.  A value ``float`` refuses is a ``ValidationError`` naming it,
+from one ``try`` around each conversion loop, which costs nothing when
+every value converts.  Only on a miss is a node built, in one more loop
+over its children that reads their cached depth, hash and free names.
 ``substitute`` rebuilds renamed sums and products through the same
 lookup, ``_sum`` and ``_prod``, reusing the source node's converted
 floats and their packed bits.
@@ -173,6 +177,30 @@ def _unknown(e) -> ValidationError:
     return ValidationError(f"unknown expression {e!r}")
 
 
+# what ``float`` raises for a value that is not a number
+_NOT_FLOAT = (TypeError, ValueError, OverflowError)
+
+
+def _not_a_number(value) -> ValidationError:
+    return ValidationError(f"expected a number, got {value!r}")
+
+
+def _sum_fault(bias, terms) -> ValidationError:
+    """The error for a weighted sum whose conversion failed: it names the
+    bias or the first coefficient that is not a number, or the first term
+    that is not a (coefficient, expression) pair."""
+    for term in ((bias, None), *terms):  # the bias first, as a pair
+        if not isinstance(term, (tuple, list)) or len(term) != 2:
+            return ValidationError(
+                f"expected a (coefficient, expression) pair, got {term!r}"
+            )
+        try:
+            float(term[0])
+        except _NOT_FLOAT:
+            return _not_a_number(term[0])
+    return ValidationError(f"cannot convert the terms {terms!r}")
+
+
 def _keep(obj: Expr, key: tuple, depth: int, free: frozenset, h: int) -> Expr:
     """Cache a new node's facts and hold it weakly in the intern table."""
     _set(obj, "_depth", depth)
@@ -211,7 +239,10 @@ class Const(Expr):
     __match_args__ = ("value",)
 
     def __new__(cls, value: float):
-        value = float(value)
+        try:
+            value = float(value)
+        except _NOT_FLOAT:
+            raise _not_a_number(value) from None
         key = (cls, _BITS[1](value))
         entry = _INTERNED.get(key)
         if entry is not None and (obj := entry()) is not None:
@@ -259,18 +290,21 @@ class _WeightedSum(Expr):
 def _weighted(cls, bias: float, terms, names: bool) -> Expr:
     """The sum of ``bias`` and ``terms`` (coef, child), each converted and
     checked once; with ``names`` a child may be a node's name."""
-    floats = [float(bias)]
     pairs = []
     key = [cls, None]  # the packed floats go in second
-    for c, e in terms:
-        c = float(c)
-        if not isinstance(e, Expr):
-            if not names:
-                raise _unknown(e)
-            e = _named(e)
-        floats.append(c)
-        pairs.append((c, e))
-        key.append(id(e))
+    try:
+        floats = [float(bias)]
+        for c, e in terms:
+            c = float(c)
+            if not isinstance(e, Expr):
+                if not names:
+                    raise _unknown(e)
+                e = _named(e)
+            floats.append(c)
+            pairs.append((c, e))
+            key.append(id(e))
+    except _NOT_FLOAT:
+        raise _sum_fault(bias, terms) from None
     key[1] = packed = _BITS[len(floats)](*floats)
     return _sum(cls, tuple(key), floats[0], tuple(pairs), packed)
 
@@ -386,7 +420,10 @@ def _gadget(build, x, c) -> Expr:
     if isinstance(c, Expr):
         key = (build, id(x), id(c))
     else:
-        c = float(c)
+        try:
+            c = float(c)
+        except _NOT_FLOAT:
+            raise _not_a_number(c) from None
         key = (build, id(x), _BITS[1](c))
     entry = _GADGETS.get(key)
     if entry is not None and (obj := entry()) is not None:
@@ -454,6 +491,32 @@ def case_select(cases: list[tuple[Expr, Expr]], default: Expr) -> Expr:
         blockers.append(lnot(cond))
     terms.append((1.0, prod(default, *blockers)))
     return relu(0.0, *terms)
+
+
+def hold(x, cases: list[tuple[Expr, Expr]]) -> Expr:
+    """Node x's next value: the first case that fires, else x kept as it is."""
+    return case_select(cases, node(x))
+
+
+def cycle(x, top, gate=None) -> Expr:
+    """Counter x stepping 1, 2, ..., top, 1, 2, ...
+
+    It wraps when x == top, so it reads ``ind_eq(x, top)``, which the
+    circuits' phase conditions share.  With ``gate`` it steps only when
+    the gate fires and holds otherwise.
+    """
+    x = node(x)
+    at_top = ind_eq(x, top)
+    if gate is None:
+        return case_select([(at_top, const(1.0))], relu(1.0, (1.0, x)))
+    return hold(x, [(prod(gate, at_top), const(1.0)), (gate, relu(1.0, (1.0, x)))])
+
+
+def saturate(x, cap, gate) -> Expr:
+    """Counter x that adds one when ``gate`` fires and x < cap, and holds
+    otherwise; exact for integer-valued x."""
+    x = node(x)
+    return hold(x, [(prod(gate, ind_le(x, cap - 1.0)), relu(1.0, (1.0, x)))])
 
 
 def or_(*xs) -> Expr:

@@ -162,8 +162,8 @@ class TestDroppedCircuitsAreFreed:
         with_efficient = table_sizes()
         doubling = build_boosted_rnn_simple(*args)
         with_both = table_sizes()
-        assert [a - b for a, b in zip(with_efficient, before)] == [1118, 65]
-        assert [a - b for a, b in zip(with_both, with_efficient)] == [904, 24]
+        assert [a - b for a, b in zip(with_efficient, before)] == [1079, 59]
+        assert [a - b for a, b in zip(with_both, with_efficient)] == [881, 21]
         del efficient, doubling
         assert_freed(before)
 

@@ -1175,9 +1175,9 @@ class TestLevelKernel:
         with open(os.path.join(fixtures, "model_circuit_n4.json")) as fh:
             prog = compile_graph(nio.graph_from_json(json.load(fh)))
         sched = prog.schedule
-        assert len(prog.tape) == 144
+        assert len(prog.tape) == 141
         assert (len(sched.levels), sched.reductions) == (6, 11)
-        assert (sched.term_cells, sched.padded_cells) == (299, 321)
+        assert (sched.term_cells, sched.padded_cells) == (295, 317)
         assert sched.term_cells == sum(
             len(e[1]) if e[0] == _PROD else len(e[2])
             for e in prog.tape

@@ -257,6 +257,29 @@ class TestBadArguments:
             with pytest.raises(ValidationError, match="unknown expression"):
                 build()
 
+    @pytest.mark.parametrize(
+        "build,bad",
+        [
+            (lambda: ind_eq("x", None), "None"),
+            (lambda: ind_le("x", "y"), "'y'"),
+            (lambda: ind_ge("x", [1.0]), r"\[1.0\]"),
+            (lambda: relu(None, (1.0, "x")), "None"),
+            (lambda: relu(0.0, ("a", "x")), "'a'"),
+            (lambda: recip(1.0, (1.0, "x"), (None, "y")), "None"),
+            (lambda: Relu(0.0, [(1.0, Node("x")), ("b", Node("y"))]), "'b'"),
+            (lambda: Const("abc"), "'abc'"),
+            (lambda: const(None), "None"),
+        ],
+    )
+    def test_a_number_is_a_float(self, build, bad):
+        with pytest.raises(ValidationError, match=f"expected a number, got {bad}$"):
+            build()
+
+    @pytest.mark.parametrize("term", [5, (1.0,), (1.0, "x", "y")])
+    def test_a_term_is_a_pair(self, term):
+        with pytest.raises(ValidationError, match="expected a .coefficient, expression. pair"):
+            relu(0.0, (1.0, "x"), term)
+
 
 # -- the hash/eq contract, over expressions built every way -------------------
 

@@ -111,6 +111,22 @@ class TestErrorBounds:
         assert int(count) > 0
 
 
+class TestDyadicModels:
+    def test_rows_on_the_grid_above_the_floor(self):
+        lm = dyadic_lm(B2, 3, rng_for(701), frac_bits=4, min_conditional=0.3)
+        for rows in lm.levels:
+            assert (rows * 16 == np.round(rows * 16)).all()
+            assert (rows >= 0.3).all() and (rows.sum(axis=1) == 1.0).all()
+        # a floor of exactly 1/|Sigma| leaves one row: the uniform one
+        half = dyadic_lm(B2, 2, rng_for(701), frac_bits=2, min_conditional=0.5)
+        assert all((rows == 0.5).all() for rows in half.levels)
+
+    def test_a_floor_above_one_over_the_alphabet_is_refused(self):
+        # ceil(0.9 / 0.25) = 4 ticks of 0.25 per token: the rows would sum to 2
+        with pytest.raises(PreconditionError, match="min_conditional 0.9"):
+            dyadic_lm(Alphabet(2), 2, rng_for(1), 2, 0.9)
+
+
 class TestBoostedLowerBound:
     def test_zero_distinguisher(self):
         rng = rng_for(719)

@@ -1,4 +1,5 @@
-"""The brute-force oracles stay independent of the code they check."""
+"""The brute-force oracles stay independent of the code they check, and
+the constructions write each circuit shape once."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,26 @@ def test_table_compilers_share_one_term_rule():
         }
         assert "_table_terms" in names, root
         assert names.isdisjoint({"token_strings", "_prefix_match"}), root
+
+
+def test_constructions_build_every_latch_and_counter_from_gadgets():
+    # a node that keeps its value unless a case fires is ``hold``, and a
+    # counter is ``cycle`` or ``saturate``: no construction spells out its
+    # own first-match chain
+    from ntpboost import construct
+
+    folder = Path(construct.__file__).parent
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        names |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "case_select" not in names, path.name

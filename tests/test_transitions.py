@@ -13,16 +13,20 @@ from ntpboost.rnn.expr import (
     and_,
     base_c_increment,
     case_select,
+    cycle,
     depth,
     evaluate,
     exp_binary,
     free_nodes,
     from_sexpr,
+    hold,
     ind_eq,
     ind_ge,
     ind_le,
     lnot,
     or_,
+    relu,
+    saturate,
     to_sexpr,
 )
 
@@ -103,6 +107,61 @@ class TestIfElse:
         e = case_select([(ind_le("b", 4.0), Node("x"))], Node("y"))
         assert ev(e, b=4.0, x=1.5, y=2.5) == 1.5
         assert ev(e, b=5.0, x=1.5, y=2.5) == 2.5
+
+
+def steps(expr, x0, gates):
+    """The values a counter node takes from ``x0``, one step per gate bit;
+    the gate is the node ``g``."""
+    xs = [x0]
+    for g in gates:
+        xs.append(ev(expr, x=float(xs[-1]), g=float(g)))
+    return xs
+
+
+class TestCounters:
+    """``cycle`` and ``saturate`` against plain Python counters, from every
+    reachable value (1..top, 1..cap) under every gate sequence of length 4.
+
+    The constructions' counters once carried extra cases (u0 wrapping
+    through a second ``u0 == k`` case, vc reset to i0 + 1 past the cap);
+    on reachable values they never fired, and these tests pin that.
+    """
+
+    SEQUENCES = list(product((0, 1), repeat=4))
+
+    @pytest.mark.parametrize("top", range(1, 7))
+    def test_cycle(self, top):
+        e = cycle("x", top)
+        for x0 in range(1, top + 1):
+            want = [x0]
+            for _ in range(2 * top):
+                want.append(want[-1] % top + 1)
+            assert steps(e, x0, [0] * 2 * top) == want
+
+    @pytest.mark.parametrize("top", range(1, 7))
+    def test_gated_cycle(self, top):
+        e = cycle("x", top, Node("g"))
+        for x0, gates in product(range(1, top + 1), self.SEQUENCES):
+            want = [x0]
+            for g in gates:
+                want.append(want[-1] % top + 1 if g else want[-1])
+            assert steps(e, x0, gates) == want
+
+    @pytest.mark.parametrize("cap", range(1, 7))
+    def test_saturate(self, cap):
+        e = saturate("x", cap, Node("g"))
+        for x0, gates in product(range(1, cap + 1), self.SEQUENCES):
+            want = [x0]
+            for g in gates:
+                want.append(want[-1] + 1 if g and want[-1] < cap else want[-1])
+            assert steps(e, x0, gates) == want
+
+    def test_hold_is_a_case_select_defaulting_to_the_node(self):
+        cases = [(ind_eq("b", 2.0), Node("y")), (Node("c"), relu(1.0, (1.0, "x")))]
+        assert hold("x", cases) is case_select(cases, Node("x"))
+        assert ev(hold("x", cases), b=2.0, c=1.0, x=5.0, y=3.0) == 3.0
+        assert ev(hold("x", cases), b=0.0, c=1.0, x=5.0, y=3.0) == 6.0
+        assert ev(hold("x", cases), b=0.0, c=0.0, x=5.0, y=3.0) == 5.0
 
 
 class TestBaseCIncrement:
