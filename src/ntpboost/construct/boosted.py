@@ -200,17 +200,19 @@ def _full_copy_main(
     initial = sc.in_initial_phase()
     final_phase = ind_ge(nm("w0"), float(sc.strings * sc.k * sc.tau))
     anchor_moves = ind_eq(nm("u0"), float(sc.k))
+    direct_map = {**names, src_in: in_name}
+    replay_maps = [{**names, src_in: nm(f"y{j}")} for j in range(1, sc.k + 1)]
     nodes = []
     for spec in g_src.nodes:
         if spec.name == src_in:
             continue
-        direct = substitute(spec.expr, {**names, src_in: in_name})
+        direct = substitute(spec.expr, direct_map)
         cases = [
             (prod(ind_le(nm("w0"), float(t_inner)), initial), direct),
             (initial, node(names[spec.name])),
         ]
-        for j in range(1, sc.k + 1):
-            replay = substitute(spec.expr, {**names, src_in: nm(f"y{j}")})
+        for j, replay_map in enumerate(replay_maps, start=1):
+            replay = substitute(spec.expr, replay_map)
             cases.append(
                 (
                     prod(
@@ -238,11 +240,12 @@ def _full_copy_scratch(
     main = {n.name: main_prefix + n.name for n in g_src.nodes if n.name != src_in}
     run_window = ind_le(nm("w"), float(t_inner - 1))
     at_w_tau = ind_eq(nm("w"), float(sc.tau))
+    mirror_map = {**names, src_in: nm("ve")}
     nodes = []
     for spec in g_src.nodes:
         if spec.name == src_in:
             continue
-        mirror = substitute(spec.expr, {**names, src_in: nm("ve")})
+        mirror = substitute(spec.expr, mirror_map)
         cases = [
             (sc.at_string_start_next(), node(main[spec.name])),
             (sc.in_initial_phase(), node(main[spec.name])),

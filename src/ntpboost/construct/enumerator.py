@@ -230,17 +230,17 @@ def build_sync_enumerator(
     initial = sc.in_initial_phase()
 
     # H: anchor-prefix mirror of Q's hidden set
+    direct_map = {**mirror_h, q_in: in_name}
+    replay_maps = [{**mirror_h, q_in: nm(f"y{j}")} for j in range(1, k + 1)]
     for h in hidden_q:
         spec = spec_of[h]
-        direct = substitute(spec.expr, {**{x: mirror_h[x] for x in hidden_q}, q_in: in_name})
+        direct = substitute(spec.expr, direct_map)
         cases = [
             (prod(ind_le(nm("w0"), float(t_q)), initial), direct),
             (initial, node(mirror_h[h])),
         ]
-        for j in range(1, k + 1):
-            replay = substitute(
-                spec.expr, {**{x: mirror_h[x] for x in hidden_q}, q_in: nm(f"y{j}")}
-            )
+        for j, replay_map in enumerate(replay_maps, start=1):
+            replay = substitute(spec.expr, replay_map)
             cases.append(
                 (
                     prod(
@@ -255,11 +255,10 @@ def build_sync_enumerator(
         nodes.append(NodeSpec(mirror_h[h], spec.init, hold(mirror_h[h], cases)))
 
     # Ht: scratch mirror consuming emitted digits
+    scratch_map = {**mirror_ht, q_in: nm("ve")}
     for h in hidden_q:
         spec = spec_of[h]
-        scratch = substitute(
-            spec.expr, {**{x: mirror_ht[x] for x in hidden_q}, q_in: nm("ve")}
-        )
+        scratch = substitute(spec.expr, scratch_map)
         cases = [
             (sc.at_string_start_next(), node(mirror_h[h])),
             (initial, node(mirror_h[h])),
@@ -269,8 +268,8 @@ def build_sync_enumerator(
         nodes.append(NodeSpec(mirror_ht[h], spec.init, hold(mirror_ht[h], cases)))
 
     # R: readout mirror, reset per string loop
-    r_map = {**{x: mirror_ht[x] for x in hidden_q}, **mirror_r, q_in: nm("ve")}
-    d_map = {**{x: mirror_h[x] for x in hidden_q}, **mirror_r, q_in: in_name}
+    r_map = {**mirror_ht, **mirror_r, q_in: nm("ve")}
+    d_map = {**mirror_h, **mirror_r, q_in: in_name}
     for r in rest_q:
         spec = spec_of[r]
         scratch = substitute(spec.expr, r_map)

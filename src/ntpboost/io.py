@@ -191,7 +191,6 @@ def graph_to_json(graph: RnnGraph) -> dict:
         for k, v in graph.meta.items()
         if isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
     }
-    meta.pop("domain_checks", None)
     return {
         "nodes": [
             {

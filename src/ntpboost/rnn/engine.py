@@ -7,11 +7,11 @@ is the initial values with the first token applied, matching the
 counter conventions of the constructions.
 
 Expressions are compiled once into a flat tape, and the tape into a
-level schedule.  The tape has one slot per distinct subtree: each
-interned expression object (see ``expr``) is lowered once, and objects
-whose entries agree over their child slots, ``(op, bias, ((coef, slot),
-...))`` with floats compared by value, share the slot of the first (so
-a ``0.0`` and a ``-0.0`` bias on otherwise equal sums merge).  A slot's
+level schedule.  The tape has one slot per interned expression object
+(see ``expr``), each lowered once to an entry ``(op, bias, ((coef,
+slot), ...))`` over its children's slots.  Interning keys floats by
+their bits, so a ``0.0`` and a ``-0.0`` twin keep a slot each, and a
+node's bytes do not depend on the other nodes of its graph.  A slot's
 level is 0 for constants and node reads and one more than its deepest
 child otherwise.  A level's rows in the slot array hold its relu, then
 its reciprocal, then its product slots, and its slots are bucketed by
@@ -250,9 +250,8 @@ class Program:
 def compile_graph(graph: RnnGraph) -> Program:
     node_index = {n.name: j for j, n in enumerate(graph.nodes)}
     tape: list = []
-    slot_of: dict = {}  # tape entry -> its slot
     lowered: dict[int, int] = {}  # id(expr) -> slot; the graph keeps each alive
-    walk = (node_index, tape, slot_of, lowered, lowered.get)
+    walk = (node_index, tape, lowered, lowered.get)
     node_slot = {}
     for spec in graph.nodes:
         if spec.expr is not None:
@@ -279,13 +278,13 @@ def _lower(expr, walk: tuple) -> int:
     """The tape slot of ``expr``, appending its entry and its children's
     entries to the tape as needed.
 
-    ``walk`` is ``compile_graph``'s (node_index, tape, slot_of, lowered,
-    lowered.get): ``slot_of`` maps each entry and ``lowered`` each
-    expression's id to its slot.  A child already lowered is looked up
-    here, not in a call, and the loops are plain loops: before Python
-    3.12 a comprehension is a function call of its own.
+    ``walk`` is ``compile_graph``'s (node_index, tape, lowered,
+    lowered.get): ``lowered`` maps each expression's id to its slot.  A
+    child already lowered is looked up here, not in a call, and the loops
+    are plain loops: before Python 3.12 a comprehension is a function
+    call of its own.
     """
-    node_index, tape, slot_of, lowered, get = walk
+    node_index, tape, lowered, get = walk
     kind = type(expr)
     if kind is Relu or kind is Recip:
         terms = []
@@ -305,10 +304,8 @@ def _lower(expr, walk: tuple) -> int:
         entry = (_NODE, node_index[expr.name])
     else:
         raise ValidationError(f"unknown expression {expr!r}")
-    slot = slot_of.setdefault(entry, len(tape))
-    if slot == len(tape):
-        tape.append(entry)
-    lowered[id(expr)] = slot
+    slot = lowered[id(expr)] = len(tape)
+    tape.append(entry)
     return slot
 
 

@@ -16,13 +16,14 @@ Expressions are hash-consed: building a node equal to a live one
 returns the live object, so a circuit is a DAG holding one object per
 distinct structure.  The intern key is the class, the float fields by
 their bits and the children by identity, so ``0.0`` and ``-0.0`` stay
-two objects and ``to_sexpr`` prints each as it was built.  The intern
+two objects and ``to_sexpr`` prints each as it was built.  The
+interned object is an expression's only identity: ``Expr`` keeps
+``object``'s equality and hash, so ``Relu(0.0, t) != Relu(-0.0, t)``,
+and a copy or a pickle comes back as the interned object.  The intern
 table holds its nodes weakly: an expression nothing else refers to is
-freed.  Each node caches its depth, its free node names (a frozenset)
-and its hash, all computed from its children's cached facts when it is
-built, so ``depth``, ``free_nodes`` and ``hash`` cost O(1).  Equality
-stays structural, with floats compared by value: ``Relu(0.0, t) ==
-Relu(-0.0, t)``, and the hash reads floats by value too.
+freed.  Each node caches its depth and its free node names (a
+frozenset), both computed from its children's cached facts when it is
+built, so ``depth`` and ``free_nodes`` cost O(1).
 
 Construction is one pass per expression.  The helpers (``node``,
 ``relu``, ``recip``, ``prod``) and the class constructors walk their
@@ -32,19 +33,22 @@ as they go; the floats are packed by a ``struct.Struct`` made once per
 count.  A value ``float`` refuses is a ``ValidationError`` naming it,
 from one ``try`` around each conversion loop, which costs nothing when
 every value converts.  Only on a miss is a node built, in one more loop
-over its children that reads their cached depth, hash and free names.
+over its children that reads their cached depth and free names.
 ``substitute`` rebuilds renamed sums and products through the same
 lookup, ``_sum`` and ``_prod``, reusing the source node's converted
 floats and their packed bits.
 
 Each table entry is a weak reference that carries its key, and one
-callback per table drops the entry when its expression is freed.  The
-indicator gadgets are interned the same way: ``ind_eq``, ``ind_le`` and
-``ind_ge`` look their result up in a second weak table keyed by the
-gadget, x by identity and c by its bits (by identity when c is a node),
-so a table compiler that asks for ``ind_eq("p1", 2.0)`` once per prefix
-builds its three relus once.  ``c`` is converted to a float first: an
-int and an equal float give one gadget, ``0.0`` and ``-0.0`` two.
+callback drops the entry when its expression is freed.  The indicator
+gadgets are interned in the same table: ``ind_eq``, ``ind_le`` and
+``ind_ge`` look their result up under a key of the gadget's build
+function, x by identity and c by its bits (by identity when c is a
+node), so a table compiler that asks for ``ind_eq("p1", 2.0)`` once per
+prefix builds its three relus once.  A gadget key begins with a
+function and a node's key with a class, so the two never collide; a
+gadget's result is held under both.  ``c`` is converted to a float
+first: an int and an equal float give one gadget, ``0.0`` and ``-0.0``
+two.
 
 Case selectors (sums of value*condition products) assume nonnegative
 branch values, which holds for every graph this package constructs;
@@ -79,7 +83,6 @@ MACHINE_EPS = 2.0**-32  # indicator window; inputs here are always integers
 
 # key -> _Entry, a weak reference to the live expression built for it
 _INTERNED: dict = {}
-_GADGETS: dict = {}
 _NO_NAMES: frozenset = frozenset()
 
 _new = object.__new__
@@ -87,24 +90,16 @@ _set = object.__setattr__  # Expr.__setattr__ refuses every write
 
 
 class _Entry(weakref.ref):
-    """A table's weak reference to an expression and the key it is under."""
+    """The table's weak reference to an expression and the key it is under."""
 
     __slots__ = ("key",)
 
 
-def _dropper(table: dict):
-    """The one callback of ``table``'s entries: it drops an entry when its
+def _unintern(entry: _Entry) -> None:
+    """The one callback of the table's entries: it drops an entry when its
     expression is freed."""
-
-    def drop(entry: _Entry) -> None:
-        if table.get(entry.key) is entry:  # not bound to a newer expression since
-            del table[entry.key]
-
-    return drop
-
-
-_UNINTERN = _dropper(_INTERNED)
-_UNGADGET = _dropper(_GADGETS)
+    if _INTERNED.get(entry.key) is entry:  # not bound to a newer expression since
+        del _INTERNED[entry.key]
 
 
 class _Packers(dict):
@@ -140,23 +135,13 @@ def collector_paused(fn):
 
 
 class Expr:
-    """An interned, immutable expression node, compared structurally."""
+    """An interned, immutable expression node; equal only to itself."""
 
-    __slots__ = ("_depth", "_free", "_hash", "__weakref__")
+    __slots__ = ("_depth", "_free", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"expressions are immutable; cannot set {name!r}")
@@ -201,12 +186,11 @@ def _sum_fault(bias, terms) -> ValidationError:
     return ValidationError(f"cannot convert the terms {terms!r}")
 
 
-def _keep(obj: Expr, key: tuple, depth: int, free: frozenset, h: int) -> Expr:
+def _keep(obj: Expr, key: tuple, depth: int, free: frozenset) -> Expr:
     """Cache a new node's facts and hold it weakly in the intern table."""
     _set(obj, "_depth", depth)
     _set(obj, "_free", free)
-    _set(obj, "_hash", h)
-    entry = _Entry(obj, _UNINTERN)
+    entry = _Entry(obj, _unintern)
     entry.key = key
     _INTERNED[key] = entry
     return obj
@@ -249,7 +233,7 @@ class Const(Expr):
             return obj
         obj = _new(cls)
         _set(obj, "value", value)
-        return _keep(obj, key, 0, _NO_NAMES, hash((cls, value)))
+        return _keep(obj, key, 0, _NO_NAMES)
 
 
 class Node(Expr):
@@ -270,7 +254,7 @@ def _named(name: str) -> Node:
         return obj
     obj = _new(Node)
     _set(obj, "name", name)
-    return _keep(obj, key, 0, frozenset((name,)), hash(key))
+    return _keep(obj, key, 0, frozenset((name,)))
 
 
 class _WeightedSum(Expr):
@@ -315,18 +299,16 @@ def _sum(cls, key: tuple, bias: float, terms: tuple, packed: bytes) -> Expr:
     entry = _INTERNED.get(key)
     if entry is not None and (obj := entry()) is not None:
         return obj
-    depth, parts, frees = 0, [cls, bias], []
-    for c, e in terms:
+    depth, frees = 0, []
+    for _, e in terms:
         if e._depth > depth:
             depth = e._depth
-        parts.append(c)
-        parts.append(e._hash)
         frees.append(e._free)
     obj = _new(cls)
     _set(obj, "bias", bias)
     _set(obj, "terms", terms)
     _set(obj, "_packed", packed)
-    return _keep(obj, key, depth + 1, _union(frees), hash(tuple(parts)))
+    return _keep(obj, key, depth + 1, _union(frees))
 
 
 class Relu(_WeightedSum):
@@ -373,15 +355,14 @@ def _prod(key: tuple, factors: tuple) -> Expr:
     entry = _INTERNED.get(key)
     if entry is not None and (obj := entry()) is not None:
         return obj
-    depth, parts, frees = 0, [Prod], []
+    depth, frees = 0, []
     for f in factors:
         if f._depth > depth:
             depth = f._depth
-        parts.append(f._hash)
         frees.append(f._free)
     obj = _new(Prod)
     _set(obj, "factors", factors)
-    return _keep(obj, key, depth + 1, _union(frees), hash(tuple(parts)))
+    return _keep(obj, key, depth + 1, _union(frees))
 
 
 # -- construction helpers ---------------------------------------------------
@@ -411,7 +392,8 @@ def prod(*factors) -> Expr:
 
 
 def _gadget(build, x, c) -> Expr:
-    """``build(x, c)`` for a node x, looked up first in the gadget table.
+    """``build(x, c)`` for a node x, looked up first in the intern table
+    under a key that begins with ``build``.
 
     ``c`` is a constant, keyed by its bits, or a node, keyed by identity.
     The gadget reads x and c, so their ids stay valid while the entry
@@ -425,11 +407,11 @@ def _gadget(build, x, c) -> Expr:
         except _NOT_FLOAT:
             raise _not_a_number(c) from None
         key = (build, id(x), _BITS[1](c))
-    entry = _GADGETS.get(key)
+    entry = _INTERNED.get(key)
     if entry is not None and (obj := entry()) is not None:
         return obj
     obj = build(x, c)
-    entry = _GADGETS[key] = _Entry(obj, _UNGADGET)
+    entry = _INTERNED[key] = _Entry(obj, _unintern)
     entry.key = key
     return obj
 

@@ -472,7 +472,10 @@ def small_graphs(draw):
     coef = st.one_of(st.just(1.0), st.floats(-2.0, 2.0))
     bias = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
     pool = [(Node(name), R) for name in names + ["in"]]
-    pool += [(Const(c), c) for c in draw(st.lists(st.floats(0.0, 2.0), max_size=2))]
+    consts = draw(st.lists(st.floats(0.0, 2.0), max_size=2))
+    if draw(st.booleans()):  # signed-zero twins: two objects, a tape slot each
+        consts += [0.0, -0.0]
+    pool += [(Const(c), c) for c in consts]
     pool.append((Relu(draw(bias), ()), 2.0))
 
     def pick():
@@ -518,6 +521,21 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def assert_steps_match_tree_evaluation(graph, streams, tr):
+    """Every node of ``tr``, a full run of ``graph`` on ``streams``, has
+    the bytes of ``evaluate`` over the previous step at every step."""
+    names = [n.name for n in graph.nodes]
+    for t in range(2, tr.total_steps + 1):
+        for b in range(streams.shape[1]):
+            prev = dict(zip(names, tr.values[t - 2, :, b]))
+            for j, spec in enumerate(graph.nodes):
+                got = tr.values[t - 1, j, b]
+                if spec.expr is None:
+                    assert got == streams[t - 1, b]
+                else:
+                    assert same_bits(got, evaluate(spec.expr, prev))
+
+
 class TestKernelDifferential:
     def test_nan_matches_tree_evaluation(self):
         # relu keeps a NaN, as np.maximum does; the NaN fed in is the
@@ -547,16 +565,27 @@ class TestKernelDifferential:
         # through the elementwise reduce: both give the same bytes
         single = full_run(graph, streams[:, 0])
         assert single.values.tobytes() == tr.values[:, :, :1].tobytes()
-        names = [n.name for n in graph.nodes]
-        for t in range(2, tr.total_steps + 1):
-            for b in range(streams.shape[1]):
-                prev = dict(zip(names, tr.values[t - 2, :, b]))
-                for j, spec in enumerate(graph.nodes):
-                    got = tr.values[t - 1, j, b]
-                    if spec.expr is None:
-                        assert got == streams[t - 1, b]
-                    else:
-                        assert same_bits(got, evaluate(spec.expr, prev))
+        assert_steps_match_tree_evaluation(graph, streams, tr)
+
+    def test_signed_zero_twins_match_tree_evaluation(self):
+        # b = pos * 0.0 * -0.0 * neg is -0.0 once x > 0: its -0.0 constant
+        # must not run in the slot of the 0.0 one
+        streams = np.array([[1.0], [2.0], [0.5]])
+        graph = signed_zero_graph()
+        tr = full_run(graph, streams)
+        assert_steps_match_tree_evaluation(graph, streams, tr)
+        assert same_bits(tr.scalar("b", 3), -0.0)
+
+    def test_a_node_s_bytes_ignore_unrelated_nodes(self):
+        # a's 0.0 constant is lowered before b's -0.0 twin
+        streams = np.array([[1.0], [2.0], [0.5]])
+        b = NodeSpec("b", 0.0, prod(Const(-0.0), "x"))
+        alone = [NodeSpec("x", 0.0, None), b]
+        beside = [alone[0], NodeSpec("a", 0.0, prod(Const(0.0), "x")), b]
+        traces = [full_run(RnnGraph(nodes, ("x",), "b", (), 1), streams) for nodes in (alone, beside)]
+        got, want = (tr.values[:, -1].tobytes() for tr in traces)  # b is the last node
+        assert got == want
+        assert all(same_bits(traces[1].scalar("b", t), -0.0) for t in (2, 3))
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_long_weighted_sum_adds_left_to_right(self, batch):
@@ -588,23 +617,30 @@ class TestKernelDifferential:
 # -- differential tests of the tape against a structural lowering -----------
 
 
+def float_bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
 def reference_tape(graph):
     """The tape as lowered through a cache keyed on each subtree's full
-    structure, floats compared by value: a subtree equal to one lowered
-    before reuses that slot, and the first emitted entry wins."""
+    structure, floats by their bits: a subtree equal to one lowered
+    before reuses that slot, and a 0.0 and a -0.0 twin get a slot each.
+    The key is the structure, not the object, so this does not lean on
+    interning."""
     index = {n.name: j for j, n in enumerate(graph.nodes)}
     structures = {}
 
     def structure(e):
         if id(e) not in structures:
             if isinstance(e, Const):
-                s = ("const", e.value)
+                s = ("const", float_bits(e.value))
             elif isinstance(e, Node):
                 s = ("node", e.name)
             elif isinstance(e, Prod):
                 s = ("prod", tuple(structure(f) for f in e.factors))
             else:
-                s = (type(e).__name__, e.bias, tuple((c, structure(x)) for c, x in e.terms))
+                terms = tuple((float_bits(c), structure(x)) for c, x in e.terms)
+                s = (type(e).__name__, float_bits(e.bias), terms)
             structures[id(e)] = s
         return structures[id(e)]
 
@@ -734,12 +770,14 @@ class TestTapeDifferential:
         graph, _ = case
         assert_reference_tape(graph)
 
-    def test_signed_zero_biases_merge_into_the_first(self):
+    def test_signed_zero_twins_keep_their_own_slots(self):
         g = signed_zero_graph()
         assert_reference_tape(g)
         tape = compile_graph(g).tape
-        assert repr(tape[1]) == "(2, -0.0, ((1.0, 0),))"  # the -0.0 sum came first
-        assert len(tape) == 6  # x, the merged sum, a, the merged constant, b, c
+        # x, the -0.0 and the 0.0 sum, a, the 0.0 and the -0.0 constant, b, c
+        assert len(tape) == 8
+        assert repr(tape[1:3]) == "[(2, -0.0, ((1.0, 0),)), (2, 0.0, ((1.0, 0),))]"
+        assert repr(tape[4:7]) == "[(0, 0.0), (0, -0.0), (4, (2, 4, 5, 1))]"
 
 
 class TestScheduleDifferential:

@@ -99,9 +99,9 @@ class TestInterning:
         assert pos is not neg
         assert Const(0.0) is not Const(-0.0)
         assert Relu(1.0, ((0.0, x),)) is not Relu(1.0, ((-0.0, x),))
-        # equality stays structural, with floats compared by value
-        assert pos == neg and hash(pos) == hash(neg)
-        assert Const(0.0) == Const(-0.0)
+        # equality is identity: the twins compare unequal
+        assert pos != neg
+        assert Const(0.0) != Const(-0.0)
         for e, text in [
             (pos, "(relu 0.0 (1.0 (node x)))"),
             (neg, "(relu -0.0 (1.0 (node x)))"),
@@ -111,6 +111,15 @@ class TestInterning:
             back = from_sexpr(text)
             assert back is e
             assert to_sexpr(back) == text
+
+    def test_equality_is_identity(self):
+        # no class compares or hashes by structure: the interned object is
+        # the only identity, and one weak table holds nodes and gadgets
+        kinds = [X.Expr, *X.Expr.__subclasses__(), *X._WeightedSum.__subclasses__()]
+        for kind in kinds:
+            assert "__eq__" not in vars(kind) and "__hash__" not in vars(kind)
+        assert "_hash" not in X.Expr.__slots__
+        assert not hasattr(X, "_GADGETS")
 
     def test_fields_are_normalized_to_float(self):
         assert Relu(1, ((2, Node("x")),)) is relu(1.0, (2.0, "x"))
@@ -155,17 +164,19 @@ class TestInterning:
         for gadget in (ind_eq, ind_le, ind_ge):
             pos, neg = gadget("x", 0.0), gadget("x", -0.0)
             assert pos is not neg
-            assert pos == neg  # structurally equal, floats by value
+            assert pos != neg  # equality is identity
             assert to_sexpr(pos) != to_sexpr(neg)
             assert from_sexpr(to_sexpr(neg)) is neg
 
     def test_dropped_gadgets_leave_the_table(self):
         def entries(name):
-            live = [ref() for ref in X._GADGETS.values()]
+            # one table: gadget keys begin with the build function, class
+            # keys with a class
+            live = [ref() for key, ref in X._INTERNED.items() if not isinstance(key[0], type)]
             assert None not in live  # an entry leaves with its gadget
             return [g for g in live if name in free_nodes(g)]
 
-        before = len(X._GADGETS)
+        before = len(X._INTERNED)
         gadgets = [ind_eq("gadget_probe", 5.0), ind_le("gadget_probe", 2.0)]
         gadgets.append(ind_ge("gadget_probe", 1.0))
         gadgets.append(ind_eq("gadget_probe", "gadget_other"))
@@ -179,7 +190,7 @@ class TestInterning:
         for c in range(500):
             ind_eq("gadget_probe", float(c))
         gc.collect()
-        assert len(X._GADGETS) == before
+        assert len(X._INTERNED) == before
 
     def test_expressions_are_immutable(self):
         e = relu(1.0, (1.0, "x"))
@@ -361,7 +372,7 @@ def has_zero(spec) -> bool:
     return spec[1] == 0.0 or any(c == 0.0 or has_zero(s) for c, s in spec[2])
 
 
-class TestHashEqContract:
+class TestIdentityContract:
     @given(SPECS)
     def test_every_construction_path_agrees(self, spec):
         e = by_helpers(spec)
@@ -370,11 +381,10 @@ class TestHashEqContract:
         renamed = substitute(by_helpers(spec, str.upper), {"A": "a", "B": "b", "C": "c"})
         assert renamed is e
         assert from_sexpr(to_sexpr(e)) is e
-        # signed zeros: equal by value, so equal hashes; two objects iff bits differ
+        # signed zeros: two objects iff bits differ, and equal iff one object
         twin = by_classes(flip_zeros(spec))
-        assert twin == e and e == twin
-        assert hash(twin) == hash(e)
         assert (twin is e) is not has_zero(spec)
+        assert (twin == e) is (e == twin) is (twin is e)
         for x in (e, twin):
             assert depth(x) == tree_depth(x)
             assert free_nodes(x) == tree_free(x)

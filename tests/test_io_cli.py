@@ -20,6 +20,9 @@ from ntpboost.instances import (
     random_text,
     rng_for,
 )
+from ntpboost.rnn.engine import run
+from ntpboost.rnn.expr import relu
+from ntpboost.rnn.graph import NodeSpec, RnnGraph
 from ntpboost.selfboost import Schedule
 from full_trace import full_run
 
@@ -188,6 +191,23 @@ class TestGraphFormat:
         nio.write_json_atomic(path, nio.graph_to_json(lm_to_rnn(text_to_lm(model), 2)))
         with open(path, "rb") as got, open(fixture("model_circuit_n4.json"), "rb") as want:
             assert got.read() == want.read()
+
+    def test_domain_checks_survive_a_round_trip(self, tmp_path):
+        g = RnnGraph(
+            nodes=[NodeSpec("in", 0.0, None), NodeSpec("c", 0.0, relu(0.0, (1.0, "in")))],
+            input_ids=("in",),
+            output_id="c",
+            hidden_ids=(),
+            rnn_time=1,
+            meta={"domain_checks": [("c", [0.0, 1.0])]},
+        )
+        path = tmp_path / "g.json"
+        nio.write_json_atomic(str(path), nio.graph_to_json(g))
+        back = nio.graph_from_json(nio.read_json(str(path)))
+        assert back.meta["domain_checks"] == [["c", [0.0, 1.0]]]
+        for graph in (g, back):
+            with pytest.raises(ValidationError, match="emitted 2.0 at t=3"):
+                run(graph, [0.0, 2.0, 2.0])
 
     def test_hidden_invariant_checked_at_load(self, tmp_path):
         payload = {
