@@ -6,6 +6,7 @@ from .components import build_f1, build_f2, build_g
 from .boosted import (
     ConstructionReport,
     boosted_hidden_formula,
+    boosted_simple_size_formula,
     boosted_size_formula,
     boosted_time_formula,
     build_boosted_rnn,

@@ -1,16 +1,18 @@
 """Assembly of the boosted circuit and the doubling cross-check oracle.
 
-The efficient construction wires the f1, f2, and g components (each with
-its own counters, all in lockstep) into two per-input-loop accumulators
-w1 = sum f1*f2*g1 and w2 = sum f1*f2*g2 over candidate windows, and an
-output node computing their ratio at the end of each input loop.  Node
-counts match the closed-form accounting exactly.
+The efficient construction builds one scaffold (input, counters, token
+store and window counter) and wires the f1, f2 and g components, which
+all read it, into two per-input-loop accumulators w1 = sum f1*f2*g1 and
+w2 = sum f1*f2*g2 over candidate windows, and an output node computing
+their ratio at the end of each input loop.  Node counts match the
+closed-form accounting exactly.
 
 The simple construction keeps two full copies of the model circuit (one
 pinned to the anchor prefix, one scratch) and likewise for the
-distinguisher, copying entire states instead of hidden sets.  It never
-relies on hidden-set sufficiency, which is what makes it an independent
-oracle for the efficient construction.
+distinguisher, copying entire states instead of hidden sets, on a
+scaffold it shares with its g component.  It never relies on hidden-set
+sufficiency, which is what makes it an independent oracle for the
+efficient construction.
 
 ``_full_copy_main`` and ``_full_copy_scratch`` repeat the enumerator's
 H (anchor) and Ht (scratch) case schedules on purpose instead of sharing
@@ -40,8 +42,8 @@ from ..rnn.expr import (
     substitute,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
-from .components import build_f1, build_f2, build_g
-from .enumerator import EnumScaffold, build_scaffold
+from .components import f1_part, f2_part, g_part
+from .enumerator import EnumScaffold, Part, build_scaffold
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,19 @@ class ConstructionReport:
             )
 
 
+# Node counts: the scaffold 2k + 7 (2k + 6 hidden), f1 |Q| + |H_Q| (|H_Q|
+# hidden), f2 |D| + |H_D| (|H_D| hidden), g k + 2, the combiner 3; the
+# doubling construction's four copies 2|Q| + 2|D| - 4, plus u1 and u2.
 def boosted_size_formula(q_size, q_hidden, d_size, d_hidden, k) -> int:
-    return q_size + q_hidden + d_size + d_hidden + 7 * k + 25
+    return q_size + q_hidden + d_size + d_hidden + 3 * k + 12
 
 
 def boosted_hidden_formula(q_hidden, d_hidden, k) -> int:
-    return q_hidden + d_hidden + 6 * k + 17
+    return q_hidden + d_hidden + 2 * k + 6
+
+
+def boosted_simple_size_formula(q_size, d_size, k) -> int:
+    return 2 * q_size + 2 * d_size + 3 * k + 10
 
 
 def boosted_time_formula(base, k, t_q, t_d) -> int:
@@ -88,7 +97,6 @@ def _combiner_nodes(
     f2_out: str,
     g_v1: str,
     g_v2: str,
-    i0_star: int,
 ) -> list[NodeSpec]:
     """Accumulators and the ratio output, clocked off ``sc``'s counters."""
     nm = sc.name
@@ -109,7 +117,7 @@ def _combiner_nodes(
     # denominator gets +1 so the reciprocal can never hit zero while the
     # selector discards the branch
     before_end = ind_eq(nm("w0"), float(sc.period - 1))
-    consuming = prod(before_end, ind_ge(nm("vc"), float(i0_star + 1)))
+    consuming = prod(before_end, ind_ge(nm("vc"), float(sc.i0_star + 1)))
     guarded = recip(1.0, (1.0, node("w2")), (-1.0, consuming))
     cases = [
         (sc.in_initial_phase(), node(f1_out)),
@@ -152,20 +160,14 @@ def build_boosted_rnn(
     _check_readout(q_graph, "Q")
     _check_readout(d_graph, "D")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
-    f1, sc1 = build_f1(q_graph, k, i0_star, tau, base, prefix="f1.")
-    f2, _ = build_f2(d_graph, k, i0_star, alpha, tau, base, prefix="f2.")
-    g, _ = build_g(k, i0_star, tau, base, prefix="g.")
-    v1, v2 = g.meta["pair"]
-
-    nodes = list(f1.nodes) + list(f2.nodes) + list(g.nodes)
-    nodes += _combiner_nodes(sc1, f1.output_id, f2.output_id, v1, v2, i0_star)
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=f1.input_ids + f2.input_ids + g.input_ids,
-        output_id="out",
-        hidden_ids=f1.hidden_ids + f2.hidden_ids + g.hidden_ids,
-        rnn_time=sc1.period,
-        meta=sc1.meta("boosted", alphabet_size=base, alpha=alpha),
+    sc = build_scaffold("c.", base, k, tau, i0_star)
+    f1 = f1_part(q_graph, sc, "f1.")
+    f2 = f2_part(d_graph, sc, alpha, "f2.")
+    g = g_part(sc, "g.")
+    combiner = _combiner_nodes(sc, f1.outputs[0], f2.outputs[0], *g.outputs)
+    graph = sc.graph(
+        f1, f2, g, Part(combiner),
+        output_id="out", kind="boosted", alphabet_size=base, alpha=alpha,
     )
     report = ConstructionReport(
         built_size=graph.size,
@@ -188,9 +190,7 @@ def build_boosted_rnn(
 # the doubling construction
 
 
-def _full_copy_main(
-    g_src: RnnGraph, sc: EnumScaffold, prefix: str, in_name: str
-) -> list[NodeSpec]:
+def _full_copy_main(g_src: RnnGraph, sc: EnumScaffold, prefix: str) -> list[NodeSpec]:
     """Anchor copy of an entire circuit: run in the initial phase and the
     anchor-advance replay, hold otherwise."""
     nm = sc.name
@@ -200,7 +200,7 @@ def _full_copy_main(
     initial = sc.in_initial_phase()
     final_phase = ind_ge(nm("w0"), float(sc.strings * sc.k * sc.tau))
     anchor_moves = ind_eq(nm("u0"), float(sc.k))
-    direct_map = {**names, src_in: in_name}
+    direct_map = {**names, src_in: sc.input}
     replay_maps = [{**names, src_in: nm(f"y{j}")} for j in range(1, sc.k + 1)]
     nodes = []
     for spec in g_src.nodes:
@@ -267,20 +267,18 @@ def build_boosted_rnn_simple(
 ) -> RnnGraph:
     """Doubling construction: full state copies instead of hidden copies.
 
-    Size 2|Q| + 2|D| + 5k + 16; outputs must match build_boosted_rnn at
-    every scheduled instant.
+    Size ``boosted_simple_size_formula``; outputs must match
+    build_boosted_rnn at every scheduled instant.
     """
     for g_src, label in ((q_graph, "model"), (d_graph, "distinguisher")):
         if len(g_src.input_ids) != 1:
             raise PreconditionError(f"{label} circuit must have one input node")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
-    nodes, sc = build_scaffold("c.", base, k, tau, i0_star, "c.in")
+    sc = build_scaffold("c.", base, k, tau, i0_star)
     nm = sc.name
-    q_main = _full_copy_main(q_graph, sc, "qm.", "c.in")
-    d_main = _full_copy_main(d_graph, sc, "dm.", "c.in")
-    # the scaffold's counters and both anchor copies are hidden
-    hidden = [spec.name for spec in nodes[1:] + q_main + d_main]
-    nodes += q_main + _full_copy_scratch(q_graph, sc, "qs.", "qm.")
+    q_main = _full_copy_main(q_graph, sc, "qm.")
+    d_main = _full_copy_main(d_graph, sc, "dm.")
+    nodes = q_main + _full_copy_scratch(q_graph, sc, "qs.", "qm.")
     nodes += d_main + _full_copy_scratch(d_graph, sc, "ds.", "dm.")
 
     q_out_main = "qm." + q_graph.output_id
@@ -305,20 +303,15 @@ def build_boosted_rnn_simple(
     nodes.append(NodeSpec("u1", 1.0, hold("u1", u1_cases)))
     nodes.append(NodeSpec("u2", 1.0, exp_binary(-alpha, d_out_scr)))
 
-    g, _ = build_g(k, i0_star, tau, base, prefix="g.")
-    nodes += list(g.nodes)
-    v1, v2 = g.meta["pair"]
-    nodes += _combiner_nodes(sc, "u1", "u2", v1, v2, i0_star)
-
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=("c.in",) + g.input_ids,
-        output_id="out",
-        hidden_ids=tuple(hidden) + g.hidden_ids,
-        rnn_time=sc.period,
-        meta=sc.meta("boosted_simple", alphabet_size=base, alpha=alpha),
+    g = g_part(sc, "g.")
+    combiner = _combiner_nodes(sc, "u1", "u2", *g.outputs)
+    # of the copies, u1 and u2, both anchor copies are hidden
+    copies = Part(tuple(nodes), tuple(spec.name for spec in q_main + d_main))
+    graph = sc.graph(
+        copies, g, Part(combiner),
+        output_id="out", kind="boosted_simple", alphabet_size=base, alpha=alpha,
     )
-    expect = 2 * q_graph.size + 2 * d_graph.size + 5 * k + 16
+    expect = boosted_simple_size_formula(q_graph.size, d_graph.size, k)
     if graph.size != expect:
         raise ValidationError(
             f"simple-construction accounting broken: {graph.size} != {expect}"

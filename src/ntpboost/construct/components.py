@@ -6,11 +6,13 @@ window's conditional probability at the end of each string loop.  f2
 does the same around the distinguisher circuit and exponentiates.  The
 g module compares the enumerated window against the realized tokens
 stored since the anchor, producing the two prefix-match indicators.
+Each is a ``Part`` on the scaffold it is given; ``build_f1``,
+``build_f2`` and ``build_g`` give one a scaffold of its own.
 """
 
 from __future__ import annotations
 
-from ..errors import PreconditionError, ValidationError
+from ..errors import PreconditionError
 from ..rnn.expr import (
     const,
     exp_binary,
@@ -23,115 +25,70 @@ from ..rnn.expr import (
     relu,
 )
 from ..rnn.graph import NodeSpec, RnnGraph
-from .enumerator import EnumScaffold, build_scaffold, build_sync_enumerator
+from .enumerator import EnumScaffold, Part, build_scaffold, enumerator_part
 
 
-def _enumerated(
-    src: RnnGraph, inner: RnnGraph, sc: EnumScaffold, out: NodeSpec, **meta
-) -> RnnGraph:
-    """The enumerator ``inner`` around ``src`` with ``out`` appended as
-    output; the size is checked against |src| + |H_src| + 2k + 7."""
-    graph = RnnGraph(
-        nodes=[*inner.nodes, out],
-        input_ids=inner.input_ids,
-        output_id=out.name,
-        hidden_ids=inner.hidden_ids,
-        rnn_time=inner.rnn_time,
-        meta={**inner.meta, **meta},
-    )
-    expect = src.size + src.hidden_size + 2 * sc.k + 7
-    if graph.size != expect:
-        raise ValidationError(
-            f"{meta['kind']} accounting broken: {graph.size} != {expect}"
-        )
-    return graph
-
-
-def build_f1(
-    q_graph: RnnGraph,
-    k: int,
-    i0_star: int,
-    tau: int,
-    base: int,
-    prefix: str = "f1.",
-) -> tuple[RnnGraph, EnumScaffold]:
-    """Window-probability circuit: q(z | anchor prefix) per string loop.
+def f1_part(q_graph: RnnGraph, sc: EnumScaffold, prefix: str) -> Part:
+    """Window-probability part: q(z | anchor prefix) per string loop.
 
     Output instants: i*T_U - 1 holds q(x_i | x_{:i}) for i <= offset;
     (i-1)*T_U + j*k*tau - 1 holds q(z^(j) | anchor prefix) afterwards.
-    Size |Q| + |H_Q| + 2k + 7; hidden unchanged from the enumerator.
+    |Q| + |H_Q| nodes: the enumerator's and the output ``out``.
     """
-    if tau < q_graph.rnn_time + 4:
+    if sc.tau < q_graph.rnn_time + 4:
         raise PreconditionError(
-            f"need tau >= T_Q + 4 = {q_graph.rnn_time + 4}, got {tau}"
+            f"need tau >= T_Q + 4 = {q_graph.rnn_time + 4}, got {sc.tau}"
         )
-    inner, sc = build_sync_enumerator(q_graph, k, i0_star, tau, base, prefix)
+    u = enumerator_part(q_graph, sc, prefix)
     nm = sc.name
-    vq = inner.output_id
-    initial = sc.in_initial_phase()
-    acc = nm("out")
+    vq = u.outputs[0]
+    acc = prefix + "out"
     cases = [
-        (prod(ind_eq(nm("w0"), float(sc.period - 2)), initial), node(vq)),
+        (prod(ind_eq(nm("w0"), float(sc.period - 2)), sc.in_initial_phase()), node(vq)),
         (
-            prod(sc.at_string_start_next(), ind_ge(nm("vc"), float(i0_star))),
+            prod(sc.at_string_start_next(), ind_ge(nm("vc"), float(sc.i0_star))),
             const(1.0),
         ),
         (
-            prod(ind_eq(nm("w"), float(tau - 2)), ind_ge(nm("vc"), float(i0_star + 1))),
+            prod(
+                ind_eq(nm("w"), float(sc.tau - 2)),
+                ind_ge(nm("vc"), float(sc.i0_star + 1)),
+            ),
             prod(node(acc), node(vq)),
         ),
     ]
     out = NodeSpec(acc, 1.0, hold(acc, cases))
-    return _enumerated(q_graph, inner, sc, out, kind="f1_window_probability"), sc
+    return Part((*u.nodes, out), u.hidden, (acc,))
 
 
-def build_f2(
-    d_graph: RnnGraph,
-    k: int,
-    i0_star: int,
-    alpha: float,
-    tau: int,
-    base: int,
-    prefix: str = "f2.",
-) -> tuple[RnnGraph, EnumScaffold]:
-    """Reweighting circuit: exp(-alpha * d(anchor+1, prefix . z)).
+def f2_part(d_graph: RnnGraph, sc: EnumScaffold, alpha: float, prefix: str) -> Part:
+    """Reweighting part: exp(-alpha * d(anchor+1, prefix . z)).
 
-    Output instants: (i-1)*T_U + j*k*tau - 1.  Size |D| + |H_D| + 2k + 7.
+    Output instants: (i-1)*T_U + j*k*tau - 1.  |D| + |H_D| nodes.
     """
-    inner, sc = build_sync_enumerator(d_graph, k, i0_star, tau, base, prefix)
-    out = NodeSpec(sc.name("out"), 1.0, exp_binary(-alpha, inner.output_id))
-    graph = _enumerated(
-        d_graph, inner, sc, out, kind="f2_exp_distinguisher", alpha=alpha
-    )
-    return graph, sc
+    u = enumerator_part(d_graph, sc, prefix)
+    out = NodeSpec(prefix + "out", 1.0, exp_binary(-alpha, u.outputs[0]))
+    return Part((*u.nodes, out), u.hidden, (out.name,))
 
 
-def build_g(
-    k: int,
-    i0_star: int,
-    tau: int,
-    base: int,
-    prefix: str = "g.",
-) -> tuple[RnnGraph, EnumScaffold]:
-    """Indicator circuit: window-vs-realized prefix matches g1 and g2.
+def g_part(sc: EnumScaffold, prefix: str) -> Part:
+    """Indicator part: window-vs-realized prefix matches g1 and g2.
 
-    Nodes v1 and v2 hold, from the fourth step of each string loop,
+    Outputs v1 and v2 hold, from the fourth step of each string loop,
     [z^(j)_{:r0+1} = x_{anchor+1:i+1}] and the same with r0 - 1.
-    Size 3k + 8; hidden 2k + 5.
+    k + 2 nodes, none hidden.
     """
-    if tau < 4:
-        raise PreconditionError(f"need tau >= 4, got {tau}")
-    nodes, sc = build_scaffold(
-        prefix, base, k, tau, i0_star, prefix + "in", include_vc=False
-    )
+    if sc.tau < 4:
+        raise PreconditionError(f"need tau >= 4, got {sc.tau}")
     nm = sc.name
-    hidden = tuple(spec.name for spec in nodes[1:])
+    k = sc.k
+    nodes = []
 
     # per-slot agreement between stored tokens and the window counter;
     # string character l is counter digit k+1-l
     for l in range(1, k + 1):
         agree = ind_eq(nm(f"y{l}"), nm(f"e{k + 1 - l}"))
-        nodes.append(NodeSpec(nm(f"m{l}"), 0.0, agree))
+        nodes.append(NodeSpec(prefix + f"m{l}", 0.0, agree))
 
     update_gate = prod(
         ind_eq(nm("w"), 3.0),
@@ -143,26 +100,59 @@ def build_g(
         factors = [
             relu(
                 0.0,
-                (1.0, prod(node(nm(f"m{l}")), ind_ge(nm("u0"), float(l + lag)))),
+                (1.0, prod(node(prefix + f"m{l}"), ind_ge(nm("u0"), float(l + lag)))),
                 (1.0, ind_le(nm("u0"), float(l + lag - 1))),
             )
             for l in range(1, k + 1)
         ]
         cases = [(update_gate, prod(*factors))]
-        nodes.append(NodeSpec(nm(v), 0.0, hold(nm(v), cases)))
+        nodes.append(NodeSpec(prefix + v, 0.0, hold(prefix + v, cases)))
 
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=(nodes[0].name,),
-        output_id=nm("v1"),
-        hidden_ids=hidden,
-        rnn_time=sc.period,
-        meta=sc.meta("g_indicators", pair=(nm("v1"), nm("v2"))),
+    return Part(tuple(nodes), (), (prefix + "v1", prefix + "v2"))
+
+
+def build_f1(
+    q_graph: RnnGraph,
+    k: int,
+    i0_star: int,
+    tau: int,
+    base: int,
+    prefix: str = "f1.",
+) -> tuple[RnnGraph, EnumScaffold]:
+    """``f1_part`` on a scaffold of its own, both under ``prefix``."""
+    sc = build_scaffold(prefix, base, k, tau, i0_star)
+    f1 = f1_part(q_graph, sc, prefix)
+    return sc.graph(f1, output_id=f1.outputs[0], kind="f1_window_probability"), sc
+
+
+def build_f2(
+    d_graph: RnnGraph,
+    k: int,
+    i0_star: int,
+    alpha: float,
+    tau: int,
+    base: int,
+    prefix: str = "f2.",
+) -> tuple[RnnGraph, EnumScaffold]:
+    """``f2_part`` on a scaffold of its own, both under ``prefix``."""
+    sc = build_scaffold(prefix, base, k, tau, i0_star)
+    f2 = f2_part(d_graph, sc, alpha, prefix)
+    graph = sc.graph(
+        f2, output_id=f2.outputs[0], kind="f2_exp_distinguisher", alpha=alpha
     )
-    if graph.size != 3 * k + 8:
-        raise ValidationError(f"g accounting broken: {graph.size} != {3 * k + 8}")
-    if graph.hidden_size != 2 * k + 5:
-        raise ValidationError(
-            f"g hidden accounting broken: {graph.hidden_size} != {2 * k + 5}"
-        )
+    return graph, sc
+
+
+def build_g(
+    k: int,
+    i0_star: int,
+    tau: int,
+    base: int,
+    prefix: str = "g.",
+) -> tuple[RnnGraph, EnumScaffold]:
+    """``g_part`` on a scaffold of its own, both under ``prefix``; the
+    meta's ``pair`` names v1 and v2."""
+    sc = build_scaffold(prefix, base, k, tau, i0_star)
+    g = g_part(sc, prefix)
+    graph = sc.graph(g, output_id=g.outputs[0], kind="g_indicators", pair=g.outputs)
     return graph, sc

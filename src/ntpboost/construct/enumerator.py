@@ -8,7 +8,10 @@ mirrored hidden copy.  One input loop lasts (|Sigma|^k + 1) * k * tau
 steps: |Sigma|^k string loops of k digit loops (tau steps each), then a
 null phase in which the anchor copy catches up when the anchor moves.
 
-Node inventory (one namespace prefix per instantiation):
+A circuit has one scaffold (``build_scaffold``, 2k + 7 nodes under one
+prefix), and each of its enumerating components reads it and adds only
+its own nodes, a ``Part``.  Scaffold nodes:
+  in  the input node, the circuit's only one
   w0  step counter inside the input loop, range [1, T_U]
   u0  current index minus latest anchor, range [1, k]
   w   step counter inside the digit loop, range [1, tau]
@@ -17,23 +20,22 @@ Node inventory (one namespace prefix per instantiation):
   y1..yk     tokens since the anchor (raw token values)
   e1..ek,ve  base-|Sigma| window counter (e1 least significant) and the
              digit emitter feeding the scratch copy
-  H.*  mirror of Q's hidden set pinned to the anchor prefix
+All but the input are hidden.  The enumerator of Q adds, under its own
+prefix, |Q| + |H_Q| - 1 nodes, |H_Q| of them hidden:
+  H.*  mirror of Q's hidden set pinned to the anchor prefix (hidden)
   Ht.* scratch mirror consuming emitted digits
   R.*  mirror of Q's remaining nodes, recomputed per digit loop
 
 Every node but ve is an ``rnn.expr`` gadget: w0 and w are ``cycle``s,
 u0 and u gated ``cycle``s, vc a ``saturate``, and y, e and the mirrors
 ``hold``s.
-
-Sizes come out to |Q| + |H_Q| + 2k + 6 total with |H_Q| + 2k + 6 hidden,
-and both are asserted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from ..errors import PreconditionError, ValidationError
+from ..errors import PreconditionError
 from ..rnn.expr import (
     base_c_increment,
     const,
@@ -54,8 +56,18 @@ MAX_WINDOW_ENUM = 4096
 
 
 @dataclass(frozen=True)
+class Part:
+    """Nodes a component adds to the scaffold it reads: all of them, the
+    names of the hidden ones, and the names of its outputs."""
+
+    nodes: tuple[NodeSpec, ...]
+    hidden: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class EnumScaffold:
-    """Names and timing constants of one enumerator instantiation."""
+    """Nodes, names and timing constants of one circuit's scaffold."""
 
     prefix: str
     base: int
@@ -63,10 +75,15 @@ class EnumScaffold:
     tau: int
     i0_star: int
     period: int  # T_U
+    nodes: tuple[NodeSpec, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def strings(self) -> int:
         return self.base**self.k
+
+    @property
+    def input(self) -> str:
+        return self.name("in")
 
     def name(self, raw: str) -> str:
         return self.prefix + raw
@@ -87,71 +104,66 @@ class EnumScaffold:
     def in_initial_phase(self):
         return ind_le(self.name("vc"), float(self.i0_star))
 
-    def meta(self, kind: str, **extra) -> dict:
-        """Meta of a graph clocked by this scaffold, with ``extra`` added."""
-        return {
-            "kind": kind,
-            "schedule": "multiples",
-            "k": self.k,
-            "tau": self.tau,
-            "base": self.base,
-            "i0_star": self.i0_star,
-            **extra,
-            "depth_bound": 20,
-        }
-
-
-def timing_constants(base: int, k: int, tau: int) -> int:
-    strings = base**k
-    if strings > MAX_WINDOW_ENUM:
-        raise PreconditionError(
-            f"|Sigma|^k = {strings} exceeds the enumeration guard "
-            f"{MAX_WINDOW_ENUM}"
+    def graph(self, *parts: Part, output_id: str, kind: str, **extra) -> RnnGraph:
+        """The scaffold and ``parts`` as one graph: the scaffold's input is
+        its only input, and the scaffold's other nodes and every part's
+        hidden nodes are its hidden set.  ``extra`` joins the meta."""
+        return RnnGraph(
+            nodes=[*self.nodes, *(spec for part in parts for spec in part.nodes)],
+            input_ids=(self.input,),
+            output_id=output_id,
+            hidden_ids=tuple(spec.name for spec in self.nodes[1:])
+            + tuple(name for part in parts for name in part.hidden),
+            rnn_time=self.period,
+            meta={
+                "kind": kind,
+                "schedule": "multiples",
+                "k": self.k,
+                "tau": self.tau,
+                "base": self.base,
+                "i0_star": self.i0_star,
+                **extra,
+                "depth_bound": 20,
+            },
         )
-    return (strings + 1) * k * tau
 
 
 def build_scaffold(
-    prefix: str,
-    base: int,
-    k: int,
-    tau: int,
-    i0_star: int,
-    input_name: str,
-    include_vc: bool = True,
-) -> tuple[list[NodeSpec], EnumScaffold]:
-    """Input, counter, storage and enumerator nodes shared by all constructions.
+    prefix: str, base: int, k: int, tau: int, i0_star: int
+) -> EnumScaffold:
+    """The input, counter, storage and enumerator nodes of one circuit.
 
-    The first node is the input ``input_name``; every later one is
+    The first node is the input ``prefix + "in"``; every later one is
     hidden.
     """
     if not 0 <= i0_star <= k - 1:
         raise PreconditionError(f"offset {i0_star} outside [0, {k - 1}]")
-    period = timing_constants(base, k, tau)
-    sc = EnumScaffold(prefix, base, k, tau, i0_star, period)
+    B = base**k
+    if B > MAX_WINDOW_ENUM:
+        raise PreconditionError(
+            f"|Sigma|^k = {B} exceeds the enumeration guard {MAX_WINDOW_ENUM}"
+        )
+    sc = EnumScaffold(prefix, base, k, tau, i0_star, (B + 1) * k * tau)
     nm = sc.name
-    B = sc.strings
 
     # u0 bumps at loop ends; u bumps one step before w wraps, naming the
     # digit of the coming step
     u0_init = 1.0 if i0_star == 0 else float(k + 1 - i0_star)
     before_wrap = ind_eq(nm("w"), tau - 1.0)
     nodes = [
-        NodeSpec(input_name, 0.0, None),
-        NodeSpec(nm("w0"), 1.0, cycle(nm("w0"), period)),
+        NodeSpec(sc.input, 0.0, None),
+        NodeSpec(nm("w0"), 1.0, cycle(nm("w0"), sc.period)),
         NodeSpec(nm("u0"), u0_init, cycle(nm("u0"), k, sc.at_loop_end())),
         NodeSpec(nm("w"), 1.0, cycle(nm("w"), tau)),
         NodeSpec(nm("u"), 1.0, cycle(nm("u"), k, before_wrap)),
+        NodeSpec(nm("vc"), 1.0, saturate(nm("vc"), i0_star + 1, sc.at_loop_end())),
     ]
-    if include_vc:
-        vc = saturate(nm("vc"), i0_star + 1, sc.at_loop_end())
-        nodes.append(NodeSpec(nm("vc"), 1.0, vc))
 
     # Y: tokens since the anchor; cleared when the anchor moves
     clear = prod(sc.at_loop_end(), ind_eq(nm("u0"), float(k)))
     for j in range(1, k + 1):
         store = prod(ind_eq(nm("w0"), 1.0), ind_eq(nm("u0"), float(j)))
-        cases = [(clear, const(0.0)), (store, node(input_name))]
+        cases = [(clear, const(0.0)), (store, node(sc.input))]
         nodes.append(NodeSpec(nm(f"y{j}"), 0.0, hold(nm(f"y{j}"), cases)))
 
     # E: base-|Sigma| window counter, bumped at the second-to-last step of
@@ -178,24 +190,17 @@ def build_scaffold(
             ),
         )
     )
-    return nodes, sc
+    return replace(sc, nodes=tuple(nodes))
 
 
-def build_sync_enumerator(
-    q_graph: RnnGraph,
-    k: int,
-    i0_star: int,
-    tau: int,
-    base: int,
-    prefix: str = "",
-) -> tuple[RnnGraph, EnumScaffold]:
-    """Synchronized-enumeration circuit U wrapped around Q.
+def enumerator_part(q_graph: RnnGraph, sc: EnumScaffold, prefix: str) -> Part:
+    """Q's mirrors on the scaffold ``sc``, named under ``prefix``.
 
     Requires tau >= T_Q + 2; Q must have a single input node and a
-    non-hidden output.  The returned graph has size |Q| + |H_Q| + 2k + 6
-    and hidden size |H_Q| + 2k + 6, both asserted.
+    non-hidden output.  The part's output is the R mirror of Q's output.
     """
     t_q = q_graph.rnn_time
+    k, tau = sc.k, sc.tau
     if tau < t_q + 2:
         raise PreconditionError(f"need tau >= T_inner + 2 = {t_q + 2}, got {tau}")
     if len(q_graph.input_ids) != 1:
@@ -210,17 +215,14 @@ def build_sync_enumerator(
         for n in q_graph.nodes
         if n.name not in q_graph.hidden_ids and n.name != q_in
     ]
-    nm = lambda raw: prefix + raw
-    in_name = nm("in")
-
-    nodes, sc = build_scaffold(prefix, base, k, tau, i0_star, in_name)
-    hidden_ids = [spec.name for spec in nodes[1:]]
+    nm = sc.name
     B, period = sc.strings, sc.period
     spec_of = q_graph.node_map()
+    nodes = []
 
-    mirror_h = {h: nm("H.") + h for h in hidden_q}
-    mirror_ht = {h: nm("Ht.") + h for h in hidden_q}
-    mirror_r = {r: nm("R.") + r for r in rest_q}
+    mirror_h = {h: prefix + "H." + h for h in hidden_q}
+    mirror_ht = {h: prefix + "Ht." + h for h in hidden_q}
+    mirror_r = {r: prefix + "R." + r for r in rest_q}
 
     run_window_h = ind_le(nm("w"), float(t_q))  # anchor-copy replay RUNs
     run_window = ind_le(nm("w"), float(t_q - 1))  # per-digit RUNs
@@ -230,7 +232,7 @@ def build_sync_enumerator(
     initial = sc.in_initial_phase()
 
     # H: anchor-prefix mirror of Q's hidden set
-    direct_map = {**mirror_h, q_in: in_name}
+    direct_map = {**mirror_h, q_in: sc.input}
     replay_maps = [{**mirror_h, q_in: nm(f"y{j}")} for j in range(1, k + 1)]
     for h in hidden_q:
         spec = spec_of[h]
@@ -269,7 +271,7 @@ def build_sync_enumerator(
 
     # R: readout mirror, reset per string loop
     r_map = {**mirror_ht, **mirror_r, q_in: nm("ve")}
-    d_map = {**mirror_h, **mirror_r, q_in: in_name}
+    d_map = {**mirror_h, **mirror_r, q_in: sc.input}
     for r in rest_q:
         spec = spec_of[r]
         scratch = substitute(spec.expr, r_map)
@@ -284,21 +286,26 @@ def build_sync_enumerator(
         ]
         nodes.append(NodeSpec(mirror_r[r], 0.0, hold(mirror_r[r], cases)))
 
-    graph = RnnGraph(
-        nodes=nodes,
-        input_ids=(in_name,),
-        output_id=mirror_r[q_graph.output_id],
-        hidden_ids=tuple(hidden_ids + list(mirror_h.values())),
-        rnn_time=period,
-        meta=sc.meta("sync_enumerator", T_inner=t_q),
+    return Part(
+        tuple(nodes), tuple(mirror_h.values()), (mirror_r[q_graph.output_id],)
     )
-    expect_size = q_graph.size + q_graph.hidden_size + 2 * k + 6
-    expect_hidden = q_graph.hidden_size + 2 * k + 6
-    if graph.size != expect_size or graph.hidden_size != expect_hidden:
-        raise ValidationError(
-            f"enumerator accounting broken: size {graph.size} vs {expect_size}, "
-            f"hidden {graph.hidden_size} vs {expect_hidden}"
-        )
+
+
+def build_sync_enumerator(
+    q_graph: RnnGraph,
+    k: int,
+    i0_star: int,
+    tau: int,
+    base: int,
+    prefix: str = "",
+) -> tuple[RnnGraph, EnumScaffold]:
+    """Synchronized-enumeration circuit U: Q's mirrors on a scaffold of
+    their own, both under ``prefix``."""
+    sc = build_scaffold(prefix, base, k, tau, i0_star)
+    u = enumerator_part(q_graph, sc, prefix)
+    graph = sc.graph(
+        u, output_id=u.outputs[0], kind="sync_enumerator", T_inner=q_graph.rnn_time
+    )
     return graph, sc
 
 

@@ -160,8 +160,8 @@ def test_criterion_3_compiled_boost(compiled_matrix):
     start = time.monotonic()
     worst = 0.0
     for n, k, q, D, res, graph, rep, docs, outs in instances:
-        assert rep.built_size == q.size + q.hidden_size + D.size + D.hidden_size + 7 * k + 25
-        assert rep.built_hidden == q.hidden_size + D.hidden_size + 6 * k + 17
+        assert rep.built_size == q.size + q.hidden_size + D.size + D.hidden_size + 3 * k + 12
+        assert rep.built_hidden == q.hidden_size + D.hidden_size + 2 * k + 6
         assert rep.built_time == (2**k + 1) * k * (max(q.rnn_time, D.rnn_time) + 4)
         for col in range(docs.shape[1]):
             doc = tuple(int(x) for x in docs.T[col])

@@ -163,8 +163,8 @@ class TestDroppedCircuitsAreFreed:
         doubling = build_boosted_rnn_simple(*args)
         with_both = table_size()
         # one table: node entries and gadget entries together
-        assert with_efficient - before == 1138
-        assert with_both - with_efficient == 902
+        assert with_efficient - before == 864
+        assert with_both - with_efficient == 706
         del efficient, doubling
         assert_freed(before)
 

@@ -16,6 +16,7 @@ from ntpboost import io as nio
 from ntpboost.boosting import boost_text
 from ntpboost.construct import (
     boosted_hidden_formula,
+    boosted_simple_size_formula,
     boosted_size_formula,
     boosted_time_formula,
     build_boosted_rnn,
@@ -51,6 +52,7 @@ from ntpboost.fixedpoint import (
     FixedPointFormat,
     build_boosted_rnn_quantized,
     minimal_fraction_bits,
+    quantized_run,
 )
 from ntpboost.families import one_prefix_table_family, product_window_family
 from ntpboost.instances import (
@@ -334,8 +336,9 @@ class TestSyncEnumerator:
         q = lm_to_rnn(lm, 2)
         tau = q.rnn_time + 4
         U, sc = build_sync_enumerator(q, k, i0_star, tau, base=2, prefix="u.")
-        assert U.size == q.size + q.hidden_size + 2 * k + 6
-        assert U.hidden_size == q.hidden_size + 2 * k + 6
+        # the enumerator's own nodes, on top of its scaffold
+        assert U.size - len(sc.nodes) == q.size + q.hidden_size - 1
+        assert U.hidden_size - (len(sc.nodes) - 1) == q.hidden_size
 
         def g_q(prefix):
             m = len(prefix)
@@ -391,7 +394,7 @@ class TestComponents:
         n, k, i0_star = 4, 2, 1
         t, lm, d, q, D, tau = self.setup_instance(547)
         f1, sc = build_f1(q, k, i0_star, tau, 2)
-        assert f1.size == q.size + q.hidden_size + 2 * k + 7
+        assert f1.size - len(sc.nodes) == q.size + q.hidden_size
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
         tr = full_run(f1, docs)
@@ -422,7 +425,7 @@ class TestComponents:
         n, k, i0_star, alpha = 4, 2, 1, 0.35
         t, lm, d, q, D, tau = self.setup_instance(557)
         f2, sc = build_f2(D, k, i0_star, alpha, tau, 2)
-        assert f2.size == D.size + D.hidden_size + 2 * k + 7
+        assert f2.size - len(sc.nodes) == D.size + D.hidden_size
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
         tr = full_run(f2, docs)
@@ -492,35 +495,40 @@ class TestSizeFormulas:
         assert 10 + 3 + 2 * 2 + 7 == 24
 
     def test_boosted_size_arithmetic(self):
-        assert boosted_size_formula(10, 3, 5, 2, 2) == 59
-        assert boosted_hidden_formula(3, 2, 2) == 34
+        assert boosted_size_formula(10, 3, 5, 2, 2) == 38
+        assert boosted_hidden_formula(3, 2, 2) == 15
         assert boosted_time_formula(2, 2, 3, 1) == 70
+        assert boosted_simple_size_formula(10, 5, 2) == 46
 
     def test_g_size(self):
+        # g's own nodes, on top of its scaffold; none of them is hidden
         for k in (1, 2, 3):
-            g, _ = build_g(k, 0, 6, 2)
-            assert g.size == 3 * k + 8
-            assert g.hidden_size == 2 * k + 5
+            g, sc = build_g(k, 0, 6, 2)
+            assert g.size - len(sc.nodes) == k + 2
+            assert g.hidden_size == len(sc.nodes) - 1
 
 
 class TestScaffoldHidden:
     def test_scaffold_nodes_after_the_input_are_hidden(self):
-        # every node build_scaffold returns after the input is hidden in
-        # each graph built on it
+        # every graph holds the nodes of one scaffold: its input is the
+        # graph's only input and every later scaffold node is hidden
         p, qt, res, q, D = build_instance(631, 4, 2)
-        tau = q.rnn_time + 4
+        tau = max(q.rnn_time, D.rnn_time) + 4
+        args = (q, D, 2, res.alpha, 1, 2)
         builds = [
-            ("u.", True, build_sync_enumerator(q, 2, 1, tau, 2, prefix="u.")[0]),
-            ("g.", False, build_g(2, 1, tau, 2, prefix="g.")[0]),
-            ("c.", True, build_boosted_rnn_simple(q, D, 2, res.alpha, 1, 2)),
+            ("u.", build_sync_enumerator(q, 2, 1, tau, 2, prefix="u.")[0]),
+            ("g.", build_g(2, 1, tau, 2, prefix="g.")[0]),
+            ("c.", build_boosted_rnn(*args)[0]),
+            ("c.", build_boosted_rnn_simple(*args)),
         ]
-        for prefix, include_vc, graph in builds:
-            nodes, _ = build_scaffold(prefix, 2, 2, tau, 1, prefix + "in", include_vc)
-            assert nodes[0].expr is None and nodes[0].name in graph.input_ids
-            assert len(nodes) == 2 * 2 + 6 + include_vc
+        for prefix, graph in builds:
+            sc = build_scaffold(prefix, 2, 2, tau, 1)
+            assert len(sc.nodes) == 2 * 2 + 7 and sc.nodes[0].expr is None
+            assert graph.input_ids == (sc.input,)
             specs = graph.node_map()
-            for spec in nodes[1:]:
+            for spec in sc.nodes[1:]:
                 assert specs[spec.name] == spec and spec.name in graph.hidden_ids
+        assert pinned_quantized().graph.input_ids == ("c.in",)
 
 
 def build_instance(seed, n, k):
@@ -627,13 +635,36 @@ class TestSimpleConstruction:
         p, qt, res, q, D = build_instance(623, 4, 2)
         Qp, _ = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
         Qs = build_boosted_rnn_simple(q, D, 2, res.alpha, res.offset, 2)
-        assert Qs.size == 2 * q.size + 2 * D.size + 5 * 2 + 16
+        assert Qs.size == 2 * q.size + 2 * D.size + 3 * 2 + 10
         simple_minus_eff = Qs.size - Qp.size
         # with |Q| = |D| = n + 3 and hidden n + 2 the doubling construction
         # is smaller until q grows beyond its hidden set; record the margin
         assert simple_minus_eff == (q.size - q.hidden_size) + (
             D.size - D.hidden_size
-        ) + (5 * 2 + 16) - (7 * 2 + 25)
+        ) + (3 * 2 + 10) - (3 * 2 + 12)
+
+
+class TestDoublingChain:
+    def test_boost_2_takes_the_boost_1_circuit_as_it_is(self):
+        # the chain recipe at n=3, k=2: a boosted circuit has one input
+        # node, so it is the next boost's Q without renaming any node
+        n, k = 3, 2
+        rng = rng_for(7)
+        p, qt = random_text(B2, n, rng), random_text(B2, n, rng)
+        q = lm_to_rnn(text_to_lm(qt), 2)
+        for _ in range(2):
+            res = boost_text(p, qt, random_prefix_window_distinguisher(B2, n, k, rng))
+            d = distinguisher_to_rnn(res.applied, B2, 2)
+            args = (q, d, k, res.alpha, res.offset, 2)
+            boosted = build_boosted_rnn_simple(*args)
+            assert boosted.size == boosted_simple_size_formula(q.size, d.size, k)
+            assert len(boosted.input_ids) == 1
+            q, qt = boosted, res.q_boosted
+        outs = run(q, all_docs(n)).values[:, 0, :]
+        assert np.max(np.abs(outs - res.lm_boosted.conditionals())) < 1e-9
+        # the efficient construction copies hidden sets only
+        with pytest.raises(PreconditionError, match="Q node 'qs.w'"):
+            build_boosted_rnn(*args)
 
 
 class TestHiddenSufficiency:
@@ -753,21 +784,24 @@ class TestMidTokenScrub:
 # did not move.  All of them were re-pinned once when every counter became
 # a ``cycle`` or ``saturate`` gadget: the step counters wrap at their top
 # and share that indicator, so the tapes are shorter, with the same node
-# counts and outputs.
+# counts and outputs.  The boosted digests were re-pinned once more when
+# each boosted circuit got one scaffold that all its components read: the
+# graphs have fewer nodes and one input node, with the same outputs
+# (OUTPUT_DIGESTS).
 BUILD_DIGESTS = {
     (601, "lm_to_rnn"): "39db17c1b0f9b9d7a000a6642d8e0c37e8ccb3e0fb051fbf8fc0d84aab6ed5d3",
     (601, "distinguisher_to_rnn"): "72a33ef72fc11e28b4dd70ec5bd2044c5cefbded7f8f8481ec6d93a4aba80c0d",
-    (601, "build_boosted_rnn"): "2c00fe6c56bd63a0ecbd6523395aaaac26621c5711d49f7fc375fda86dcf3ba8",
-    (601, "build_boosted_rnn_simple"): "eece7f5cfc9c11d05a111abeb78e260cd86005bc40d5f89da11a80a414aa3d32",
+    (601, "build_boosted_rnn"): "163651c89ba8ec6f038a1e5940608e14c8a2a3e2ab742541d3eca6b09a114bc8",
+    (601, "build_boosted_rnn_simple"): "8c749bf92025a91b9e1f54ad9de533e154bb95d42818f9865a5a262f5b62aec2",
     (602, "lm_to_rnn"): "1f53e114a10741d1192167601b95579c756d98e193be94a4b091805648df7ee5",
     (602, "distinguisher_to_rnn"): "dbfe731ba1e1556dc7d0ff3289510fe03cba71575136dd515d81f84835acc27d",
-    (602, "build_boosted_rnn"): "515c05f95b517fd14a6a73e91e59aaf65b0e6717da64f83c09d252886cf921bf",
-    (602, "build_boosted_rnn_simple"): "3b75ce7a6d1d1294fc34a13754458e2febce6fe2db7b214ffd5bed5ead25a4af",
+    (602, "build_boosted_rnn"): "fe3fc419910945b0a1285e901900de6b86e82aa668ba08861925ec9ff887aea3",
+    (602, "build_boosted_rnn_simple"): "bdc34d1a7e267484796d1f2d8bda21610e8d1392a1e08eb46abd7ba97500f1b0",
     (605, "lm_to_rnn"): "e6c70e98bf144525efa401a9f18567526dca27114de7b68ee2a6d13b9f28315d",
     (605, "distinguisher_to_rnn"): "7514fed9a78f1dc99a5e12d6ed15b1a3a9dcfb8981c086ee9e12dd1c85ac84a4",
-    (605, "build_boosted_rnn"): "a48d9e5567d286254426ae41bf998a683e032815a51b48b03235899e86644c7e",
-    (605, "build_boosted_rnn_simple"): "0f3726d5a56a34bcb49839d1c97c216b77deb895aa6d1dca1c9a1a53a323924d",
-    (1061, "build_boosted_rnn_quantized"): "2c3f02a4e5ae759f89b13ce733a04b702d3fb52d35353ddb1847d92546a74958",
+    (605, "build_boosted_rnn"): "43f7b8c2bd968afe1087992974410e6c7cccf4b1cdd6d2a9cbb0abe16d70381a",
+    (605, "build_boosted_rnn_simple"): "a67d41010e185fceee45537275fc0cc65b2bf481ac53b4b04246ac114653e645",
+    (1061, "build_boosted_rnn_quantized"): "4544a338a03c9669e52d810e837653212915c008a78fe2beb589571da6cf49b0",
 }
 
 
@@ -777,40 +811,90 @@ def build_digest(graph) -> str:
     return h.hexdigest()
 
 
-class TestPinnedBuilds:
-    @pytest.mark.parametrize(
-        "seed,size,n,k,rnn_time", [(601, 2, 4, 2, 2), (602, 2, 3, 1, 2), (605, 3, 3, 2, 3)]
+# sha256 of each pinned build's outputs at every multiple of rnn_time over
+# all of Sigma^n; for the quantized build followed by quantized_run's
+# outputs and its saturation count.  Unlike BUILD_DIGESTS these hash no
+# node name or tape entry, so a change that renames, merges or reorders
+# nodes with the same behaviour leaves them as they are.
+OUTPUT_DIGESTS = {
+    (601, "lm_to_rnn"): "54616d38f69e54e0453dc09f4100a691107c30d8d0743c1f10c11b7547903073",
+    (601, "distinguisher_to_rnn"): "fb702df662ca8c539ed155ebd56473928df5fd6c174d46179ba5a5ee4a4df3b0",
+    (601, "build_boosted_rnn"): "cdf99c6e721b761d3c7508fac5e797f48c20e0263f358b8217c98cdc5381bd40",
+    (601, "build_boosted_rnn_simple"): "cdf99c6e721b761d3c7508fac5e797f48c20e0263f358b8217c98cdc5381bd40",
+    (602, "lm_to_rnn"): "b518c7779551fadb974d8faf27b88c98af6ea69a73da6e961c999437c9e3f5b2",
+    (602, "distinguisher_to_rnn"): "ea3da988e7b03395ace7c2920d52cdbf7c67802df84b20e521570de28bb6ccf7",
+    (602, "build_boosted_rnn"): "af8f104dc5ff16a08408d0575255528fdbac30b256f1da1a28a9d69ef60472b6",
+    (602, "build_boosted_rnn_simple"): "af8f104dc5ff16a08408d0575255528fdbac30b256f1da1a28a9d69ef60472b6",
+    (605, "lm_to_rnn"): "a183c01232788537ba3ba53a24533d45ffdcbdb4b67feb3ad10ea1e0eb4cad07",
+    (605, "distinguisher_to_rnn"): "5734c89d92a9d59521dc977dac2e6f5aa01a742030f40aa55e48222d3e342b30",
+    (605, "build_boosted_rnn"): "c4b39632f33a08b04a24bc16c15a5d17dad92d8f59f48a94240156690995cf8e",
+    (605, "build_boosted_rnn_simple"): "c4b39632f33a08b04a24bc16c15a5d17dad92d8f59f48a94240156690995cf8e",
+    (1061, "build_boosted_rnn_quantized"): "fc6171896d11907cc22d9c3c0e1b3731ec5a7dea59618bfed7df9d2ab0e14d37",
+}
+
+PINNED_INSTANCES = [(601, 2, 4, 2, 2), (602, 2, 3, 1, 2), (605, 3, 3, 2, 3)]
+
+
+def pinned_builds(seed, size, n, k, rnn_time) -> dict:
+    alphabet = Alphabet(size)
+    rng = rng_for(seed)
+    p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
+    res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
+    q = lm_to_rnn(text_to_lm(qt), rnn_time)
+    d = distinguisher_to_rnn(res.applied, alphabet, rnn_time)
+    args = (q, d, k, res.alpha, res.offset, size)
+    return {
+        "lm_to_rnn": q,
+        "distinguisher_to_rnn": d,
+        "build_boosted_rnn": build_boosted_rnn(*args)[0],
+        "build_boosted_rnn_simple": build_boosted_rnn_simple(*args),
+    }
+
+
+def pinned_quantized():
+    # the instance of verify's quantized-boost check
+    rng = rng_for(1061)
+    n, k, ell = 4, 1, 1 / 8
+    p = random_text(B2, n, rng)
+    lm = dyadic_lm(B2, n, rng, frac_bits=14, min_conditional=ell)
+    res = boost_text(p, lm_to_text(lm), random_prefix_window_distinguisher(B2, n, k, rng))
+    assert res.alpha > 0
+    bf = max(minimal_fraction_bits(k, res.alpha, ell), 14)
+    return build_boosted_rnn_quantized(
+        lm_to_rnn(lm, 2),
+        distinguisher_to_rnn(res.applied, B2, 2),
+        k, res.alpha, res.offset, 2,
+        FixedPointFormat(20, bf), FixedPointFormat(2, 8), ell,
     )
+
+
+def output_digest(graph, docs, fmt=None) -> str:
+    h = hashlib.sha256(run(graph, docs).values.tobytes())
+    if fmt is not None:
+        tq = quantized_run(graph, fmt, docs)
+        h.update(tq.values.tobytes())
+        h.update(str(tq.saturation_events).encode())
+    return h.hexdigest()
+
+
+class TestPinnedBuilds:
+    @pytest.mark.parametrize("seed,size,n,k,rnn_time", PINNED_INSTANCES)
     def test_table_and_boosted_builders(self, seed, size, n, k, rnn_time):
-        alphabet = Alphabet(size)
-        rng = rng_for(seed)
-        p, qt = random_text(alphabet, n, rng), random_text(alphabet, n, rng)
-        res = boost_text(p, qt, random_prefix_window_distinguisher(alphabet, n, k, rng))
-        q = lm_to_rnn(text_to_lm(qt), rnn_time)
-        d = distinguisher_to_rnn(res.applied, alphabet, rnn_time)
-        args = (q, d, k, res.alpha, res.offset, size)
-        graphs = {
-            "lm_to_rnn": q,
-            "distinguisher_to_rnn": d,
-            "build_boosted_rnn": build_boosted_rnn(*args)[0],
-            "build_boosted_rnn_simple": build_boosted_rnn_simple(*args),
-        }
+        graphs = pinned_builds(seed, size, n, k, rnn_time)
         for name, graph in graphs.items():
             assert build_digest(graph) == BUILD_DIGESTS[seed, name], name
 
     def test_quantized_builder(self):
-        # the instance of verify's quantized-boost check
-        rng = rng_for(1061)
-        n, k, ell = 4, 1, 1 / 8
-        p = random_text(B2, n, rng)
-        lm = dyadic_lm(B2, n, rng, frac_bits=14, min_conditional=ell)
-        res = boost_text(p, lm_to_text(lm), random_prefix_window_distinguisher(B2, n, k, rng))
-        assert res.alpha > 0
-        bf = max(minimal_fraction_bits(k, res.alpha, ell), 14)
-        out = build_boosted_rnn_quantized(
-            lm_to_rnn(lm, 2),
-            distinguisher_to_rnn(res.applied, B2, 2),
-            k, res.alpha, res.offset, 2,
-            FixedPointFormat(20, bf), FixedPointFormat(2, 8), ell,
-        )
+        out = pinned_quantized()
         assert build_digest(out.graph) == BUILD_DIGESTS[1061, "build_boosted_rnn_quantized"]
+
+    @pytest.mark.parametrize("seed,size,n,k,rnn_time", PINNED_INSTANCES)
+    def test_table_and_boosted_outputs(self, seed, size, n, k, rnn_time):
+        docs = all_docs(n, size)
+        for name, graph in pinned_builds(seed, size, n, k, rnn_time).items():
+            assert output_digest(graph, docs) == OUTPUT_DIGESTS[seed, name], name
+
+    def test_quantized_outputs(self):
+        out = pinned_quantized()
+        got = output_digest(out.graph, all_docs(4), out.format)
+        assert got == OUTPUT_DIGESTS[1061, "build_boosted_rnn_quantized"]

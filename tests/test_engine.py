@@ -85,6 +85,42 @@ def identity_echo_graph():
     )
 
 
+def two_input_graph():
+    """Inputs a and b, both read by ``out``: 11 x when both hold x."""
+    return RnnGraph(
+        nodes=[
+            NodeSpec("a", 0.0, None),
+            NodeSpec("b", 0.0, None),
+            NodeSpec("out", 0.0, relu(0.0, (1.0, "a"), (10.0, "b"))),
+        ],
+        input_ids=("a", "b"),
+        output_id="out",
+        hidden_ids=(),
+        rnn_time=2,
+        meta={"schedule": "multiples"},
+    )
+
+
+class TestTwoInputs:
+    """No builder makes a graph with two input nodes, but the format, the
+    validator and the engine accept one: every input receives the token."""
+
+    def test_every_input_receives_every_token(self):
+        g = two_input_graph()
+        stream = np.array([[1.0, 0.0], [3.0, 1.0], [2.0, 2.0]])  # (n, batch)
+        state, _ = engine._start(compile_graph(g), stream, None)
+        assert state[0].tolist() == state[1].tolist() == [1.0, 0.0]
+        outs = run(g, stream).values[:, 0, :]
+        assert outs.tolist() == (11.0 * stream).tolist()
+
+    def test_json_round_trip_keeps_the_outputs(self):
+        g = two_input_graph()
+        loaded = nio.graph_from_json(json.loads(json.dumps(nio.graph_to_json(g))))
+        assert loaded.input_ids == ("a", "b")
+        stream = np.array([[1.0, 0.0], [3.0, 1.0], [2.0, 2.0]])
+        assert run(loaded, stream).values.tobytes() == run(g, stream).values.tobytes()
+
+
 class TestStepAndRun:
     def test_constant_self_loop_holds(self):
         g = RnnGraph(
@@ -1392,7 +1428,7 @@ class TestRecord:
     def test_run_keeps_the_outputs_of_the_full_trace(self, sweep_circuit):
         graph, prog, docs = sweep_circuit
         full = full_run(graph, docs)
-        assert full.values.shape == (360, 75, 64)
+        assert full.values.shape == (360, 54, 64)
         out = run(graph, docs, program=prog)
         assert out.values.shape == (6, 1, 64)
         assert out.total_steps == 360
