@@ -97,8 +97,14 @@ def cmd_construct(args) -> int:
         raise PreconditionError(f"--alpha must be a number in [0, 1], got {args.alpha}")
     q = nio.graph_from_json(nio.read_json(args.model), args.model)
     d = nio.graph_from_json(nio.read_json(args.distinguisher), args.distinguisher)
-    base = nio.field(q.meta, "alphabet_size", int, f"{args.model}/meta")
-    k = nio.field(d.meta, "k", int, f"{args.distinguisher}/meta", args.k)
+    q_meta, d_meta = f"{args.model}/meta", f"{args.distinguisher}/meta"
+    base = nio.field(q.meta, "alphabet_size", int, q_meta)
+    d_base = nio.field(d.meta, "alphabet_size", int, d_meta, base)
+    _agree("alphabet_size", d_base, d_meta, base, q_meta)
+    if "n" in q.meta and "n" in d.meta:  # a boosted circuit carries no n
+        n = nio.field(q.meta, "n", int, q_meta)
+        _agree("n", nio.field(d.meta, "n", int, d_meta), d_meta, n, q_meta)
+    k = nio.field(d.meta, "k", int, d_meta, args.k)
     if k != args.k:
         raise FormatError(
             f"--k {args.k} disagrees with the distinguisher's k {k}",

@@ -1,8 +1,7 @@
 """Circuit constructions: compiled tables, enumerator, boosted assembly."""
 
 from .lm_compile import distinguisher_to_rnn, lm_to_rnn
-from .enumerator import build_sync_enumerator, case1_sample_time, window_sample_time
-from .components import build_f1, build_f2, build_g
+from .enumerator import case1_sample_time, window_sample_time
 from .boosted import (
     ConstructionReport,
     boosted_hidden_formula,

@@ -160,10 +160,10 @@ def build_boosted_rnn(
     _check_readout(q_graph, "Q")
     _check_readout(d_graph, "D")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
-    sc = build_scaffold("c.", base, k, tau, i0_star)
-    f1 = f1_part(q_graph, sc, "f1.")
-    f2 = f2_part(d_graph, sc, alpha, "f2.")
-    g = g_part(sc, "g.")
+    sc = build_scaffold(base, k, tau, i0_star)
+    f1 = f1_part(q_graph, sc)
+    f2 = f2_part(d_graph, sc, alpha)
+    g = g_part(sc)
     combiner = _combiner_nodes(sc, f1.outputs[0], f2.outputs[0], *g.outputs)
     graph = sc.graph(
         f1, f2, g, Part(combiner),
@@ -274,7 +274,7 @@ def build_boosted_rnn_simple(
         if len(g_src.input_ids) != 1:
             raise PreconditionError(f"{label} circuit must have one input node")
     tau = max(q_graph.rnn_time, d_graph.rnn_time) + 4
-    sc = build_scaffold("c.", base, k, tau, i0_star)
+    sc = build_scaffold(base, k, tau, i0_star)
     nm = sc.name
     q_main = _full_copy_main(q_graph, sc, "qm.")
     d_main = _full_copy_main(d_graph, sc, "dm.")
@@ -285,7 +285,7 @@ def build_boosted_rnn_simple(
     q_out_scr = "qs." + q_graph.output_id
     d_out_scr = "ds." + d_graph.output_id
 
-    # running product over digits, as in the f1 wrapper
+    # running product over digits, as in the f1 part
     u1_cases = [
         (
             prod(ind_eq(nm("w0"), float(sc.period - 2)), sc.in_initial_phase()),
@@ -303,7 +303,7 @@ def build_boosted_rnn_simple(
     nodes.append(NodeSpec("u1", 1.0, hold("u1", u1_cases)))
     nodes.append(NodeSpec("u2", 1.0, exp_binary(-alpha, d_out_scr)))
 
-    g = g_part(sc, "g.")
+    g = g_part(sc)
     combiner = _combiner_nodes(sc, "u1", "u2", *g.outputs)
     # of the copies, u1 and u2, both anchor copies are hidden
     copies = Part(tuple(nodes), tuple(spec.name for spec in q_main + d_main))

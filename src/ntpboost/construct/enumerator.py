@@ -1,6 +1,6 @@
 """Synchronized enumeration: replay every length-k continuation on schedule.
 
-Given a token-per-T circuit Q, build a circuit U that, for each input
+Given a token-per-T circuit Q, the enumerator part U, for each input
 index past the chosen offset, iterates over all |Sigma|^k candidate
 windows z and produces Q's output on anchor-prefix . z_{:r+1} at fixed
 instants, while Q's own state for the anchor prefix is preserved in a
@@ -8,9 +8,10 @@ mirrored hidden copy.  One input loop lasts (|Sigma|^k + 1) * k * tau
 steps: |Sigma|^k string loops of k digit loops (tau steps each), then a
 null phase in which the anchor copy catches up when the anchor moves.
 
-A circuit has one scaffold (``build_scaffold``, 2k + 7 nodes under one
-prefix), and each of its enumerating components reads it and adds only
-its own nodes, a ``Part``.  Scaffold nodes:
+A circuit has one scaffold (``build_scaffold``, 2k + 7 nodes named
+``c.*``), and each of its enumerating components reads it and adds only
+its own nodes, a ``Part``; ``EnumScaffold.graph`` joins the scaffold and
+its parts into one graph.  Scaffold nodes:
   in  the input node, the circuit's only one
   w0  step counter inside the input loop, range [1, T_U]
   u0  current index minus latest anchor, range [1, k]
@@ -20,8 +21,8 @@ its own nodes, a ``Part``.  Scaffold nodes:
   y1..yk     tokens since the anchor (raw token values)
   e1..ek,ve  base-|Sigma| window counter (e1 least significant) and the
              digit emitter feeding the scratch copy
-All but the input are hidden.  The enumerator of Q adds, under its own
-prefix, |Q| + |H_Q| - 1 nodes, |H_Q| of them hidden:
+All but the input are hidden.  The enumerator of Q (``enumerator_part``)
+adds, under its own prefix, |Q| + |H_Q| - 1 nodes, |H_Q| of them hidden:
   H.*  mirror of Q's hidden set pinned to the anchor prefix (hidden)
   Ht.* scratch mirror consuming emitted digits
   R.*  mirror of Q's remaining nodes, recomputed per digit loop
@@ -69,7 +70,6 @@ class Part:
 class EnumScaffold:
     """Nodes, names and timing constants of one circuit's scaffold."""
 
-    prefix: str
     base: int
     k: int
     tau: int
@@ -86,7 +86,7 @@ class EnumScaffold:
         return self.name("in")
 
     def name(self, raw: str) -> str:
-        return self.prefix + raw
+        return "c." + raw
 
     # condition helpers, all on previous-step values
     def at_loop_end(self):
@@ -128,13 +128,10 @@ class EnumScaffold:
         )
 
 
-def build_scaffold(
-    prefix: str, base: int, k: int, tau: int, i0_star: int
-) -> EnumScaffold:
+def build_scaffold(base: int, k: int, tau: int, i0_star: int) -> EnumScaffold:
     """The input, counter, storage and enumerator nodes of one circuit.
 
-    The first node is the input ``prefix + "in"``; every later one is
-    hidden.
+    The first node is the input ``c.in``; every later one is hidden.
     """
     if not 0 <= i0_star <= k - 1:
         raise PreconditionError(f"offset {i0_star} outside [0, {k - 1}]")
@@ -143,7 +140,7 @@ def build_scaffold(
         raise PreconditionError(
             f"|Sigma|^k = {B} exceeds the enumeration guard {MAX_WINDOW_ENUM}"
         )
-    sc = EnumScaffold(prefix, base, k, tau, i0_star, (B + 1) * k * tau)
+    sc = EnumScaffold(base, k, tau, i0_star, (B + 1) * k * tau)
     nm = sc.name
 
     # u0 bumps at loop ends; u bumps one step before w wraps, naming the
@@ -202,7 +199,7 @@ def enumerator_part(q_graph: RnnGraph, sc: EnumScaffold, prefix: str) -> Part:
     t_q = q_graph.rnn_time
     k, tau = sc.k, sc.tau
     if tau < t_q + 2:
-        raise PreconditionError(f"need tau >= T_inner + 2 = {t_q + 2}, got {tau}")
+        raise PreconditionError(f"need tau >= T_Q + 2 = {t_q + 2}, got {tau}")
     if len(q_graph.input_ids) != 1:
         raise PreconditionError("enumerated circuit must have one input node")
     if q_graph.output_id in q_graph.hidden_ids:
@@ -289,24 +286,6 @@ def enumerator_part(q_graph: RnnGraph, sc: EnumScaffold, prefix: str) -> Part:
     return Part(
         tuple(nodes), tuple(mirror_h.values()), (mirror_r[q_graph.output_id],)
     )
-
-
-def build_sync_enumerator(
-    q_graph: RnnGraph,
-    k: int,
-    i0_star: int,
-    tau: int,
-    base: int,
-    prefix: str = "",
-) -> tuple[RnnGraph, EnumScaffold]:
-    """Synchronized-enumeration circuit U: Q's mirrors on a scaffold of
-    their own, both under ``prefix``."""
-    sc = build_scaffold(prefix, base, k, tau, i0_star)
-    u = enumerator_part(q_graph, sc, prefix)
-    graph = sc.graph(
-        u, output_id=u.outputs[0], kind="sync_enumerator", T_inner=q_graph.rnn_time
-    )
-    return graph, sc
 
 
 def case1_sample_time(sc: EnumScaffold, i: int) -> int:

@@ -40,8 +40,8 @@ earlier level.  ``Schedule`` reports the cost: ``levels``,
 ``reductions`` (buckets, each one call per update), ``term_cells``
 (terms and factors on the tape) and ``padded_cells`` (cells gathered
 per column and update).  On one n=6, k=2 boosted circuit of the
-``sweep`` benchmark, 1,590 tape slots give 8 levels and 28 buckets, 10
-of them of arity 1 or 2, gathering 5,066 cells for 4,544 terms.
+``sweep`` benchmark, 1,343 tape slots give 8 levels and 28 buckets, 10
+of them of arity 1 or 2, gathering 4,612 cells for 4,141 terms.
 ``_schedule`` reads the tape once into flat arrays (each slot's
 operator, each term's parent, place, child and coefficient) and
 derives levels, rows, buckets and padded cells from them with numpy

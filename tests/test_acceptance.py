@@ -401,7 +401,9 @@ def test_criterion_9_transition_library():
 
 def test_criterion_10_hidden_sufficiency_scrubbing():
     start = time.monotonic()
-    from ntpboost.construct import build_f1, build_f2, build_g, build_sync_enumerator
+    from ntpboost.construct.components import f1_part, f2_part, g_part
+    from ntpboost.construct.enumerator import enumerator_part
+    from on_scaffold import alone
 
     rng = rng_for(71_001)
     n, k = 4, 2
@@ -411,14 +413,14 @@ def test_criterion_10_hidden_sufficiency_scrubbing():
     res = boost_text(p, qt, d)
     q = lm_to_rnn(text_to_lm(qt), 2)
     D = distinguisher_to_rnn(res.applied, B2, 2)
-    tau = max(q.rnn_time, D.rnn_time) + 4
+    at = (k, res.offset, max(q.rnn_time, D.rnn_time) + 4)
     graphs = {
         "model": q,
         "distinguisher": D,
-        "enumerator": build_sync_enumerator(q, k, res.offset, tau, 2, "u.")[0],
-        "f1": build_f1(q, k, res.offset, tau, 2)[0],
-        "f2": build_f2(D, k, res.offset, res.alpha, tau, 2)[0],
-        "g": build_g(k, res.offset, tau, 2)[0],
+        "enumerator": alone(lambda sc: enumerator_part(q, sc, "u."), *at)[0],
+        "f1": alone(lambda sc: f1_part(q, sc), *at)[0],
+        "f2": alone(lambda sc: f2_part(D, sc, res.alpha), *at)[0],
+        "g": alone(g_part, *at)[0],
         "boosted": build_boosted_rnn(q, D, k, res.alpha, res.offset, 2)[0],
         "simple": build_boosted_rnn_simple(q, D, k, res.alpha, res.offset, 2),
     }

@@ -21,17 +21,14 @@ from ntpboost.construct import (
     boosted_time_formula,
     build_boosted_rnn,
     build_boosted_rnn_simple,
-    build_f1,
-    build_f2,
-    build_g,
-    build_sync_enumerator,
     case1_sample_time,
     distinguisher_to_rnn,
     lm_to_rnn,
     window_sample_time,
 )
 from ntpboost.construct.boosted import _check_readout
-from ntpboost.construct.enumerator import build_scaffold
+from ntpboost.construct.components import f1_part, f2_part, g_part
+from ntpboost.construct.enumerator import build_scaffold, enumerator_part
 from ntpboost.dist import (
     Alphabet,
     LanguageModel,
@@ -66,6 +63,7 @@ from ntpboost.rnn import engine
 from ntpboost.rnn.engine import compile_graph, run
 from ntpboost.rnn.sufficiency import verify_hidden_sufficiency
 from full_trace import full_run
+from on_scaffold import alone
 from oracles import table_bit
 from reference_tables import reference_distinguisher_to_rnn, reference_lm_to_rnn
 
@@ -304,27 +302,27 @@ class TestCounterTraces:
         lm = text_to_lm(random_text(B2, n, rng))
         q = lm_to_rnn(lm, 2)
         tau = q.rnn_time + 4
-        U, sc = build_sync_enumerator(q, k, i0_star, tau, base=2, prefix="u.")
+        U, sc = alone(lambda sc: enumerator_part(q, sc, "u."), k, i0_star, tau)
         B = 2**k
         stream = np.array([1, 0, 1, 1])
         tr = full_run(U, stream)
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         for t in range(1, 4 * sc.period + 1):
             i1, mu, j1, r1, s1 = symbolic_loop_position(t, sc.period, tau, k, B)
-            assert tr.scalar("u.w0", t) == (t - 1) % sc.period + 1
-            assert tr.scalar("u.w", t) == s1
+            assert tr.scalar("c.w0", t) == (t - 1) % sc.period + 1
+            assert tr.scalar("c.w", t) == s1
             # u holds the digit index of the next step
             _, _, _, r1_next, _ = symbolic_loop_position(t + 1, sc.period, tau, k, B)
-            assert tr.scalar("u.u", t) == r1_next
-            assert tr.scalar("u.vc", t) == min(i1, i0_star + 1)
+            assert tr.scalar("c.u", t) == r1_next
+            assert tr.scalar("c.vc", t) == min(i1, i0_star + 1)
             if i1 > i0_star:
                 anchor = anchor_of(i1, i0_star, k)
             else:
                 anchor = i0_star - k
-            assert tr.scalar("u.u0", t) == i1 - anchor
+            assert tr.scalar("c.u0", t) == i1 - anchor
             # the emitted digit matches the symbolic schedule
             want_ve = 0.0 if j1 == B + 1 else float(strings[j1 - 1][r1 - 1])
-            assert tr.scalar("u.ve", t) == want_ve
+            assert tr.scalar("c.ve", t) == want_ve
 
 
 class TestSyncEnumerator:
@@ -335,7 +333,7 @@ class TestSyncEnumerator:
         lm = text_to_lm(t)
         q = lm_to_rnn(lm, 2)
         tau = q.rnn_time + 4
-        U, sc = build_sync_enumerator(q, k, i0_star, tau, base=2, prefix="u.")
+        U, sc = alone(lambda sc: enumerator_part(q, sc, "u."), k, i0_star, tau)
         # the enumerator's own nodes, on top of its scaffold
         assert U.size - len(sc.nodes) == q.size + q.hidden_size - 1
         assert U.hidden_size - (len(sc.nodes) - 1) == q.hidden_size
@@ -366,7 +364,7 @@ class TestSyncEnumerator:
         # over a binary alphabet: every window output is the same constant
         lm = uniform_lm(B2, 3)
         q = lm_to_rnn(lm, 2)
-        U, sc = build_sync_enumerator(q, 1, 0, q.rnn_time + 4, base=2, prefix="u.")
+        U, sc = alone(lambda sc: enumerator_part(q, sc, "u."), 1, 0, q.rnn_time + 4)
         tr = full_run(U, np.array([0, 1, 0]))
         for i in range(1, 4):
             for j in (1, 2):
@@ -376,7 +374,7 @@ class TestSyncEnumerator:
     def test_tau_precondition(self):
         q = lm_to_rnn(uniform_lm(B2, 2), 3)
         with pytest.raises(PreconditionError):
-            build_sync_enumerator(q, 1, 0, tau=4, base=2)
+            alone(lambda sc: enumerator_part(q, sc, "u."), 1, 0, tau=4)
 
 
 class TestComponents:
@@ -393,7 +391,7 @@ class TestComponents:
     def test_f1_window_probabilities(self):
         n, k, i0_star = 4, 2, 1
         t, lm, d, q, D, tau = self.setup_instance(547)
-        f1, sc = build_f1(q, k, i0_star, tau, 2)
+        f1, sc = alone(lambda sc: f1_part(q, sc), k, i0_star, tau)
         assert f1.size - len(sc.nodes) == q.size + q.hidden_size
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
@@ -414,7 +412,7 @@ class TestComponents:
     def test_f1_uniform_model_quarter(self):
         lm = uniform_lm(B2, 4)
         q = lm_to_rnn(lm, 2)
-        f1, sc = build_f1(q, 2, 0, q.rnn_time + 4, 2)
+        f1, sc = alone(lambda sc: f1_part(q, sc), 2, 0, q.rnn_time + 4)
         tr = full_run(f1, np.array([0, 1, 0, 1]))
         for i in (1, 2, 3):
             for j in (1, 2, 3, 4):
@@ -424,7 +422,7 @@ class TestComponents:
     def test_f2_exponentials(self):
         n, k, i0_star, alpha = 4, 2, 1, 0.35
         t, lm, d, q, D, tau = self.setup_instance(557)
-        f2, sc = build_f2(D, k, i0_star, alpha, tau, 2)
+        f2, sc = alone(lambda sc: f2_part(D, sc, alpha), k, i0_star, tau)
         assert f2.size - len(sc.nodes) == D.size + D.hidden_size
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
@@ -445,7 +443,7 @@ class TestComponents:
         zero = distinguisher_to_rnn(constant_distinguisher(2, 4, 0), B2, 2)
         one = distinguisher_to_rnn(constant_distinguisher(2, 4, 1), B2, 2)
         for D, want in ((zero, 1.0), (one, math.exp(-alpha))):
-            f2, sc = build_f2(D, 2, 0, alpha, D.rnn_time + 4, 2)
+            f2, sc = alone(lambda sc: f2_part(D, sc, alpha), 2, 0, D.rnn_time + 4)
             tr = full_run(f2, np.array([0, 1, 0, 1]))
             for i in (1, 2, 3, 4):
                 for j in (1, 2, 3, 4):
@@ -454,8 +452,7 @@ class TestComponents:
 
     def test_g_indicator_sweep(self):
         n, k, i0_star = 4, 2, 1
-        g, sc = build_g(k, i0_star, 6, 2)
-        v1n, v2n = g.meta["pair"]
+        g, sc = alone(g_part, k, i0_star, 6)
         strings = [tuple(s) for s in product(range(2), repeat=k)]
         docs = all_docs(n)
         tr = full_run(g, docs)
@@ -467,33 +464,28 @@ class TestComponents:
                 realized = doc[a:i]
                 for j, z in enumerate(strings, start=1):
                     tt = (i - 1) * sc.period + j * k * sc.tau - 1
-                    assert tr.value(v1n, tt)[col] == float(z[:r0] == realized)
-                    assert tr.value(v2n, tt)[col] == float(
+                    assert tr.value("g.v1", tt)[col] == float(z[:r0] == realized)
+                    assert tr.value("g.v2", tt)[col] == float(
                         z[: r0 - 1] == realized[: r0 - 1]
                     )
 
     def test_g_first_digit_mismatch(self):
         # first enumerated string is all zeros; a document starting the
         # block with token 1 kills g1 at r0 = 1
-        g, sc = build_g(2, 0, 6, 2)
-        v1n, _ = g.meta["pair"]
+        g, sc = alone(g_part, 2, 0, 6)
         tr = full_run(g, np.array([1, 0, 1, 0]))
         tt = 2 * sc.tau - 1  # i=1, j=1 (z = 00), r0 = 1
-        assert tr.scalar(v1n, tt) == 0.0
+        assert tr.scalar("g.v1", tt) == 0.0
 
     def test_g_r0_one_gives_g2_one(self):
-        g, sc = build_g(2, 0, 6, 2)
-        _, v2n = g.meta["pair"]
+        g, sc = alone(g_part, 2, 0, 6)
         tr = full_run(g, np.array([1, 0, 1, 0]))
         for j in (1, 2, 3, 4):
             tt = j * 2 * sc.tau - 1  # i=1 has r0 = 1
-            assert tr.scalar(v2n, tt) == 1.0
+            assert tr.scalar("g.v2", tt) == 1.0
 
 
 class TestSizeFormulas:
-    def test_f1_size_arithmetic(self):
-        assert 10 + 3 + 2 * 2 + 7 == 24
-
     def test_boosted_size_arithmetic(self):
         assert boosted_size_formula(10, 3, 5, 2, 2) == 38
         assert boosted_hidden_formula(3, 2, 2) == 15
@@ -503,7 +495,7 @@ class TestSizeFormulas:
     def test_g_size(self):
         # g's own nodes, on top of its scaffold; none of them is hidden
         for k in (1, 2, 3):
-            g, sc = build_g(k, 0, 6, 2)
+            g, sc = alone(g_part, k, 0, 6)
             assert g.size - len(sc.nodes) == k + 2
             assert g.hidden_size == len(sc.nodes) - 1
 
@@ -516,14 +508,14 @@ class TestScaffoldHidden:
         tau = max(q.rnn_time, D.rnn_time) + 4
         args = (q, D, 2, res.alpha, 1, 2)
         builds = [
-            ("u.", build_sync_enumerator(q, 2, 1, tau, 2, prefix="u.")[0]),
-            ("g.", build_g(2, 1, tau, 2, prefix="g.")[0]),
-            ("c.", build_boosted_rnn(*args)[0]),
-            ("c.", build_boosted_rnn_simple(*args)),
+            alone(lambda sc: enumerator_part(q, sc, "u."), 2, 1, tau)[0],
+            alone(g_part, 2, 1, tau)[0],
+            build_boosted_rnn(*args)[0],
+            build_boosted_rnn_simple(*args),
         ]
-        for prefix, graph in builds:
-            sc = build_scaffold(prefix, 2, 2, tau, 1)
-            assert len(sc.nodes) == 2 * 2 + 7 and sc.nodes[0].expr is None
+        sc = build_scaffold(2, 2, tau, 1)
+        assert len(sc.nodes) == 2 * 2 + 7 and sc.nodes[0].expr is None
+        for graph in builds:
             assert graph.input_ids == (sc.input,)
             specs = graph.node_map()
             for spec in sc.nodes[1:]:
@@ -671,10 +663,10 @@ class TestHiddenSufficiency:
     def test_all_constructed_graphs_pass_scrubbing(self):
         p, qt, res, q, D = build_instance(631, 4, 2)
         tau = max(q.rnn_time, D.rnn_time) + 4
-        U, _ = build_sync_enumerator(q, 2, res.offset % 2, tau, 2, prefix="u.")
-        f1, _ = build_f1(q, 2, 1, tau, 2)
-        f2, _ = build_f2(D, 2, 1, res.alpha, tau, 2)
-        g, _ = build_g(2, 1, tau, 2)
+        U, _ = alone(lambda sc: enumerator_part(q, sc, "u."), 2, res.offset % 2, tau)
+        f1, _ = alone(lambda sc: f1_part(q, sc), 2, 1, tau)
+        f2, _ = alone(lambda sc: f2_part(D, sc, res.alpha), 2, 1, tau)
+        g, _ = alone(g_part, 2, 1, tau)
         Qp, _ = build_boosted_rnn(q, D, 2, res.alpha, res.offset, 2)
         Qs = build_boosted_rnn_simple(q, D, 2, res.alpha, res.offset, 2)
         rng = rng_for(677)

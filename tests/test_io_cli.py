@@ -547,6 +547,32 @@ class TestCli:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
+        "key, size, n", [("alphabet_size", 3, 4), ("n", 2, 6)], ids=["alphabet", "n"]
+    )
+    def test_construct_refuses_a_distinguisher_of_another_model(
+        self, tmp_path, capsys, key, size, n
+    ):
+        # the model circuit has |Sigma| = 2 and n = 4
+        from ntpboost.construct import distinguisher_to_rnn
+
+        alphabet = Alphabet(size)
+        d = random_prefix_window_distinguisher(alphabet, n, 2, rng_for(1201))
+        dpath = str(tmp_path / "d_graph.json")
+        nio.write_json_atomic(
+            dpath, nio.graph_to_json(distinguisher_to_rnn(d, alphabet, 2))
+        )
+        model = fixture("model_circuit_n4.json")
+        out = str(tmp_path / "c")
+        argv = ["--model", model, "--distinguisher", dpath, "--k", "2", "--alpha", "0.1"]
+        assert run_cli("construct", "--out", out, *argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FormatError"
+        assert payload["message"].endswith(
+            f"at {model}/meta/{key} (at {dpath}/meta/{key})"
+        )
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
         "edited, edit, key, located, other",
         [
             ("model", lambda d: {"alphabet_size": 2, "n": 3, "probs": [0.125] * 8},

@@ -23,7 +23,7 @@ def test_oracles_import_no_ntpboost_module():
 def test_doubling_construction_builds_no_enumerated_component():
     # the doubling construction checks build_boosted_rnn, so it may share
     # the scaffold, g and the combiner, but never the enumerator or the f1
-    # and f2 wrappers, directly or through a helper of its module
+    # and f2 parts, directly or through a helper of its module
     import inspect
 
     from ntpboost.construct import boosted
@@ -41,7 +41,7 @@ def test_doubling_construction_builds_no_enumerated_component():
             if name is not None:
                 names.add(name)
     assert "_combiner_nodes" in names  # the walk follows module helpers
-    assert names.isdisjoint({"build_sync_enumerator", "build_f1", "build_f2"})
+    assert names.isdisjoint({"enumerator_part", "f1_part", "f2_part"})
 
 
 def test_table_compilers_share_one_term_rule():
